@@ -482,19 +482,19 @@ def verify_socle_identity(lam, mu, n: int) -> SocleReport:
                        skipped=skipped)
 
 
-def gl_hom_space(a: GlModule, b: GlModule, prime: int = DEFAULT_PRIME) -> list[dict]:
+def gl_hom_space(a: GlModule, b: GlModule) -> list[dict]:
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
-    return hom_basis(a, b, a.gen_keys(), prime=prime)
+    return hom_basis(a, b, a.gen_keys())
 
 
-def gl_iso_check(a: GlModule, b: GlModule, prime: int = DEFAULT_PRIME, seed: int = 0):
+def gl_iso_check(a: GlModule, b: GlModule, seed: int = 0):
     """Invertible intertwiner between two gl modules, or None."""
     if a.rank != b.rank or a.dim != b.dim:
         return None
     if a.character() != b.character():
         return None
-    homs = gl_hom_space(a, b, prime=prime)
+    homs = gl_hom_space(a, b)
     return invertible_combination(a, b, homs, seed=seed)
 
 

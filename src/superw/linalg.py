@@ -5,15 +5,18 @@ state keeps each stored row normalized so its minimal coordinate is the
 pivot with coefficient one; reduction therefore terminates by always
 eliminating the least pivoted coordinate present.
 
-Mod-p computations serve only as one-sided certificates: the rank of a
-rational matrix reduced mod p never exceeds the rational rank, so a full
-rank mod p certifies full rank over the rationals, and a zero nullity mod
-p certifies a zero rational kernel.  No "not full" conclusion is ever
-drawn from a mod-p run alone.
+Exact kernels come from the same sparse echelon: ``kernel_basis`` inserts
+the constraint rows and back-substitutes one basis vector per free column,
+so no dense matrix is ever formed.
+
+Mod-p computations serve only as one-sided certificates, in ``rank_mod_p``
+and in closures over ``ModPEchelon``: the rank of a rational matrix reduced
+mod p never exceeds the rational rank, so a full rank mod p certifies full
+rank over the rationals, and a zero nullity mod p certifies a zero rational
+kernel.  No "not full" conclusion is ever drawn from a mod-p run alone.
 """
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -21,43 +24,8 @@ from .errors import StepBudgetExceeded
 
 Vec = dict  # coordinate -> nonzero coefficient
 
-# Mersenne prime 2^61 - 1, the default modulus when no seeded draw is wanted
+# Mersenne prime 2^61 - 1, the default modulus of the mod-p certificates
 DEFAULT_PRIME = (1 << 61) - 1
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime(rng: random.Random, bits: int = 62) -> int:
-    """Draw a prime with the given bit length; deterministic for a seeded rng."""
-    while True:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_probable_prime(cand):
-            return cand
-
 
 def vec_axpy(acc: Vec, c, v: Vec) -> None:
     """acc += c*v in place, dropping zeros."""
@@ -101,12 +69,11 @@ class RationalEchelon:
     the rows can serve as an ordered basis of the span.
     """
 
-    __slots__ = ("rows", "order", "meta")
+    __slots__ = ("rows", "order")
 
     def __init__(self):
         self.rows: dict = {}  # pivot -> row vec
         self.order: list = []  # pivots in insertion order
-        self.meta: dict = {}  # pivot -> caller payload
 
     @property
     def dim(self) -> int:
@@ -137,7 +104,7 @@ class RationalEchelon:
             vec_axpy(v, -c, self.rows[piv])
         return v, coeffs
 
-    def insert(self, v: Vec, payload=None):
+    def insert(self, v: Vec):
         """Reduce and, if independent, store; returns the new pivot or None."""
         r = self.reduce(v)
         if not r:
@@ -152,8 +119,6 @@ class RationalEchelon:
             r = norm
         self.rows[piv] = r
         self.order.append(piv)
-        if payload is not None:
-            self.meta[piv] = payload
         return piv
 
     def express(self, v: Vec) -> Optional[dict]:
@@ -217,7 +182,6 @@ def closed_span(
     ops: list[Callable[[Vec], Vec]],
     p: int | None = None,
     max_steps: int | None = None,
-    payloads: Iterable | None = None,
 ):
     """Smallest op-stable span containing the seeds.
 
@@ -226,14 +190,10 @@ def closed_span(
     """
     ech = ModPEchelon(p) if p else RationalEchelon()
     queue: list = []
-    payloads = list(payloads) if payloads is not None else None
-    for idx, s in enumerate(seeds):
+    for s in seeds:
         if p:
             s = vec_mod(s, p)
-        if isinstance(ech, RationalEchelon):
-            piv = ech.insert(s, payloads[idx] if payloads else None)
-        else:
-            piv = ech.insert(s)
+        piv = ech.insert(s)
         if piv is not None:
             queue.append(ech.rows[piv])
     steps = 0
@@ -254,42 +214,32 @@ def closed_span(
     return ech
 
 
-def kernel_basis(rows: list[Vec], ncols: int) -> list[dict[int, Fraction]]:
-    """Exact nullspace of the system given by constraint rows over 0..ncols-1."""
-    mat = []
+def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[dict[int, Fraction]]:
+    """Exact nullspace of the system given by constraint rows over 0..ncols-1.
+
+    The basis is the reduced-row-echelon one: a vector per free column fc,
+    in ascending order, equal to one at fc and zero at every other free
+    column.  Its pivot coordinates follow by back-substitution, visiting
+    pivots in descending order, since every other coordinate of a stored
+    row lies above its pivot.  Rows stop being read once they reach rank
+    ncols, when the kernel is zero."""
+    ech = RationalEchelon()
     for r in rows:
-        if r:
-            mat.append([Fraction(r.get(j, 0)) for j in range(ncols)])
-    # reduced row echelon form
-    pivots: list[int] = []
-    ri = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(ri, len(mat)):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[ri], mat[sel] = mat[sel], mat[ri]
-        inv = 1 / mat[ri][col]
-        mat[ri] = [x * inv for x in mat[ri]]
-        for i in range(len(mat)):
-            if i != ri and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[ri])]
-        pivots.append(col)
-        ri += 1
-        if ri == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+        # an explicit zero coefficient would stall the echelon's reduction
+        ech.insert(r if all(r.values()) else {k: x for k, x in r.items() if x})
+        if ech.dim == ncols:
+            return []
+    pivots = sorted(ech.rows, reverse=True)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in ech.rows:
+            continue
         v = {fc: Fraction(1)}
-        for r, pc in enumerate(pivots):
-            c = mat[r][fc]
-            if c:
-                v[pc] = -c
+        for pc in pivots:
+            if pc < fc:
+                s = sum(x * v[k] for k, x in ech.rows[pc].items() if k in v)
+                if s:
+                    v[pc] = -s
         basis.append(v)
     return basis
 

@@ -559,21 +559,19 @@ def check_representation(m: FiniteWModule, terms: list[Term] | None = None,
     return bad
 
 
-def hom_space(a: FiniteWModule, b: FiniteWModule,
-              prime: int = DEFAULT_PRIME) -> list[dict]:
+def hom_space(a: FiniteWModule, b: FiniteWModule) -> list[dict]:
     if a.rank != b.rank:
         raise RankMismatchError("rank mismatch")
-    return hom_basis(a, b, local_terms(a.rank), prime=prime)
+    return hom_basis(a, b, local_terms(a.rank))
 
 
-def iso_check(a: FiniteWModule, b: FiniteWModule, prime: int = DEFAULT_PRIME,
-              seed: int = 0):
+def iso_check(a: FiniteWModule, b: FiniteWModule, seed: int = 0):
     """Invertible intertwiner between two modules, or None."""
     if a.rank != b.rank or a.dim != b.dim:
         return None
     if a.character() != b.character():
         return None
-    homs = hom_space(a, b, prime=prime)
+    homs = hom_space(a, b)
     return invertible_combination(a, b, homs, seed=seed)
 
 

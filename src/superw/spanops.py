@@ -14,7 +14,6 @@ modules satisfy this.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .errors import StepBudgetExceeded
@@ -135,13 +134,17 @@ def burnside_full(m, gen_keys, p: int, max_steps: int | None = None) -> bool:
     return ech.dim >= target
 
 
-def hom_basis(m1, m2, gen_keys, prime: int = DEFAULT_PRIME) -> list[dict]:
+def hom_basis(m1, m2, gen_keys) -> list[dict]:
     """Basis of the space of maps m1 -> m2 commuting with the generators.
 
     Returned maps are sparse dicts (row2, col1) -> coefficient; they are
     block-diagonal across shared weight blocks by construction.  That
     ansatz is complete only when gen_keys contains the Cartan operators,
-    which forces every intertwiner to preserve weight blocks."""
+    which forces every intertwiner to preserve weight blocks.
+
+    The commutation equations go straight to ``kernel_basis``: one exact
+    sparse echelon, which stops reading equations once they pin every
+    unknown to zero.  No mod-p pass is needed in either direction."""
     blocks1 = m1.weight_blocks()
     blocks2 = m2.weight_blocks()
     uidx: dict[tuple[int, int], int] = {}
@@ -154,7 +157,6 @@ def hom_basis(m1, m2, gen_keys, prime: int = DEFAULT_PRIME) -> list[dict]:
                 uidx[(r2, c1)] = len(uidx)
     if not uidx:
         return []
-    nu = len(uidx)
     partners: dict[int, list[int]] = {}
     for (r2, c1) in uidx:
         partners.setdefault(c1, []).append(r2)
@@ -179,19 +181,7 @@ def hom_basis(m1, m2, gen_keys, prime: int = DEFAULT_PRIME) -> list[dict]:
                     else:
                         row.pop(ui, None)
             rows.extend(r for r in eq.values() if r)
-    if not rows:
-        # no constraints at all
-        basis = []
-        for (r2, c1), ui in uidx.items():
-            basis.append({(r2, c1): Fraction(1)})
-        return basis
-    if rank_mod_p(rows, prime, stop_at=nu) >= nu:
-        return []
-    ech = RationalEchelon()
-    for r in rows:
-        ech.insert(r)
-    reduced = list(ech.rows.values())
-    local = kernel_basis(reduced, nu)
+    local = kernel_basis(rows, len(uidx))
     rev = {ui: key for key, ui in uidx.items()}
     return [{rev[ui]: c for ui, c in v.items()} for v in local]
 

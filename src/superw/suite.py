@@ -54,8 +54,9 @@ class Criterion:
         return f"[{tag}] criterion {self.index}: {self.name} ({self.seconds:.2f}s) {self.detail}"
 
     def to_json(self) -> dict:
+        # no seconds: `suite --out` must be byte-stable across runs
         return {"index": self.index, "name": self.name, "passed": self.passed,
-                "detail": self.detail, "seconds": round(self.seconds, 3)}
+                "detail": self.detail}
 
 
 def random_homogeneous(rng: random.Random, n: int) -> WElement:

@@ -95,12 +95,11 @@ class DualityReport:
     intertwiner: dict | None = None
 
 
-def coinduction_duality_check(x: GlModule, n: int, prime: int = DEFAULT_PRIME,
-                              seed: int = 0) -> DualityReport:
+def coinduction_duality_check(x: GlModule, n: int, seed: int = 0) -> DualityReport:
     """T(X) should be the full dual of the downward induction from X*."""
     t = tensor_field(x, n)
     k = dual_module(kac_plus(gl_dual(x), n))
-    phi = iso_check(t, k, prime=prime, seed=seed)
+    phi = iso_check(t, k, seed=seed)
     return DualityReport(rank=n, base_name=x.name or "X", passes=phi is not None,
                          dim=t.dim, intertwiner=phi)
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from superw.cli import main
+from superw.suite import Criterion, suite_to_json
 
 
 def test_dims_table(capsys):
@@ -75,6 +76,14 @@ def test_out_files_are_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     data = json.loads(a.read_text())
     assert data["n"] == 4 and data["total"] == 64
+
+
+def test_suite_json_ignores_timings():
+    def results(seconds):
+        return [Criterion(1, "bracket axioms", True, "ok", seconds),
+                Criterion(2, "socle", False, "mismatch", 2 * seconds)]
+
+    assert suite_to_json(results(0.5)) == suite_to_json(results(71.25))
 
 
 def test_usage_errors_exit_two():

@@ -11,23 +11,45 @@ from superw.linalg import (DEFAULT_PRIME, ModPEchelon, RationalEchelon,
                            vec_scaled)
 
 
-def dense_rank(rows, ncols):
-    """Plain Gaussian elimination over Fraction, the reference."""
+def dense_rref(rows, ncols):
+    """Plain Gauss-Jordan over Fraction, the reference: the reduced row
+    echelon form and its pivot columns."""
     mat = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
-    rank = 0
+    pivots = []
     for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        ri = len(pivots)
+        piv = next((i for i in range(ri, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
+        mat[ri], mat[piv] = mat[piv], mat[ri]
+        inv = 1 / mat[ri][col]
+        mat[ri] = [x * inv for x in mat[ri]]
         for i in range(len(mat)):
-            if i != rank and mat[i][col]:
+            if i != ri and mat[i][col]:
                 f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[ri])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def dense_rank(rows, ncols):
+    return len(dense_rref(rows, ncols)[1])
+
+
+def dense_kernel(rows, ncols):
+    """Nullspace read off the dense reduced row echelon form: one vector
+    per free column."""
+    mat, pivots = dense_rref(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = {fc: Fraction(1)}
+        for ri, pc in enumerate(pivots):
+            if mat[ri][fc]:
+                v[pc] = -mat[ri][fc]
+        basis.append(v)
+    return basis
 
 
 def random_rows(rng, nrows, ncols, density=0.5):
@@ -98,6 +120,62 @@ def test_kernel_dimension_counts():
         for k in ker:
             for r in rows:
                 assert sum(r.get(c, 0) * x for c, x in k.items()) == 0
+
+
+def random_system(rng):
+    """Rows over 0..ncols-1 mixing empty rows, rows of explicit zeros, fresh
+    rows with int and Fraction entries, and combinations of earlier rows
+    (which keep the rank low and the kernel nontrivial)."""
+    ncols = rng.randint(0, 7)
+    rows = []
+    for _ in range(rng.randint(0, 2 * ncols + 1)):
+        kind = rng.random()
+        if kind < 0.1 or not ncols:
+            rows.append({})
+        elif kind < 0.2:
+            rows.append({c: 0 for c in rng.sample(range(ncols), rng.randint(1, ncols))})
+        elif kind < 0.6 or not rows:
+            rows.append({c: rng.choice([rng.randint(-3, 3),
+                                        Fraction(rng.randint(-4, 4), rng.randint(1, 5))])
+                         for c in range(ncols) if rng.random() < 0.6})
+        else:
+            acc = {}
+            for r in rng.sample(rows, rng.randint(1, len(rows))):
+                vec_axpy(acc, Fraction(rng.randint(-3, 3), rng.randint(1, 3)), r)
+            rows.append(acc)
+    return rows, ncols
+
+
+def test_kernel_basis_matches_dense_gauss_jordan():
+    rng = random.Random(11)
+    seen = {"no rows": 0, "empty row": 0, "zero row": 0, "fraction": 0,
+            "tall": 0, "wide": 0, "full rank": 0, "nonzero kernel": 0}
+    for _ in range(1500):
+        rows, ncols = random_system(rng)
+        ker = kernel_basis(rows, ncols)
+        assert ker == dense_kernel(rows, ncols)
+        seen["no rows"] += not rows
+        seen["empty row"] += {} in rows
+        seen["zero row"] += any(r and not any(r.values()) for r in rows)
+        seen["fraction"] += any(type(x) is Fraction and x.denominator > 1
+                                for r in rows for x in r.values())
+        seen["tall"] += len(rows) > ncols
+        seen["wide"] += len(rows) < ncols
+        seen["full rank"] += ncols > 0 and not ker
+        seen["nonzero kernel"] += bool(ker)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_kernel_basis_stops_reading_at_full_rank():
+    def rows():
+        yield {0: 1, 1: 1}
+        yield {}
+        yield {1: Fraction(1, 2), 2: 3}
+        yield {0: 2, 1: 2}
+        yield {2: Fraction(-1, 3)}
+        raise AssertionError("read past a full-rank prefix")
+
+    assert kernel_basis(rows(), 3) == []
 
 
 def test_modp_echelon_agrees_on_int_rows():

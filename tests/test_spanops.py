@@ -2,10 +2,17 @@
 
 from fractions import Fraction
 
+import pytest
+
+from superw.glmodules import (gl_conatural, gl_dual, gl_natural, gl_simple,
+                              gl_trivial)
+from superw.induction import kac_plus
 from superw.linalg import DEFAULT_PRIME
-from superw.modules import adjoint_module, lambda_module, local_terms
-from superw.spanops import (burnside_full, hom_basis, hom_value,
+from superw.modules import (adjoint_module, dual_module, lambda_module,
+                            local_terms)
+from superw.spanops import (apply_gen, burnside_full, hom_basis, hom_value,
                             module_closure, singular_blocks)
+from superw.tensorfields import tensor_field
 from superw.walgebra import BorelOrder, nilradical_generating_terms
 from superw.weights import Weight
 
@@ -67,6 +74,22 @@ def test_endomorphisms_of_indecomposable():
 
 
 def test_hom_between_module_and_dual_is_empty():
-    from superw.modules import dual_module
     m = adjoint_module(2)
     assert hom_basis(m, dual_module(lambda_module(2)), local_terms(2)) == []
+
+
+@pytest.mark.parametrize("base", [
+    lambda: gl_trivial(3), lambda: gl_natural(3), lambda: gl_conatural(3),
+    lambda: gl_simple((1,), (1,), 3)], ids=["C", "V", "V*", "V(1|1)"])
+def test_duality_homs_are_exact_intertwiners(base):
+    # the pair of modules that coinduction_duality_check compares at n=3
+    x = base()
+    t = tensor_field(x, 3)
+    k = dual_module(kac_plus(gl_dual(x), 3))
+    homs = hom_basis(t, k, local_terms(3))
+    assert len(homs) == 1
+    (phi,) = homs
+    for g in local_terms(3):
+        for j in range(t.dim):
+            e = {j: Fraction(1)}
+            assert hom_value(phi, apply_gen(t, g, e)) == apply_gen(k, g, hom_value(phi, e))
