@@ -19,14 +19,14 @@ from .walgebra import (BorelOrder, WElement, basis_terms, bracket,
                        component_dim, format_welement, graded_jacobi_defect,
                        parse_welement, w_apply)
 from .glmodules import (GlModule, SocleReport, decompose, gl_conatural,
-                        gl_iso_check, gl_natural, gl_simple, gl_trivial,
-                        mixed_tensor, schur_module, verify_socle_identity,
-                        weyl_dim)
+                        gl_natural, gl_simple, gl_trivial, mixed_tensor,
+                        schur_module, verify_socle_identity, weyl_dim)
 from .modules import (Character, FiniteWModule, SimplicityVerdict,
                       adjoint_module, check_representation, dual_module,
-                      is_simple, iso_check, lambda_module, psi_invariants,
+                      is_simple, lambda_module, psi_invariants,
                       quotient_module, submodule_generated, tensor_module,
                       trivial_module)
+from .spanops import hom_space, iso_check
 from .induction import (Typicality, find_primitive, kac_minus_truncated,
                         kac_plus, layer_dims, typicality)
 from .tensorfields import (DualityReport, coinduction_duality_check,
@@ -35,6 +35,9 @@ from .tensorfields import (DualityReport, coinduction_duality_check,
 from .stability import (StabilizationReport, restricted_character,
                         stabilization_sweep, tail_subalgebra_terms)
 from .suite import Criterion, run_suite
+
+# the gl and superderivation modules share one iso check
+gl_iso_check = iso_check
 
 __all__ = [
     "BorelOrder", "Character", "Criterion", "DualityReport", "FiniteWModule",
@@ -46,10 +49,11 @@ __all__ = [
     "check_representation", "coinduction_duality_check", "component_dim",
     "decompose", "dual_module", "extract_L_minus", "find_primitive",
     "format_welement", "gl_conatural", "gl_iso_check", "gl_natural",
-    "gl_simple", "gl_trivial", "gmul", "graded_jacobi_defect", "is_simple",
-    "iso_check", "kac_minus_truncated", "kac_plus", "lambda_module",
-    "layer_dims", "lr_coefficient", "merge_sign", "mixed_tensor",
-    "order_sequence", "parse_welement", "partitions_of", "psi_invariants",
+    "gl_simple", "gl_trivial", "gmul", "graded_jacobi_defect", "hom_space",
+    "is_simple", "iso_check", "kac_minus_truncated", "kac_plus",
+    "lambda_module", "layer_dims", "lr_coefficient", "merge_sign",
+    "mixed_tensor", "order_sequence", "parse_welement", "partitions_of",
+    "psi_invariants",
     "quotient_module", "removal_sign", "restricted_character", "run_suite",
     "schur_dim", "schur_module", "socle_layer_mults",
     "stabilization_sweep", "stable_highest_weight", "submodule_generated",

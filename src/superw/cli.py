@@ -18,11 +18,12 @@ import random
 import sys
 from pathlib import Path
 
-from .glmodules import gl_iso_check, gl_simple, verify_socle_identity
+from .glmodules import gl_simple, verify_socle_identity
 from .induction import find_primitive, kac_minus_truncated, kac_plus, typicality
 from .modules import (all_terms, check_representation, is_simple,
                       lambda_module, psi_invariants)
 from .partitions import Partition, stable_highest_weight
+from .spanops import iso_check
 from .stability import stabilization_sweep
 from .suite import (jacobi_failures, random_homogeneous, run_suite,
                     sign_bugged_bracket, suite_to_json)
@@ -230,7 +231,7 @@ def cmd_tensorfield(args) -> int:
     if not args.skip_extract:
         sub = extract_L_minus(lam, mu, n)
         dim_l = sub.dim
-        psi_ok = gl_iso_check(psi_invariants(sub), x) is not None
+        psi_ok = iso_check(psi_invariants(sub), x) is not None
         print(f"  submodule dim {dim_l} ({'full' if dim_l == t.dim else 'proper'})")
         print(f"  invariants round-trip: {psi_ok}")
         ok = ok and psi_ok and (verdict.simple == (dim_l == t.dim))

@@ -20,7 +20,7 @@ from .partitions import (
     stable_highest_weight,
     weight_to_partition_pair,
 )
-from .spanops import apply_gen, hom_basis, invertible_combination, singular_blocks
+from .spanops import apply_gen, module_closure, restricted_action, singular_blocks
 from .weights import Weight, order_sequence
 
 GlGen = tuple[int, int]
@@ -179,58 +179,24 @@ def mixed_tensor(p: int, q: int, n: int) -> GlModule:
     return m
 
 
-def gl_singular(m: GlModule, order: str = "natural", prime: int = DEFAULT_PRIME) -> dict:
-    """Highest-weight vectors: joint kernel of the raising operators of the
-    Borel attached to the index order."""
-    return singular_blocks(m, m.raising_keys(order), prime=prime)
+def restrict_to_span(m, ech: RationalEchelon, gens: dict | None = None,
+                     name: str = "", highest_weight: Weight | None = None) -> GlModule:
+    """Present an invariant span of m as a gl module on the echelon basis.
 
-
-def gl_submodule_span(m: GlModule, seeds: list[Vec]) -> RationalEchelon:
-    ech = RationalEchelon()
-    queue = []
-    for s in seeds:
-        p = ech.insert(dict(s))
-        if p is not None:
-            queue.append(ech.rows[p])
-    gens = [g for g in m.gen_keys() if g in m._cols]
-    while queue:
-        v = queue.pop()
-        for g in gens:
-            w = m.act(g, v)
-            if not w:
-                continue
-            p = ech.insert(w)
-            if p is not None:
-                queue.append(ech.rows[p])
-    return ech
-
-
-def restrict_to_span(m: GlModule, ech: RationalEchelon, name: str = "",
-                     highest_weight: Weight | None = None) -> GlModule:
-    """Present an invariant span as a module on the echelon basis."""
-    basis = [ech.rows[p] for p in ech.order]
-    index = {p: t for t, p in enumerate(ech.order)}
-    weights = []
-    for row in basis:
-        ws = {m.weights[j] for j in row}
-        if len(ws) != 1:
-            raise NonBasisElementError("span basis vector mixes weights")
-        weights.append(ws.pop())
+    gens maps each E_ij to the operator of m that acts as it; by default
+    m is itself a gl module and E_ij acts as E_ij."""
+    weights, col = restricted_action(m, ech)
+    if gens is None:
+        gens = {g: g for g in m.gen_keys()}
     cols: dict = {}
-    for gen in m._cols:
+    for e, gen in gens.items():
         gc: dict = {}
-        for t, row in enumerate(basis):
-            img = m.act(gen, row)
-            if not img:
-                continue
-            coeffs = ech.express(img)
-            if coeffs is None:
-                raise NonBasisElementError("span is not invariant under the action")
-            col = {index[p]: c for p, c in coeffs.items() if c}
-            if col:
-                gc[t] = col
+        for t in range(len(weights)):
+            c = col(gen, t)
+            if c:
+                gc[t] = c
         if gc:
-            cols[gen] = gc
+            cols[e] = gc
     return GlModule(m.rank, weights, cols, name=name, highest_weight=highest_weight)
 
 
@@ -246,7 +212,7 @@ def cyclic_simple(m: GlModule, hw: Weight, order: str = "natural",
     vecs = sing.get(hw)
     if not vecs:
         raise NonBasisElementError(f"no highest-weight vector of weight {hw}")
-    ech = gl_submodule_span(m, [vecs[0]])
+    ech = module_closure(m, m.gen_keys(), [vecs[0]])
     name = f"V({hw})"
     return restrict_to_span(m, ech, name=name, highest_weight=hw)
 
@@ -280,16 +246,6 @@ def schur_module(lam, n: int) -> GlModule:
     hw = Weight.from_dense(lam.parts + (0,) * (n - lam.length))
     out = cyclic_simple(amb, hw)
     out.name = f"S_{lam}(V)"
-    return out
-
-
-def schur_dual_module(mu, n: int) -> GlModule:
-    """S_mu(V*), realized as the dual of S_mu(V)."""
-    mu = aspartition(mu)
-    out = gl_dual(schur_module(mu, n))
-    out.name = f"S_{mu}(V*)"
-    lw = Weight.from_dense(tuple(-c for c in reversed(mu.parts + (0,) * (n - mu.length))))
-    out.highest_weight = lw
     return out
 
 
@@ -363,7 +319,7 @@ def decompose(m: GlModule, order: str = "natural",
               prime: int = DEFAULT_PRIME) -> dict[Weight, int]:
     """Multiplicities of simples in a semisimple module, read off from
     highest-weight vectors."""
-    sing = gl_singular(m, order=order, prime=prime)
+    sing = singular_blocks(m, m.raising_keys(order), prime=prime)
     seq = order_sequence(order, m.rank)
     return {w: len(vs)
             for w, vs in sorted(sing.items(),
@@ -480,22 +436,6 @@ def verify_socle_identity(lam, mu, n: int) -> SocleReport:
     return SocleReport(rank=n, lam=lam, mu=mu, holds=holds, lhs_dim=lhs_dim,
                        rhs_dim=rhs_dim, layers=layers, extras=extras,
                        skipped=skipped)
-
-
-def gl_hom_space(a: GlModule, b: GlModule) -> list[dict]:
-    if a.rank != b.rank:
-        raise ValueError("rank mismatch")
-    return hom_basis(a, b, a.gen_keys())
-
-
-def gl_iso_check(a: GlModule, b: GlModule, seed: int = 0):
-    """Invertible intertwiner between two gl modules, or None."""
-    if a.rank != b.rank or a.dim != b.dim:
-        return None
-    if a.character() != b.character():
-        return None
-    homs = gl_hom_space(a, b)
-    return invertible_combination(a, b, homs, seed=seed)
 
 
 def check_gl_commutators(m: GlModule) -> list:

@@ -7,7 +7,6 @@ ints, widening to Fraction only when division appears upstream).
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Union
@@ -142,12 +141,6 @@ class GrassmannElement:
     def parity(self) -> int:
         return self.degree() & 1
 
-    def homogeneous_components(self) -> dict[int, "GrassmannElement"]:
-        comps: dict[int, dict[Monomial, Coeff]] = {}
-        for m, c in self.terms.items():
-            comps.setdefault(degree(m), {})[m] = c
-        return {d: GrassmannElement(t) for d, t in sorted(comps.items())}
-
     def __str__(self) -> str:
         return format_element(self)
 
@@ -181,11 +174,6 @@ def apply_partial(i: int, f: GrassmannElement) -> GrassmannElement:
     return GrassmannElement(out)
 
 
-def eval_at_zero(f: GrassmannElement) -> Coeff:
-    """Constant term."""
-    return f.terms.get(0, 0)
-
-
 def basis(n: int, k: int | None = None) -> list[Monomial]:
     """All monomial masks at rank n, optionally restricted to degree k."""
     if k is None:
@@ -197,9 +185,6 @@ def format_monomial(mono: Monomial) -> str:
     if mono == 0:
         return "1"
     return "^".join(f"x{i}" for i in indices_of(mono))
-
-
-_MONO_RE = re.compile(r"^x(\d+)(?:\^x(\d+))*$")
 
 
 def parse_monomial(text: str) -> Monomial:

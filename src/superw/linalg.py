@@ -80,7 +80,9 @@ class RationalEchelon:
         return len(self.order)
 
     def reduce(self, v: Vec) -> Vec:
-        v = dict(v)
+        # drop explicit zeros first: one at a stored pivot would never be
+        # eliminated, and one at the new pivot could not be normalized
+        v = {k: x for k, x in v.items() if x}
         while True:
             hits = [k for k in v if k in self.rows]
             if not hits:
@@ -92,7 +94,7 @@ class RationalEchelon:
 
     def reduce_tracked(self, v: Vec) -> tuple[Vec, dict]:
         """Residual plus coefficients over stored pivots with v = sum c*row + residual."""
-        v = dict(v)
+        v = {k: x for k, x in v.items() if x}
         coeffs: dict = {}
         while True:
             hits = [k for k in v if k in self.rows]
@@ -225,8 +227,7 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[dict[int, Fraction]]:
     ncols, when the kernel is zero."""
     ech = RationalEchelon()
     for r in rows:
-        # an explicit zero coefficient would stall the echelon's reduction
-        ech.insert(r if all(r.values()) else {k: x for k, x in r.items() if x})
+        ech.insert(r)
         if ech.dim == ncols:
             return []
     pivots = sorted(ech.rows, reverse=True)

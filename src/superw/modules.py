@@ -18,26 +18,19 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .errors import NonBasisElementError, RankMismatchError
-from .glmodules import GlModule
+from .glmodules import GlModule, restrict_to_span
 from .grassmann import (
     GrassmannElement,
     basis as grassmann_basis,
     format_monomial,
     indices_of,
 )
-from .linalg import (
-    DEFAULT_PRIME,
-    ModPEchelon,
-    RationalEchelon,
-    Vec,
-    vec_axpy,
-)
+from .linalg import DEFAULT_PRIME, RationalEchelon, Vec, vec_axpy
 from .spanops import (
     apply_gen,
     burnside_full,
-    hom_basis,
-    invertible_combination,
     module_closure,
+    restricted_action,
     singular_blocks,
 )
 from .walgebra import (
@@ -101,6 +94,9 @@ class FiniteWModule:
     def dim(self) -> int:
         return len(self.weights)
 
+    def gen_keys(self) -> list[Term]:
+        return local_terms(self.rank)
+
     def label(self, j: int) -> str:
         return self.labels[j] if self.labels else f"e{j}"
 
@@ -150,15 +146,6 @@ class FiniteWModule:
             key = (w.dense(n), self.zdegs[j])
             entries[key] = entries.get(key, 0) + 1
         return Character(n, entries)
-
-    def format_vec(self, vec: Vec) -> str:
-        if not vec:
-            return "0"
-        bits = []
-        for j in sorted(vec):
-            c = vec[j]
-            bits.append(f"{c}*{self.label(j)}")
-        return " + ".join(bits).replace("+ -", "- ")
 
     def __repr__(self):
         tag = self.name or "W-module"
@@ -343,19 +330,7 @@ def submodule_generated(m: FiniteWModule, seeds: Iterable[Vec],
 
 def restrict_module(m: FiniteWModule, ech: RationalEchelon, name: str = "") -> FiniteWModule:
     """Present an invariant span on its echelon basis."""
-    rows = [ech.rows[p] for p in ech.order]
-    index = {p: t for t, p in enumerate(ech.order)}
-    weights = [m.weight_of(r) for r in rows]
-
-    def col(term: Term, t: int) -> Vec:
-        img = m.act_term(term, rows[t])
-        if not img:
-            return {}
-        coeffs = ech.express(img)
-        if coeffs is None:
-            raise NonBasisElementError("span is not invariant under the action")
-        return {index[p]: c for p, c in coeffs.items() if c}
-
+    weights, col = restricted_action(m, ech)
     return FiniteWModule(m.rank, weights, col_fn=col, name=name,
                          meta=dict(m.meta))
 
@@ -496,39 +471,14 @@ def psi_invariants(m: FiniteWModule, prime: int = DEFAULT_PRIME) -> GlModule:
     """Joint kernel of the degree -1 operators, as a gl module."""
     n = m.rank
     partials = [(0, i) for i in range(1, n + 1)]
-    blocks = singular_blocks(m, partials, prime=prime)
-    vecs: list[Vec] = []
-    weights: list[Weight] = []
-    for key in blocks:
-        for v in blocks[key]:
-            vecs.append(v)
-            weights.append(key[0])
     ech = RationalEchelon()
-    order_map: list[int] = []
-    for t, v in enumerate(vecs):
-        p = ech.insert(dict(v))
-        if p is None:
-            raise NonBasisElementError("kernel vectors are dependent")
-        order_map.append(p)
-    pivot_index = {p: t for t, p in enumerate(order_map)}
-    cols: dict = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            term = (1 << (i - 1), j)
-            gc: dict = {}
-            for t, v in enumerate(vecs):
-                img = m.act_term(term, v)
-                if not img:
-                    continue
-                coeffs = ech.express(img)
-                if coeffs is None:
-                    raise NonBasisElementError("kernel is not gl-invariant")
-                col = {pivot_index[p]: c for p, c in coeffs.items() if c}
-                if col:
-                    gc[t] = col
-            if gc:
-                cols[(i, j)] = gc
-    return GlModule(n, weights, cols, name=f"Psi({m.name})" if m.name else "Psi")
+    for vecs in singular_blocks(m, partials, prime=prime).values():
+        for v in vecs:
+            ech.insert(v)
+    # E_ij acts as x_i d_j
+    gens = {(i, j): (1 << (i - 1), j)
+            for i in range(1, n + 1) for j in range(1, n + 1)}
+    return restrict_to_span(m, ech, gens, name=f"Psi({m.name})" if m.name else "Psi")
 
 
 # ---------------------------------------------------------------- checks and maps
@@ -557,22 +507,6 @@ def check_representation(m: FiniteWModule, terms: list[Term] | None = None,
                 if lhs:
                     bad.append((x, y, c))
     return bad
-
-
-def hom_space(a: FiniteWModule, b: FiniteWModule) -> list[dict]:
-    if a.rank != b.rank:
-        raise RankMismatchError("rank mismatch")
-    return hom_basis(a, b, local_terms(a.rank))
-
-
-def iso_check(a: FiniteWModule, b: FiniteWModule, seed: int = 0):
-    """Invertible intertwiner between two modules, or None."""
-    if a.rank != b.rank or a.dim != b.dim:
-        return None
-    if a.character() != b.character():
-        return None
-    homs = hom_space(a, b)
-    return invertible_combination(a, b, homs, seed=seed)
 
 
 # ---------------------------------------------------------------- serialization

@@ -1,22 +1,28 @@
-"""Generic span computations against a small module protocol.
+"""The span engine, written once against a small module protocol.
 
-Everything here works for any object exposing
+Both module kinds, the superderivation modules (``FiniteWModule``) and the
+plain gl(n) modules (``GlModule``), expose
 
     dim             -> int
+    rank            -> int
+    weights         -> list[Weight], one per basis vector
     weight_blocks() -> dict[block_key, list[int]]   (a partition of 0..dim-1)
     column(gen, j)  -> sparse dict row -> coeff
+    gen_keys()      -> generator keys of the acting algebra; they include
+                       the Cartan, so they pin weight blocks
+    character()     -> formal character, comparable within one kind
 
-where ``gen`` ranges over caller-supplied hashable generator keys whose
-operators are block-homogeneous: each one maps every block into at most
-one other block.  Both the superderivation modules and the plain gl(n)
-modules satisfy this.
+where every operator ``gen`` is block-homogeneous: it maps each block into
+at most one other block.  Closure, restriction to an invariant span, the
+joint kernel, the operator span, the hom space and the isomorphism check
+live here; the builder files keep only their builders.
 """
 from __future__ import annotations
 
 import random
 from typing import Callable, Iterable, Optional
 
-from .errors import StepBudgetExceeded
+from .errors import NonBasisElementError, RankMismatchError, StepBudgetExceeded
 from .linalg import (
     DEFAULT_PRIME,
     ModPEchelon,
@@ -40,6 +46,34 @@ def apply_gen(m, gen, vec: Vec) -> Vec:
 def module_closure(m, gen_keys, seeds: Iterable[Vec], p: int | None = None, max_steps: int | None = None):
     ops = [lambda v, g=g: apply_gen(m, g, v) for g in gen_keys]
     return closed_span(seeds, ops, p=p, max_steps=max_steps)
+
+
+def restricted_action(m, ech: RationalEchelon) -> tuple[list, Callable]:
+    """Weights and action columns of an invariant span on its echelon rows.
+
+    Returns the weight of each row, in insertion order, and a function
+    ``col(gen, t)`` giving the image of row t under ``gen`` in coordinates
+    over the rows.  Raises NonBasisElementError when a row mixes weights,
+    or, from ``col``, when the span is not invariant."""
+    rows = [ech.rows[p] for p in ech.order]
+    index = {p: t for t, p in enumerate(ech.order)}
+    weights = []
+    for row in rows:
+        ws = {m.weights[j] for j in row}
+        if len(ws) != 1:
+            raise NonBasisElementError("span basis vector mixes weights")
+        weights.append(ws.pop())
+
+    def col(gen, t: int) -> Vec:
+        img = apply_gen(m, gen, rows[t])
+        if not img:
+            return {}
+        coeffs = ech.express(img)
+        if coeffs is None:
+            raise NonBasisElementError("span is not invariant under the action")
+        return {index[p]: c for p, c in coeffs.items() if c}
+
+    return weights, col
 
 
 def singular_blocks(
@@ -186,6 +220,25 @@ def hom_basis(m1, m2, gen_keys) -> list[dict]:
     return [{rev[ui]: c for ui, c in v.items()} for v in local]
 
 
+def hom_space(a, b) -> list[dict]:
+    """Basis of the intertwiners a -> b of two modules of one kind.
+
+    It is complete: ``a.gen_keys()`` contains the Cartan, so every
+    intertwiner preserves weight blocks, as ``hom_basis`` assumes."""
+    if a.rank != b.rank:
+        raise RankMismatchError("rank mismatch")
+    return hom_basis(a, b, a.gen_keys())
+
+
+def iso_check(a, b, seed: int = 0) -> Optional[dict]:
+    """Invertible intertwiner between two modules of one kind, or None."""
+    if a.rank != b.rank or a.dim != b.dim:
+        return None
+    if a.character() != b.character():
+        return None
+    return invertible_combination(a, b, hom_space(a, b), seed=seed)
+
+
 def hom_value(phi: dict, vec: Vec) -> Vec:
     """Apply a hom given as (row2, col1) -> coeff to a vector of m1."""
     out: Vec = {}
@@ -217,20 +270,15 @@ def invertible_combination(
             return None
 
     def is_invertible(phi: dict) -> bool:
-        by_block: dict = {}
+        images: dict = {}  # col1 -> its image, row2 -> coeff
         for (r2, c1), a in phi.items():
-            by_block.setdefault(c1, {})[(r2, c1)] = a
+            images.setdefault(c1, {})[r2] = a
         # rank per weight block must be full
-        for key, cols1 in blocks1.items():
-            k = len(cols1)
-            rows = []
-            for c1 in cols1:
-                row = {r2: a for (r2, _c), a in by_block.get(c1, {}).items()}
-                rows.append(row)
+        for cols1 in blocks1.values():
             ech = RationalEchelon()
-            for r in rows:
-                ech.insert(r)
-            if ech.dim < k:
+            for c1 in cols1:
+                ech.insert(images.get(c1, {}))
+            if ech.dim < len(cols1):
                 return False
         return True
 

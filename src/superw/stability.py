@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .glmodules import gl_simple
 from .induction import kac_plus
-from .linalg import DEFAULT_PRIME, RationalEchelon, rank_mod_p, vec_mod
+from .linalg import DEFAULT_PRIME, RationalEchelon, rank_mod_p
 from .modules import Character, FiniteWModule
 from .partitions import Partition, aspartition
 from .spanops import singular_blocks

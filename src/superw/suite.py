@@ -19,13 +19,13 @@ from itertools import product
 from math import comb
 
 from .glmodules import (gl_conatural, gl_natural, gl_simple, gl_trivial,
-                        gl_iso_check, verify_socle_identity)
+                        verify_socle_identity)
 from .grassmann import merge_sign, removal_sign
 from .induction import find_primitive, kac_minus_truncated, kac_plus, typicality
-from .linalg import DEFAULT_PRIME
-from .modules import (adjoint_module, is_simple, iso_check, lambda_module,
+from .modules import (adjoint_module, is_simple, lambda_module,
                       psi_invariants, quotient_module, submodule_generated)
 from .partitions import partitions_of, stable_highest_weight
+from .spanops import iso_check
 from .stability import stabilization_sweep
 from .tensorfields import coinduction_duality_check, extract_L_minus
 from .walgebra import (BorelOrder, WElement, basis_terms, bracket,
@@ -275,7 +275,7 @@ def criterion_7() -> Criterion:
             L = extract_L_minus(lam, mu, 4)
             inv = psi_invariants(L)
             x = gl_simple(lam, mu, 4, order="interleaved")
-            if gl_iso_check(inv, x) is None:
+            if iso_check(inv, x) is None:
                 return False, f"invariants differ at lam={lam}, mu={mu}"
         return True, "16 pairs, invariants isomorphic to the base simple"
     (ok, detail), secs = _timed(run)

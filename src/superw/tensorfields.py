@@ -25,11 +25,10 @@ from .modules import (
     Submodule,
     dual_module,
     is_simple,
-    iso_check,
     submodule_generated,
 )
 from .partitions import aspartition, stable_highest_weight
-from .spanops import singular_blocks
+from .spanops import iso_check, singular_blocks
 from .walgebra import BorelOrder, Term, nilradical_generating_terms, term_parity
 from .weights import Weight
 

@@ -36,7 +36,6 @@ from .grassmann import (
     Coeff,
     GrassmannElement,
     Monomial,
-    degree,
     format_monomial,
     indices_of,
     merge_sign,
@@ -178,10 +177,6 @@ def component_dim(n: int, k: int) -> int:
     return comb(n, k + 1) * n if -1 <= k <= n - 1 else 0
 
 
-def basis_of_component(n: int, k: int) -> list[WElement]:
-    return [WElement.basis_term(n, m, j) for m, j in basis_terms(n, k)]
-
-
 def bracket(x: WElement, y: WElement) -> WElement:
     """Superbracket by composition; see the module docstring for the
     collapsed closed form evaluated here."""
@@ -317,10 +312,6 @@ def raising_terms(b: BorelOrder) -> list[Term]:
     elif b.extension == "max":
         out += [t for t in basis_terms(n) if term_degree(t) >= 1]
     return out
-
-
-def raising_operators(b: BorelOrder) -> list[WElement]:
-    return [WElement.basis_term(b.rank, m, j) for m, j in raising_terms(b)]
 
 
 def nilradical_generating_terms(b: BorelOrder) -> list[Term]:

@@ -10,9 +10,9 @@ from fractions import Fraction
 from superw.glmodules import gl_natural, gl_simple, gl_trivial
 from superw.induction import (find_primitive, kac_minus_truncated, kac_plus,
                               layer_dims, typicality)
-from superw.modules import (check_representation, hom_space, local_terms,
+from superw.modules import (check_representation, local_terms,
                             submodule_generated)
-from superw.spanops import hom_value
+from superw.spanops import hom_space, hom_value
 from superw.walgebra import BorelOrder, grading_element, term_degree
 from superw.weights import Weight
 

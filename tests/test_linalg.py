@@ -100,6 +100,19 @@ def test_insert_reports_new_pivot_only():
     assert ech.dim == 1
 
 
+def test_explicit_zero_at_a_stored_pivot_is_ignored():
+    e = RationalEchelon()
+    e.insert({0: 1})
+    assert e.insert({0: 0, 1: 1}) == 1
+    assert e.express({0: 0, 1: 3}) == {1: 3}
+
+
+def test_explicit_zero_at_the_new_pivot_is_ignored():
+    e = RationalEchelon()
+    assert e.insert({0: 0, 1: 2}) == 1
+    assert e.rows[1] == {1: 1}
+
+
 def test_kernel_basis_small():
     rows = [{0: Fraction(1), 1: Fraction(2)},
             {0: Fraction(2), 1: Fraction(4)}]

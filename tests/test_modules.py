@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from superw.modules import (Character, adjoint_module, check_representation,
-                            dual_module, is_simple, iso_check, lambda_module,
+                            dual_module, is_simple, lambda_module,
                             module_from_json, module_to_json, psi_invariants,
                             quotient_module, singular_vectors,
                             submodule_generated, tensor_module,
                             trivial_module)
-from superw.glmodules import gl_iso_check, gl_trivial
+from superw.glmodules import check_gl_commutators, gl_trivial
+from superw.spanops import iso_check
 from superw.walgebra import BorelOrder, grading_element
 from superw.weights import Weight
 
@@ -106,7 +107,18 @@ def test_singular_vectors_of_quotient():
 
 
 def test_psi_invariants_of_trivial():
-    assert gl_iso_check(psi_invariants(trivial_module(3)), gl_trivial(3)) is not None
+    assert iso_check(psi_invariants(trivial_module(3)), gl_trivial(3)) is not None
+
+
+@pytest.mark.parametrize("right", [lambda_module,
+                                   lambda n: dual_module(lambda_module(n))],
+                         ids=["Lambda", "Lambda*"])
+def test_psi_invariants_of_a_product_satisfy_the_gl_commutators(right):
+    # the kernel vectors here differ from their echelon rows, so a module
+    # mixing the two bases breaks the relations
+    inv = psi_invariants(tensor_module(lambda_module(3), right(3)))
+    assert inv.dim > 1
+    assert check_gl_commutators(inv) == []
 
 
 def test_iso_check_rejects_different_characters():

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from superw.errors import NonBasisElementError, RankMismatchError
 from superw.glmodules import (gl_conatural, gl_dual, gl_natural, gl_simple,
                               gl_trivial)
 from superw.induction import kac_plus
-from superw.linalg import DEFAULT_PRIME
+from superw.linalg import DEFAULT_PRIME, RationalEchelon
 from superw.modules import (adjoint_module, dual_module, lambda_module,
                             local_terms)
-from superw.spanops import (apply_gen, burnside_full, hom_basis, hom_value,
-                            module_closure, singular_blocks)
+from superw.spanops import (apply_gen, burnside_full, hom_basis, hom_space,
+                            hom_value, module_closure, restricted_action,
+                            singular_blocks)
 from superw.tensorfields import tensor_field
 from superw.walgebra import BorelOrder, nilradical_generating_terms
 from superw.weights import Weight
@@ -93,3 +95,24 @@ def test_duality_homs_are_exact_intertwiners(base):
         for j in range(t.dim):
             e = {j: Fraction(1)}
             assert hom_value(phi, apply_gen(t, g, e)) == apply_gen(k, g, hom_value(phi, e))
+
+
+def test_restricted_action_rejects_mixed_weights_and_open_spans():
+    m = lambda_module(2)
+    mixed = RationalEchelon()
+    mixed.insert({0: 1, 1: 1})
+    with pytest.raises(NonBasisElementError):
+        restricted_action(m, mixed)
+    # x1 spans no submodule: d1 sends it to the constant 1
+    x1 = RationalEchelon()
+    x1.insert({1: 1})
+    _weights, col = restricted_action(m, x1)
+    with pytest.raises(NonBasisElementError):
+        col((0, 1), 0)
+
+
+def test_hom_space_rejects_rank_mismatch():
+    with pytest.raises(RankMismatchError):
+        hom_space(gl_natural(2), gl_natural(3))
+    with pytest.raises(RankMismatchError):
+        hom_space(lambda_module(2), lambda_module(3))

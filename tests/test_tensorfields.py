@@ -4,7 +4,8 @@ import pytest
 
 from superw.errors import RankMismatchError
 from superw.glmodules import gl_conatural, gl_natural, gl_trivial
-from superw.modules import adjoint_module, check_representation, iso_check, lambda_module
+from superw.modules import adjoint_module, check_representation, lambda_module
+from superw.spanops import iso_check
 from superw.tensorfields import (coinduction_duality_check, extract_L_minus,
                                  tensor_field, tensor_field_simplicity)
 from superw.weights import Weight
