@@ -27,7 +27,6 @@ from superw.tensorfields import tensor_field_simplicity
 class SurveyConfig:
     n: int = 4
     max_size: int = 2
-    prime: int = 0  # 0 means library default
     out: str | None = None
 
 
@@ -64,10 +63,9 @@ def survey(cfg: SurveyConfig) -> list[Row]:
     rows = []
     for lam, mu in pairs_up_to(cfg.max_size):
         t0 = time.perf_counter()
-        kw = {} if not cfg.prime else {"prime": cfg.prime}
-        base = gl_simple(lam, mu, cfg.n, order="natural", **kw)
-        kv = is_simple(kac_plus(base, cfg.n), **kw)
-        fv = tensor_field_simplicity(lam, mu, cfg.n, **kw)
+        base = gl_simple(lam, mu, cfg.n, order="natural")
+        kv = is_simple(kac_plus(base, cfg.n))
+        fv = tensor_field_simplicity(lam, mu, cfg.n)
         hw = stable_highest_weight(lam, mu, "natural", cfg.n)
         ty = typicality(hw, cfg.n)
         row = Row(lam=lam, mu=mu, kac_simple=kv.simple, field_simple=fv.simple,
@@ -92,10 +90,9 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=4)
     ap.add_argument("--max-size", type=int, default=2)
-    ap.add_argument("--prime", type=int, default=0)
     ap.add_argument("--out", default=None)
     a = ap.parse_args()
-    cfg = SurveyConfig(n=a.n, max_size=a.max_size, prime=a.prime, out=a.out)
+    cfg = SurveyConfig(n=a.n, max_size=a.max_size, out=a.out)
     rows = survey(cfg)
     print_table(rows)
     if cfg.out:

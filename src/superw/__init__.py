@@ -3,13 +3,12 @@ algebra at finite rank: the graded bracket, weight modules over the
 degree-zero general linear part, induced modules in both directions,
 tensor-field realizations, and cross-rank stabilization checks.
 
-Everything is computed over the rationals; randomized modular arithmetic
-only ever shortcuts in the certifying direction.
+Everything is computed over the rationals; arithmetic modulo the fixed
+prime 2^61 - 1 only ever shortcuts in the certifying direction.
 """
 
 from .errors import (InhomogeneousError, NonBasisElementError,
-                     RankMismatchError, RankTooSmallError,
-                     StepBudgetExceeded)
+                     RankMismatchError, RankTooSmallError)
 from .weights import Weight, order_sequence
 from .partitions import (Partition, aspartition, lr_coefficient,
                          partitions_of, schur_dim, socle_layer_mults,
@@ -44,7 +43,7 @@ __all__ = [
     "GlModule", "GrassmannElement", "InhomogeneousError",
     "NonBasisElementError", "Partition", "RankMismatchError",
     "RankTooSmallError", "SimplicityVerdict", "SocleReport",
-    "StabilizationReport", "StepBudgetExceeded", "Typicality", "WElement",
+    "StabilizationReport", "Typicality", "WElement",
     "Weight", "adjoint_module", "aspartition", "basis_terms", "bracket",
     "check_representation", "coinduction_duality_check", "component_dim",
     "decompose", "dual_module", "extract_L_minus", "find_primitive",

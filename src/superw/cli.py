@@ -39,6 +39,11 @@ def _dump(args, payload: dict) -> None:
         Path(args.out).write_text(text + "\n")
 
 
+def _require_rank(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"rank must be positive, got {n}")
+
+
 def _pair_fields(lam: Partition, mu: Partition, n: int) -> dict:
     return {"lambda": list(lam.parts), "mu": list(mu.parts), "n": n}
 
@@ -132,6 +137,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_socle(args) -> int:
+    _require_rank(args.n)
     rep = verify_socle_identity(args.lam, args.mu, args.n)
     tag = "PASS" if rep.holds else "FAIL"
     print(f"socle layers for ({args.lam}|{args.mu}) at rank {args.n}: {tag}")
@@ -154,6 +160,7 @@ def cmd_socle(args) -> int:
 
 def cmd_kac(args) -> int:
     lam, mu, n, kind = args.lam, args.mu, args.n, args.kind
+    _require_rank(n)
     if kind == "plus":
         order, ext = "natural", "max"
         x = gl_simple(lam, mu, n, order=order)
@@ -219,6 +226,7 @@ def cmd_kac(args) -> int:
 
 def cmd_tensorfield(args) -> int:
     lam, mu, n = args.lam, args.mu, args.n
+    _require_rank(n)
     x = gl_simple(lam, mu, n, order="interleaved")
     t = tensor_field(x, n)
     hw = stable_highest_weight(lam, mu, "interleaved", n)

@@ -15,7 +15,3 @@ class InhomogeneousError(ValueError):
 
 class NonBasisElementError(ValueError):
     """The operation needs a scalar multiple of a single basis term."""
-
-
-class StepBudgetExceeded(RuntimeError):
-    """An iterative computation ran past its step budget."""

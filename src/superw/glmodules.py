@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import NonBasisElementError, RankTooSmallError
-from .linalg import DEFAULT_PRIME, RationalEchelon, Vec, vec_axpy
+from .linalg import RationalEchelon, Vec, vec_axpy
 from .partitions import (
     Partition,
     aspartition,
@@ -29,15 +29,13 @@ GlGen = tuple[int, int]
 class GlModule:
     """A gl(rank) module given by weights and sparse action columns."""
 
-    __slots__ = ("rank", "weights", "_cols", "name", "highest_weight", "_blocks")
+    __slots__ = ("rank", "weights", "_cols", "name", "_blocks")
 
-    def __init__(self, rank: int, weights: list[Weight], cols: dict, name: str = "",
-                 highest_weight: Weight | None = None):
+    def __init__(self, rank: int, weights: list[Weight], cols: dict, name: str = ""):
         self.rank = rank
         self.weights = weights
         self._cols = cols
         self.name = name
-        self.highest_weight = highest_weight
         self._blocks = None
 
     @property
@@ -95,7 +93,7 @@ def _cols_from_action(rank: int, dim: int, action) -> dict:
 
 
 def gl_trivial(n: int) -> GlModule:
-    return GlModule(n, [Weight.zero()], {}, name="C", highest_weight=Weight.zero())
+    return GlModule(n, [Weight.zero()], {}, name="C")
 
 
 def gl_natural(n: int) -> GlModule:
@@ -105,8 +103,7 @@ def gl_natural(n: int) -> GlModule:
     def action(i, j, c):
         return {i - 1: 1} if c == j - 1 else {}
 
-    return GlModule(n, weights, _cols_from_action(n, n, action), name="V",
-                    highest_weight=Weight.eps(1))
+    return GlModule(n, weights, _cols_from_action(n, n, action), name="V")
 
 
 def gl_conatural(n: int) -> GlModule:
@@ -116,8 +113,7 @@ def gl_conatural(n: int) -> GlModule:
     def action(i, j, c):
         return {j - 1: -1} if c == i - 1 else {}
 
-    return GlModule(n, weights, _cols_from_action(n, n, action), name="V*",
-                    highest_weight=-Weight.eps(n))
+    return GlModule(n, weights, _cols_from_action(n, n, action), name="V*")
 
 
 def gl_dual(m: GlModule) -> GlModule:
@@ -131,9 +127,8 @@ def gl_dual(m: GlModule) -> GlModule:
         if dual_gc:
             cols[gen] = dual_gc
     weights = [-w for w in m.weights]
-    hw = None
     name = f"({m.name})*" if m.name else ""
-    return GlModule(m.rank, weights, cols, name=name, highest_weight=hw)
+    return GlModule(m.rank, weights, cols, name=name)
 
 
 def gl_tensor(a: GlModule, b: GlModule) -> GlModule:
@@ -180,7 +175,7 @@ def mixed_tensor(p: int, q: int, n: int) -> GlModule:
 
 
 def restrict_to_span(m, ech: RationalEchelon, gens: dict | None = None,
-                     name: str = "", highest_weight: Weight | None = None) -> GlModule:
+                     name: str = "") -> GlModule:
     """Present an invariant span of m as a gl module on the echelon basis.
 
     gens maps each E_ij to the operator of m that acts as it; by default
@@ -197,28 +192,25 @@ def restrict_to_span(m, ech: RationalEchelon, gens: dict | None = None,
                 gc[t] = c
         if gc:
             cols[e] = gc
-    return GlModule(m.rank, weights, cols, name=name, highest_weight=highest_weight)
+    return GlModule(m.rank, weights, cols, name=name)
 
 
-def cyclic_simple(m: GlModule, hw: Weight, order: str = "natural",
-                  prime: int = DEFAULT_PRIME) -> GlModule:
+def cyclic_simple(m: GlModule, hw: Weight, order: str = "natural") -> GlModule:
     """Simple submodule generated by a vector of weight hw that the raising
     operators of the given order kill."""
     blocks = m.weight_blocks()
     if hw not in blocks:
         raise NonBasisElementError(f"weight {hw} does not occur")
-    sing = singular_blocks(m, m.raising_keys(order), prime=prime,
+    sing = singular_blocks(m, m.raising_keys(order),
                            block_filter=lambda key: key == hw)
     vecs = sing.get(hw)
     if not vecs:
         raise NonBasisElementError(f"no highest-weight vector of weight {hw}")
     ech = module_closure(m, m.gen_keys(), [vecs[0]])
-    name = f"V({hw})"
-    return restrict_to_span(m, ech, name=name, highest_weight=hw)
+    return restrict_to_span(m, ech, name=f"V({hw})")
 
 
-def gl_simple(lam, mu, n: int, order: str = "natural",
-              prime: int = DEFAULT_PRIME) -> GlModule:
+def gl_simple(lam, mu, n: int, order: str = "natural") -> GlModule:
     """The simple module V(lam|mu): lam acts on V-indices, mu on V*-indices.
 
     Realized inside a mixed tensor power as the cyclic module on the
@@ -230,7 +222,7 @@ def gl_simple(lam, mu, n: int, order: str = "natural",
         return out
     hw = stable_highest_weight(lam, mu, order, n)
     amb = mixed_tensor(lam.size, mu.size, n)
-    out = cyclic_simple(amb, hw, order=order, prime=prime)
+    out = cyclic_simple(amb, hw, order=order)
     out.name = f"V({lam}|{mu})"
     return out
 
@@ -315,11 +307,10 @@ def decompose_character(ch: dict[tuple, int], n: int) -> dict[tuple, int]:
     return out
 
 
-def decompose(m: GlModule, order: str = "natural",
-              prime: int = DEFAULT_PRIME) -> dict[Weight, int]:
+def decompose(m: GlModule, order: str = "natural") -> dict[Weight, int]:
     """Multiplicities of simples in a semisimple module, read off from
     highest-weight vectors."""
-    sing = singular_blocks(m, m.raising_keys(order), prime=prime)
+    sing = singular_blocks(m, m.raising_keys(order))
     seq = order_sequence(order, m.rank)
     return {w: len(vs)
             for w, vs in sorted(sing.items(),

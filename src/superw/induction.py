@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import InhomogeneousError, RankMismatchError
 from .glmodules import GlModule
 from .grassmann import indices_of, removal_sign
-from .linalg import DEFAULT_PRIME, Vec, vec_axpy
+from .linalg import Vec, vec_axpy
 from .modules import FiniteWModule, singular_vectors
 from .walgebra import (
     BorelOrder,
@@ -296,9 +296,7 @@ def typicality(nu: Weight, n: int) -> Typicality:
     return Typicality(nu, n, typical=True)
 
 
-def find_primitive(m: FiniteWModule, b: BorelOrder,
-                   degrees=None, prime: int = DEFAULT_PRIME,
-                   generating_only: bool = True) -> dict:
+def find_primitive(m: FiniteWModule, b: BorelOrder, degrees=None) -> dict:
     """Singular vectors of an induced module away from the layer that
     generates it, keyed by weight block.
 
@@ -310,5 +308,4 @@ def find_primitive(m: FiniteWModule, b: BorelOrder,
         zset = {z for z in m.zdegs if z != t0}
     else:
         zset = {t0 + s * d for d in degrees if d != 0}
-    return singular_vectors(m, b, zdegs=zset, prime=prime,
-                            generating_only=generating_only)
+    return singular_vectors(m, b, zdegs=zset)

@@ -9,22 +9,23 @@ Exact kernels come from the same sparse echelon: ``kernel_basis`` inserts
 the constraint rows and back-substitutes one basis vector per free column,
 so no dense matrix is ever formed.
 
-Mod-p computations serve only as one-sided certificates, in ``rank_mod_p``
-and in closures over ``ModPEchelon``: the rank of a rational matrix reduced
-mod p never exceeds the rational rank, so a full rank mod p certifies full
-rank over the rationals, and a zero nullity mod p certifies a zero rational
-kernel.  No "not full" conclusion is ever drawn from a mod-p run alone.
+Mod-p computations serve only as one-sided certificates, all modulo the
+fixed prime ``DEFAULT_PRIME`` = 2^61 - 1, and have exactly three users:
+``rank_mod_p`` here, ``spanops.burnside_full`` and the closure that
+``modules.submodule_generated`` runs before its exact one.  The rank of a
+rational matrix reduced mod p never exceeds the rational rank, so a full
+rank mod p certifies full rank over the rationals, and a zero nullity mod p
+certifies a zero rational kernel.  No "not full" conclusion is ever drawn
+from a mod-p run alone.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .errors import StepBudgetExceeded
-
 Vec = dict  # coordinate -> nonzero coefficient
 
-# Mersenne prime 2^61 - 1, the default modulus of the mod-p certificates
+# Mersenne prime 2^61 - 1, the modulus of every mod-p certificate
 DEFAULT_PRIME = (1 << 61) - 1
 
 def vec_axpy(acc: Vec, c, v: Vec) -> None:
@@ -167,29 +168,31 @@ class ModPEchelon:
         return v
 
     def insert(self, v: Vec):
+        """Reduce and, if independent mod p, store; returns the new pivot or
+        None.  Entries of the residual that vanish mod p are neither pivots
+        nor stored, so a zero vector mod p never counts towards the rank."""
         p = self.p
         r = self.reduce(v)
         if not r:
             return None
         piv = min(r)
+        if not r[piv] % p:
+            r = {k: x for k, x in r.items() if x % p}
+            if not r:
+                return None
+            piv = min(r)
         inv = pow(r[piv], p - 2, p)
-        r = {k: x * inv % p for k, x in r.items()}
+        r = {k: y for k, x in r.items() if (y := x * inv % p)}
         self.rows[piv] = r
         self.order.append(piv)
         return piv
 
 
-def closed_span(
-    seeds: Iterable[Vec],
-    ops: list[Callable[[Vec], Vec]],
-    p: int | None = None,
-    max_steps: int | None = None,
-):
+def closed_span(seeds: Iterable[Vec], ops: list[Callable[[Vec], Vec]],
+                p: int | None = None):
     """Smallest op-stable span containing the seeds.
 
-    Returns a RationalEchelon (p None) or ModPEchelon.  Raises
-    StepBudgetExceeded when max_steps vector insertions are exhausted.
-    """
+    Returns a RationalEchelon (p None) or ModPEchelon."""
     ech = ModPEchelon(p) if p else RationalEchelon()
     queue: list = []
     for s in seeds:
@@ -198,7 +201,6 @@ def closed_span(
         piv = ech.insert(s)
         if piv is not None:
             queue.append(ech.rows[piv])
-    steps = 0
     while queue:
         v = queue.pop()
         for op in ops:
@@ -210,9 +212,6 @@ def closed_span(
             piv = ech.insert(w)
             if piv is not None:
                 queue.append(ech.rows[piv])
-                steps += 1
-                if max_steps is not None and steps > max_steps:
-                    raise StepBudgetExceeded(f"closure exceeded {max_steps} insertions")
     return ech
 
 
@@ -245,11 +244,12 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[dict[int, Fraction]]:
     return basis
 
 
-def rank_mod_p(rows: Iterable[Vec], p: int, stop_at: int | None = None) -> int:
-    """Rank of the rows mod p with optional early exit at a target rank."""
-    ech = ModPEchelon(p)
+def rank_mod_p(rows: Iterable[Vec], stop_at: int | None = None) -> int:
+    """Rank of the rows mod DEFAULT_PRIME with optional early exit at a
+    target rank."""
+    ech = ModPEchelon(DEFAULT_PRIME)
     for r in rows:
-        ech.insert(vec_mod(r, p))
+        ech.insert(vec_mod(r, DEFAULT_PRIME))
         if stop_at is not None and ech.dim >= stop_at:
             return ech.dim
     return ech.dim

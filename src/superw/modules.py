@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -41,7 +41,6 @@ from .walgebra import (
     bracket,
     format_term,
     nilradical_generating_terms,
-    raising_terms,
     term_parity,
     term_weight,
     w_apply,
@@ -288,44 +287,39 @@ class Submodule:
     parent: FiniteWModule
     echelon: RationalEchelon
     full: bool
-    generators: list = field(default_factory=list)
     _module: Optional[FiniteWModule] = None
 
     @property
     def dim(self) -> int:
-        return self.parent.dim if self.full and not self.echelon.order else self.echelon.dim
-
-    def rows(self) -> list[Vec]:
-        return [self.echelon.rows[p] for p in self.echelon.order]
+        return self.parent.dim if self.full else self.echelon.dim
 
     def contains(self, vec: Vec) -> bool:
-        if self.full and not self.echelon.order:
-            return True
-        return self.echelon.contains(vec)
+        return self.full or self.echelon.contains(vec)
 
     def module(self) -> FiniteWModule:
+        """The span as a module: the parent itself when the span is
+        everything, else the action on the echelon basis.  A span certified
+        full mod p keeps no echelon rows, so it must not be restricted."""
+        if self.full:
+            return self.parent
         if self._module is None:
             self._module = restrict_module(self.parent, self.echelon,
                                            name=f"sub({self.parent.name})")
         return self._module
 
 
-def submodule_generated(m: FiniteWModule, seeds: Iterable[Vec],
-                        prime: int | None = DEFAULT_PRIME,
-                        max_steps: int | None = None) -> Submodule:
+def submodule_generated(m: FiniteWModule, seeds: Iterable[Vec]) -> Submodule:
     """Smallest invariant subspace containing the seeds.
 
     A mod-p closure that already fills the module certifies fullness and
     skips the exact pass; anything smaller is recomputed exactly."""
-    seeds = [dict(s) for s in seeds]
+    seeds = list(seeds)
     gens = local_terms(m.rank)
-    if prime is not None:
-        mod = module_closure(m, gens, seeds, p=prime, max_steps=max_steps)
-        if mod.dim == m.dim:
-            return Submodule(parent=m, echelon=RationalEchelon(), full=True,
-                             generators=seeds)
-    ech = module_closure(m, gens, seeds, p=None, max_steps=max_steps)
-    return Submodule(parent=m, echelon=ech, full=ech.dim == m.dim, generators=seeds)
+    mod = module_closure(m, gens, seeds, p=DEFAULT_PRIME)
+    if mod.dim == m.dim:
+        return Submodule(parent=m, echelon=RationalEchelon(), full=True)
+    ech = module_closure(m, gens, seeds, p=None)
+    return Submodule(parent=m, echelon=ech, full=ech.dim == m.dim)
 
 
 def restrict_module(m: FiniteWModule, ech: RationalEchelon, name: str = "") -> FiniteWModule:
@@ -362,20 +356,18 @@ def quotient_module(m: FiniteWModule, sub: Submodule, name: str = "") -> FiniteW
 
 
 def singular_vectors(m: FiniteWModule, b: BorelOrder,
-                     zdegs: Iterable[int] | None = None,
-                     prime: int = DEFAULT_PRIME,
-                     generating_only: bool = False) -> dict:
+                     zdegs: Iterable[int] | None = None) -> dict:
     """Joint kernels of the raising operators of b, one entry per block.
 
-    With generating_only=True only a bracket-generating subset of the
-    nilradical is applied; the kernel is the same whenever that subset
-    generates, at a fraction of the cost."""
+    Only a bracket-generating subset of the nilradical is applied: the
+    operators that kill a vector also kill their brackets, so the joint
+    kernel is the same as over all raising operators, at a fraction of
+    the cost."""
     if b.rank != m.rank:
         raise RankMismatchError("order rank differs from module rank")
-    gens = nilradical_generating_terms(b) if generating_only else raising_terms(b)
     zset = set(zdegs) if zdegs is not None else None
     flt = None if zset is None else (lambda key: key[1] in zset)
-    return singular_blocks(m, gens, prime=prime, block_filter=flt)
+    return singular_blocks(m, nilradical_generating_terms(b), block_filter=flt)
 
 
 @dataclass
@@ -390,64 +382,47 @@ class SimplicityVerdict:
         return self.simple
 
 
-def is_simple(m: FiniteWModule, prime: int = DEFAULT_PRIME,
-              burnside_threshold: int = 96, seed: int = 0,
-              max_steps: int | None = None) -> SimplicityVerdict:
+# modules up to this dimension try the operator-span certificate first
+BURNSIDE_MAX_DIM = 96
+
+
+def is_simple(m: FiniteWModule, seed: int = 0) -> SimplicityVerdict:
     """Decide simplicity.
 
-    Small modules go through the operator-span criterion: the action
-    operators span the full endomorphism algebra exactly when the module
-    is simple.  Larger ones use the highest-weight certificate: every
-    nonzero invariant subspace contains a vector killed by the raising
-    operators of the degree-supported triangular decomposition, so the
-    module is simple exactly when those vectors form a single line whose
-    generated subspace is everything.  Mod-p arithmetic is only ever used
-    in the direction where it certifies."""
+    Modules of dimension at most BURNSIDE_MAX_DIM go through the
+    operator-span criterion first: the action operators span the full
+    endomorphism algebra exactly when the module is simple.  When that
+    does not apply or is inconclusive mod p, the highest-weight
+    certificate decides: every nonzero invariant subspace contains a
+    vector killed by the raising operators of the degree-supported
+    triangular decomposition, so the module is simple exactly when those
+    vectors form a single line whose generated subspace is everything.
+    Mod-p arithmetic is only ever used in the direction where it
+    certifies."""
     n = m.rank
     if m.dim == 0:
         return SimplicityVerdict(False, "dimension", "zero module")
     if m.dim == 1:
         return SimplicityVerdict(True, "dimension", "one-dimensional")
-    gens = local_terms(n)
-    if m.dim <= burnside_threshold:
-        if burnside_full(m, gens, prime, max_steps=max_steps):
-            return SimplicityVerdict(True, "operator-span",
-                                     "operators span End mod p")
-        # inconclusive mod p; fall through to the certificate
+    if m.dim <= BURNSIDE_MAX_DIM and burnside_full(m, local_terms(n)):
+        return SimplicityVerdict(True, "operator-span",
+                                 "operators span End mod p")
     b = BorelOrder("natural", n, extension="max")
-    sing = singular_vectors(m, b, prime=prime, generating_only=True)
-    cands: list[tuple] = []
-    for key, vecs in sing.items():
-        for v in vecs:
-            cands.append((key, v))
+    cands = [(key, v) for key, vecs in singular_vectors(m, b).items() for v in vecs]
     if not cands:
         raise NonBasisElementError("no highest-weight vector found; "
                                    "module is not weight-finite")
-    if len(cands) == 1:
-        key, v = cands[0]
-        mod = module_closure(m, gens, [v], p=prime)
-        if mod.dim == m.dim:
-            return SimplicityVerdict(True, "highest-weight",
-                                     f"unique singular line at {key[0]} generates")
-        ech = module_closure(m, gens, [v], p=None)
-        if ech.dim == m.dim:
-            return SimplicityVerdict(True, "highest-weight",
-                                     f"unique singular line at {key[0]} generates")
-        return SimplicityVerdict(False, "witness",
-                                 f"singular vector at {key[0]} generates "
-                                 f"dim {ech.dim} < {m.dim}",
-                                 witness=v, witness_weight=key[0])
-    # two independent singular vectors cannot both generate
     for key, v in cands:
-        mod = module_closure(m, gens, [v], p=prime)
-        if mod.dim == m.dim:
-            continue
-        ech = module_closure(m, gens, [v], p=None)
-        if ech.dim < m.dim:
+        sub = submodule_generated(m, [v])
+        if not sub.full:
             return SimplicityVerdict(False, "witness",
                                      f"singular vector at {key[0]} generates "
-                                     f"dim {ech.dim} < {m.dim}",
+                                     f"dim {sub.dim} < {m.dim}",
                                      witness=v, witness_weight=key[0])
+    if len(cands) == 1:
+        return SimplicityVerdict(True, "highest-weight",
+                                 f"unique singular line at {cands[0][0][0]} generates")
+    # two independent singular vectors cannot both generate
     rng = random.Random(seed)
     for _ in range(24):
         key = cands[rng.randrange(len(cands))][0]
@@ -457,22 +432,22 @@ def is_simple(m: FiniteWModule, prime: int = DEFAULT_PRIME,
             vec_axpy(combo, Fraction(rng.randint(-3, 3)), v)
         if not combo:
             continue
-        ech = module_closure(m, gens, [combo], p=None)
-        if ech.dim < m.dim:
+        sub = submodule_generated(m, [combo])
+        if not sub.full:
             return SimplicityVerdict(False, "witness",
                                      f"singular combination at {key[0]} generates "
-                                     f"dim {ech.dim} < {m.dim}",
+                                     f"dim {sub.dim} < {m.dim}",
                                      witness=combo, witness_weight=key[0])
     raise NonBasisElementError(
         "multiple singular lines but no proper generated subspace found")
 
 
-def psi_invariants(m: FiniteWModule, prime: int = DEFAULT_PRIME) -> GlModule:
+def psi_invariants(m: FiniteWModule) -> GlModule:
     """Joint kernel of the degree -1 operators, as a gl module."""
     n = m.rank
     partials = [(0, i) for i in range(1, n + 1)]
     ech = RationalEchelon()
-    for vecs in singular_blocks(m, partials, prime=prime).values():
+    for vecs in singular_blocks(m, partials).values():
         for v in vecs:
             ech.insert(v)
     # E_ij acts as x_i d_j

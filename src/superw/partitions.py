@@ -108,11 +108,10 @@ def aspartition(p: PartitionLike) -> Partition:
     return Partition(p)
 
 
-def partitions_of(k: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(k: int) -> Iterator[Partition]:
     """All partitions of k, largest first part first."""
     if k < 0:
         return
-    first = k if max_part is None else min(k, max_part)
 
     def rec(rem: int, cap: int, acc: list[int]):
         if rem == 0:
@@ -126,7 +125,7 @@ def partitions_of(k: int, max_part: int | None = None) -> Iterator[Partition]:
     if k == 0:
         yield EMPTY
         return
-    yield from rec(k, first, [])
+    yield from rec(k, k, [])
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, Optional
 
-from .errors import NonBasisElementError, RankMismatchError, StepBudgetExceeded
+from .errors import NonBasisElementError, RankMismatchError
 from .linalg import (
     DEFAULT_PRIME,
     ModPEchelon,
@@ -43,9 +43,9 @@ def apply_gen(m, gen, vec: Vec) -> Vec:
     return out
 
 
-def module_closure(m, gen_keys, seeds: Iterable[Vec], p: int | None = None, max_steps: int | None = None):
+def module_closure(m, gen_keys, seeds: Iterable[Vec], p: int | None = None):
     ops = [lambda v, g=g: apply_gen(m, g, v) for g in gen_keys]
-    return closed_span(seeds, ops, p=p, max_steps=max_steps)
+    return closed_span(seeds, ops, p=p)
 
 
 def restricted_action(m, ech: RationalEchelon) -> tuple[list, Callable]:
@@ -76,12 +76,7 @@ def restricted_action(m, ech: RationalEchelon) -> tuple[list, Callable]:
     return weights, col
 
 
-def singular_blocks(
-    m,
-    gen_keys,
-    prime: int = DEFAULT_PRIME,
-    block_filter: Callable | None = None,
-) -> dict:
+def singular_blocks(m, gen_keys, block_filter: Callable | None = None) -> dict:
     """Joint kernel of the generator operators, one entry per block that
     carries a nonzero kernel.  Mod-p rank is used only to discard blocks
     whose kernel is provably zero; surviving blocks are solved exactly."""
@@ -100,7 +95,7 @@ def singular_blocks(
         if not rows:
             out[key] = [{c: 1} for c in cols]
             continue
-        if rank_mod_p(rows, prime, stop_at=k) >= k:
+        if rank_mod_p(rows, stop_at=k) >= k:
             continue
         local = kernel_basis(rows, k)
         if local:
@@ -108,11 +103,12 @@ def singular_blocks(
     return out
 
 
-def burnside_full(m, gen_keys, p: int, max_steps: int | None = None) -> bool:
+def burnside_full(m, gen_keys) -> bool:
     """Whether products of the generator operators span all of End mod p.
 
     A True answer certifies fullness over the rationals; False certifies
     nothing by itself."""
+    p = DEFAULT_PRIME
     dim = m.dim
     target = dim * dim
     mats = []
@@ -151,7 +147,6 @@ def burnside_full(m, gen_keys, p: int, max_steps: int | None = None) -> bool:
     for mat in [ident] + mats:
         if ech.insert(flat(mat)) is not None:
             queue.append(mat)
-    steps = 0
     while queue and ech.dim < target:
         b = queue.pop()
         for a in mats:
@@ -160,9 +155,6 @@ def burnside_full(m, gen_keys, p: int, max_steps: int | None = None) -> bool:
                 continue
             if ech.insert(flat(prod)) is not None:
                 queue.append(prod)
-                steps += 1
-                if max_steps is not None and steps > max_steps:
-                    raise StepBudgetExceeded(f"operator span exceeded {max_steps} products")
         if ech.dim >= target:
             break
     return ech.dim >= target
@@ -253,9 +245,7 @@ def hom_value(phi: dict, vec: Vec) -> Vec:
     return out
 
 
-def invertible_combination(
-    m1, m2, homs: list[dict], seed: int = 0, samples: int = 12
-) -> Optional[dict]:
+def invertible_combination(m1, m2, homs: list[dict], seed: int = 0) -> Optional[dict]:
     """Search the hom space for an invertible element; None if not found.
 
     Invertibility is decided exactly, block by weight block."""
@@ -286,7 +276,7 @@ def invertible_combination(
         if is_invertible(phi):
             return phi
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(12):
         combo: dict = {}
         for phi in homs:
             c = rng.randint(-3, 3)

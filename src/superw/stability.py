@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .glmodules import gl_simple
 from .induction import kac_plus
-from .linalg import DEFAULT_PRIME, RationalEchelon, rank_mod_p
+from .linalg import RationalEchelon, rank_mod_p
 from .modules import Character, FiniteWModule
 from .partitions import Partition, aspartition
 from .spanops import singular_blocks
@@ -50,8 +50,7 @@ def _window_blocks(m: FiniteWModule, window: int):
 
 
 def restricted_character(m: FiniteWModule, window: int,
-                         mode: str = "annihilator",
-                         prime: int = DEFAULT_PRIME) -> Character:
+                         mode: str = "annihilator") -> Character:
     """Graded character of the window part of m that the tail algebra
     cannot see; entries are keyed by dense window weights."""
     n = m.rank
@@ -60,7 +59,7 @@ def restricted_character(m: FiniteWModule, window: int,
     tail = tail_subalgebra_terms(n, window)
     entries: dict = {}
     if mode == "annihilator":
-        sing = singular_blocks(m, tail, prime=prime,
+        sing = singular_blocks(m, tail,
                                block_filter=lambda key: key[0].max_index() <= window)
         for (w, z, _), vecs in sing.items():
             key = (w.dense(window), z)
@@ -84,7 +83,7 @@ def restricted_character(m: FiniteWModule, window: int,
         k = len(cols)
         if not rows:
             dim = k
-        elif rank_mod_p(rows, prime, stop_at=k) >= k:
+        elif rank_mod_p(rows, stop_at=k) >= k:
             dim = 0
         else:
             ech = RationalEchelon()
@@ -100,13 +99,13 @@ def restricted_character(m: FiniteWModule, window: int,
 _OBJECT_MODES = {"L-": "annihilator", "T": "annihilator", "K+": "coinvariants"}
 
 
-def _build_family_member(obj: str, lam, mu, n: int, prime: int) -> FiniteWModule:
+def _build_family_member(obj: str, lam, mu, n: int) -> FiniteWModule:
     if obj == "L-":
-        return extract_L_minus(lam, mu, n, prime=prime)
+        return extract_L_minus(lam, mu, n)
     if obj == "T":
-        return tensor_field(gl_simple(lam, mu, n, order="interleaved", prime=prime), n)
+        return tensor_field(gl_simple(lam, mu, n, order="interleaved"), n)
     if obj == "K+":
-        return kac_plus(gl_simple(lam, mu, n, order="natural", prime=prime), n)
+        return kac_plus(gl_simple(lam, mu, n, order="natural"), n)
     raise ValueError(f"unknown stabilization object {obj!r}")
 
 
@@ -147,8 +146,7 @@ class StabilizationReport:
 
 
 def stabilization_sweep(lam, mu, n_from: int, n_to: int, obj: str = "L-",
-                        window: int | None = None,
-                        prime: int = DEFAULT_PRIME) -> StabilizationReport:
+                        window: int | None = None) -> StabilizationReport:
     """Build one family member per rank and compare restricted characters
     across consecutive ranks.
 
@@ -167,8 +165,8 @@ def stabilization_sweep(lam, mu, n_from: int, n_to: int, obj: str = "L-",
     mode = _OBJECT_MODES[obj]
     chars: list = []
     for n in range(n_from, n_to + 1):
-        m = _build_family_member(obj, lam, mu, n, prime)
-        chars.append((n, restricted_character(m, window, mode=mode, prime=prime)))
+        m = _build_family_member(obj, lam, mu, n)
+        chars.append((n, restricted_character(m, window, mode=mode)))
     stabilized = True
     mismatch = None
     for (n1, c1), (n2, c2) in zip(chars, chars[1:]):

@@ -319,13 +319,8 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9]
 
 
-def run_suite(indices=None) -> list[Criterion]:
-    picks = set(indices) if indices else None
-    out = []
-    for i, fn in enumerate(CRITERIA, start=1):
-        if picks is None or i in picks:
-            out.append(fn())
-    return out
+def run_suite() -> list[Criterion]:
+    return [fn() for fn in CRITERIA]
 
 
 def suite_to_json(results: list[Criterion]) -> str:

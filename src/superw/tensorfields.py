@@ -18,7 +18,7 @@ from .errors import NonBasisElementError, RankMismatchError
 from .glmodules import GlModule, gl_dual, gl_simple
 from .grassmann import indices_of, merge_sign, removal_sign
 from .induction import kac_plus
-from .linalg import DEFAULT_PRIME, Vec
+from .linalg import Vec
 from .modules import (
     FiniteWModule,
     SimplicityVerdict,
@@ -107,10 +107,9 @@ def interleaved_min_borel(n: int) -> BorelOrder:
     return BorelOrder("interleaved", n, "min")
 
 
-def _singular_line(t: FiniteWModule, hw: Weight, b: BorelOrder,
-                   prime: int) -> Vec:
+def _singular_line(t: FiniteWModule, hw: Weight, b: BorelOrder) -> Vec:
     key = (hw, hw.total(), hw.total() % 2)
-    sing = singular_blocks(t, nilradical_generating_terms(b), prime=prime,
+    sing = singular_blocks(t, nilradical_generating_terms(b),
                            block_filter=lambda k: k == key)
     vecs = sing.get(key)
     if not vecs:
@@ -118,42 +117,35 @@ def _singular_line(t: FiniteWModule, hw: Weight, b: BorelOrder,
     return vecs[0]
 
 
-def extract_L_minus_submodule(lam, mu, n: int,
-                              prime: int = DEFAULT_PRIME) -> Submodule:
+def extract_L_minus_submodule(lam, mu, n: int) -> Submodule:
     """The cyclic submodule of T(V(lam|mu)) on the interleaved singular
     vector, kept as a span inside its parent."""
     lam, mu = aspartition(lam), aspartition(mu)
     hw = stable_highest_weight(lam, mu, "interleaved", n)
-    x = gl_simple(lam, mu, n, order="interleaved", prime=prime)
+    x = gl_simple(lam, mu, n, order="interleaved")
     t = tensor_field(x, n)
-    v = _singular_line(t, hw, interleaved_min_borel(n), prime)
-    sub = submodule_generated(t, [v], prime=prime)
+    v = _singular_line(t, hw, interleaved_min_borel(n))
+    sub = submodule_generated(t, [v])
     t.meta["highest_weight"] = hw
     return sub
 
 
-def extract_L_minus(lam, mu, n: int, prime: int = DEFAULT_PRIME) -> FiniteWModule:
+def extract_L_minus(lam, mu, n: int) -> FiniteWModule:
     """The simple module attached to a partition pair, realized inside the
     tensor-field module over the interleaved-order simple base."""
     lam, mu = aspartition(lam), aspartition(mu)
-    sub = extract_L_minus_submodule(lam, mu, n, prime=prime)
+    sub = extract_L_minus_submodule(lam, mu, n)
     hw = sub.parent.meta["highest_weight"]
-    name = f"L-({lam}|{mu},n={n})"
-    if sub.full:
-        out = sub.parent
-        out.name = name
-    else:
-        out = sub.module()
-        out.name = name
+    out = sub.module()
+    out.name = f"L-({lam}|{mu},n={n})"
     out.meta["highest_weight"] = hw
     out.meta["ambient_dim"] = sub.parent.dim
     out.meta["proper"] = sub.dim < sub.parent.dim
     return out
 
 
-def tensor_field_simplicity(lam, mu, n: int,
-                            prime: int = DEFAULT_PRIME) -> SimplicityVerdict:
+def tensor_field_simplicity(lam, mu, n: int) -> SimplicityVerdict:
     """Simplicity of the full tensor-field module over V(lam|mu)."""
     lam, mu = aspartition(lam), aspartition(mu)
-    x = gl_simple(lam, mu, n, order="interleaved", prime=prime)
-    return is_simple(tensor_field(x, n), prime=prime)
+    x = gl_simple(lam, mu, n, order="interleaved")
+    return is_simple(tensor_field(x, n))

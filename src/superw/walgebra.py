@@ -386,8 +386,7 @@ def parse_welement(text: str, rank: int) -> WElement:
     return WElement(rank, terms)
 
 
-def grading_element(n: int, upto: int | None = None) -> WElement:
-    """The diagonal element sum_{i<=N} x_i d_i; its eigenvalue on a weight
-    vector is the sum of the first N weight coordinates."""
-    upto = n if upto is None else upto
-    return WElement(n, {((1 << (i - 1)), i): 1 for i in range(1, upto + 1)})
+def grading_element(n: int) -> WElement:
+    """The diagonal element sum_i x_i d_i; its eigenvalue on a weight
+    vector is the sum of its weight coordinates."""
+    return WElement(n, {((1 << (i - 1)), i): 1 for i in range(1, n + 1)})

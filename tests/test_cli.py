@@ -20,6 +20,18 @@ def test_dims_rank_out_of_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tensorfield", "-l", "", "-m", "", "--n", "0"],
+    ["kac", "-l", "", "-m", "", "--n", "-1"],
+    ["socle", "-l", "1", "-m", "1", "--n", "0"],
+], ids=["tensorfield", "kac", "socle"])
+def test_rank_below_one_exits_two_before_any_output(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: rank must be positive" in captured.err
+
+
 def test_check_passes(capsys):
     assert main(["check", "--n", "2", "--samples", "40", "--seed", "3"]) == 0
     out = capsys.readouterr().out

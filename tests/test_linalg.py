@@ -3,12 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superw.linalg import (DEFAULT_PRIME, ModPEchelon, RationalEchelon,
-                           kernel_basis, rank_mod_p, vec_axpy, vec_mod,
-                           vec_scaled)
+from superw.linalg import (ModPEchelon, RationalEchelon, kernel_basis,
+                           rank_mod_p, vec_axpy, vec_mod, vec_scaled)
 
 
 def dense_rref(rows, ncols):
@@ -75,7 +75,7 @@ def test_rank_mod_p_matches_exact():
     rng = random.Random(6)
     for _ in range(60):
         rows = random_rows(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert rank_mod_p(rows, DEFAULT_PRIME) == dense_rank(rows, 6)
+        assert rank_mod_p(rows) == dense_rank(rows, 6)
 
 
 def test_contains_and_express():
@@ -202,6 +202,21 @@ def test_modp_echelon_agrees_on_int_rows():
         for r in rows:
             ech.insert(vec_mod(r, p))
         assert ech.dim == dense_rank(rows, 5)
+
+
+@pytest.mark.parametrize("vec", [{0: 0, 1: 3}, {0: 7, 1: 3}],
+                         ids=["explicit-zero", "multiple-of-p"])
+def test_modp_insert_skips_coefficients_that_vanish_mod_p(vec):
+    ech = ModPEchelon(7)
+    assert ech.insert(vec) == 1
+    assert ech.rows == {1: {1: 1}}
+    assert ech.dim == 1
+
+
+def test_modp_insert_of_a_vector_zero_mod_p_is_rejected():
+    ech = ModPEchelon(7)
+    assert ech.insert({0: 14}) is None
+    assert ech.dim == 0 and ech.rows == {}
 
 
 @given(st.dictionaries(st.integers(0, 8), st.fractions(max_denominator=6),

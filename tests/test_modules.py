@@ -133,6 +133,13 @@ def test_submodule_module_restricts_action():
     assert check_representation(s) == []
 
 
+def test_full_submodule_is_its_parent():
+    m = lambda_module(2)
+    sub = submodule_generated(m, [{1: Fraction(1)}])
+    assert sub.full and sub.module() is m
+    assert sub.contains({3: Fraction(5)})
+
+
 def test_quotient_of_full_submodule_raises():
     m = lambda_module(2)
     sub = submodule_generated(m, [{1: Fraction(1)}])

@@ -10,12 +10,14 @@ from superw.glmodules import (gl_conatural, gl_dual, gl_natural, gl_simple,
 from superw.induction import kac_plus
 from superw.linalg import DEFAULT_PRIME, RationalEchelon
 from superw.modules import (adjoint_module, dual_module, lambda_module,
-                            local_terms)
+                            local_terms, quotient_module, singular_vectors,
+                            submodule_generated)
 from superw.spanops import (apply_gen, burnside_full, hom_basis, hom_space,
                             hom_value, module_closure, restricted_action,
                             singular_blocks)
 from superw.tensorfields import tensor_field
-from superw.walgebra import BorelOrder, nilradical_generating_terms
+from superw.walgebra import (BorelOrder, nilradical_generating_terms,
+                             raising_terms)
 from superw.weights import Weight
 
 
@@ -56,12 +58,47 @@ def test_singular_block_filter():
     assert {key[0] for key in sing} == {Weight.zero()}
 
 
+def _exterior_mod_constants():
+    m = lambda_module(3)
+    return quotient_module(m, submodule_generated(m, [{0: Fraction(1)}]))
+
+
+def _span(vecs) -> RationalEchelon:
+    ech = RationalEchelon()
+    for v in vecs:
+        ech.insert(v)
+    return ech
+
+
+@pytest.mark.parametrize("order", [BorelOrder("natural", 3, "max"),
+                                   BorelOrder("interleaved", 3, "min")],
+                         ids=["natural-max", "interleaved-min"])
+@pytest.mark.parametrize("build", [
+    _exterior_mod_constants,
+    lambda: kac_plus(gl_simple((), (1,), 3), 3),
+    lambda: tensor_field(gl_natural(3), 3),
+], ids=["Lambda/1", "K+(|1)", "T(V)"])
+def test_singular_vectors_match_all_raising_operators(build, order):
+    # singular_vectors applies only a generating subset of the nilradical;
+    # the joint kernel over every raising operator is the reference
+    m = build()
+    fast = singular_vectors(m, order)
+    full = singular_blocks(m, raising_terms(order))
+    assert fast.keys() == full.keys()
+    assert fast
+    for key, vecs in full.items():
+        a, b = _span(fast[key]), _span(vecs)
+        assert a.dim == b.dim == len(fast[key]) == len(vecs)
+        assert all(a.contains(v) for v in vecs)
+        assert all(b.contains(v) for v in fast[key])
+
+
 def test_burnside_detects_simplicity():
     full = lambda_module(2)
-    assert not burnside_full(full, local_terms(2), DEFAULT_PRIME)
+    assert not burnside_full(full, local_terms(2))
     from superw.modules import quotient_module, submodule_generated
     q = quotient_module(full, submodule_generated(full, [{0: Fraction(1)}]))
-    assert burnside_full(q, local_terms(2), DEFAULT_PRIME)
+    assert burnside_full(q, local_terms(2))
 
 
 def test_endomorphisms_of_indecomposable():
