@@ -18,7 +18,7 @@ import random
 import sys
 from pathlib import Path
 
-from .glmodules import gl_simple, verify_socle_identity
+from .glmodules import gl_simple, mixed_weight, verify_socle_identity
 from .induction import find_primitive, kac_minus_truncated, kac_plus, typicality
 from .modules import (all_terms, check_representation, is_simple,
                       lambda_module, psi_invariants)
@@ -90,6 +90,7 @@ def _leibniz_failures(n: int, samples: int, seed: int, limit: int = 1) -> list:
 
 def cmd_check(args) -> int:
     n, samples, seed = args.n, args.samples, args.seed
+    _require_rank(n)
     br = sign_bugged_bracket if args.inject_sign_bug else bracket
     props = []
 
@@ -138,6 +139,8 @@ def cmd_check(args) -> int:
 
 def cmd_socle(args) -> int:
     _require_rank(args.n)
+    # the top pair must fit the rank; RankTooSmallError exits 2
+    mixed_weight(args.lam, args.mu, args.n)
     rep = verify_socle_identity(args.lam, args.mu, args.n)
     tag = "PASS" if rep.holds else "FAIL"
     print(f"socle layers for ({args.lam}|{args.mu}) at rank {args.n}: {tag}")
@@ -183,7 +186,7 @@ def cmd_kac(args) -> int:
     prims.sort(key=lambda e: (e["degree"], e["weight"]))
 
     if kind == "plus":
-        verdict = is_simple(m, seed=args.seed)
+        verdict = is_simple(m)
         vjson = {"simple": verdict.simple, "method": verdict.method}
         if verdict.witness_weight is not None:
             vjson["witness_weight"] = list(verdict.witness_weight.dense(n))
@@ -230,7 +233,7 @@ def cmd_tensorfield(args) -> int:
     x = gl_simple(lam, mu, n, order="interleaved")
     t = tensor_field(x, n)
     hw = stable_highest_weight(lam, mu, "interleaved", n)
-    verdict = is_simple(t, seed=args.seed)
+    verdict = is_simple(t)
     print(f"T({lam}|{mu}) at rank {n}: dim {t.dim}, highest weight {hw}")
     print(f"  simple: {verdict.simple} (via {verdict.method})")
     ok = True
@@ -336,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("plus", "minus"), default="plus")
     p.add_argument("-D", "--degree-cutoff", dest="degree_cutoff", type=int,
                    help="truncation depth for kind=minus (default 2)")
-    p.add_argument("--seed", type=int, default=0)
     _add_out(p)
     p.set_defaults(fn=cmd_kac)
 

@@ -10,13 +10,14 @@ the constraint rows and back-substitutes one basis vector per free column,
 so no dense matrix is ever formed.
 
 Mod-p computations serve only as one-sided certificates, all modulo the
-fixed prime ``DEFAULT_PRIME`` = 2^61 - 1, and have exactly three users:
-``rank_mod_p`` here, ``spanops.burnside_full`` and the closure that
-``modules.submodule_generated`` runs before its exact one.  The rank of a
-rational matrix reduced mod p never exceeds the rational rank, so a full
-rank mod p certifies full rank over the rationals, and a zero nullity mod p
-certifies a zero rational kernel.  No "not full" conclusion is ever drawn
-from a mod-p run alone.
+fixed prime ``DEFAULT_PRIME`` = 2^61 - 1.  The library has one user: the
+closure that ``modules.submodule_generated`` runs before its exact one.
+The rank of a rational matrix reduced mod p never exceeds the rational
+rank, so a span that is full mod p is full over the rationals; no "not
+full" conclusion is ever drawn from a mod-p run alone.  ``rank_mod_p``
+here and ``spanops.burnside_full`` are oracles that no library function
+calls: the tests compare against them, and the benchmark's tracer still
+looks them up by name.
 """
 from __future__ import annotations
 
@@ -215,7 +216,7 @@ def closed_span(seeds: Iterable[Vec], ops: list[Callable[[Vec], Vec]],
     return ech
 
 
-def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[dict[int, Fraction]]:
+def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[Vec]:
     """Exact nullspace of the system given by constraint rows over 0..ncols-1.
 
     The basis is the reduced-row-echelon one: a vector per free column fc,
@@ -223,7 +224,9 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[dict[int, Fraction]]:
     column.  Its pivot coordinates follow by back-substitution, visiting
     pivots in descending order, since every other coordinate of a stored
     row lies above its pivot.  Rows stop being read once they reach rank
-    ncols, when the kernel is zero."""
+    ncols, when the kernel is zero.  The free coordinate is the int 1, so
+    a kernel of integer rows stays integral and the closures it seeds run
+    in int arithmetic, not Fraction."""
     ech = RationalEchelon()
     for r in rows:
         ech.insert(r)
@@ -234,7 +237,7 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[dict[int, Fraction]]:
     for fc in range(ncols):
         if fc in ech.rows:
             continue
-        v = {fc: Fraction(1)}
+        v = {fc: 1}
         for pc in pivots:
             if pc < fc:
                 s = sum(x * v[k] for k, x in ech.rows[pc].items() if k in v)
@@ -244,12 +247,9 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[dict[int, Fraction]]:
     return basis
 
 
-def rank_mod_p(rows: Iterable[Vec], stop_at: int | None = None) -> int:
-    """Rank of the rows mod DEFAULT_PRIME with optional early exit at a
-    target rank."""
+def rank_mod_p(rows: Iterable[Vec]) -> int:
+    """Rank of the rows mod DEFAULT_PRIME; an oracle for the tests."""
     ech = ModPEchelon(DEFAULT_PRIME)
     for r in rows:
         ech.insert(vec_mod(r, DEFAULT_PRIME))
-        if stop_at is not None and ech.dim >= stop_at:
-            return ech.dim
     return ech.dim

@@ -14,8 +14,9 @@ plain gl(n) modules (``GlModule``), expose
 
 where every operator ``gen`` is block-homogeneous: it maps each block into
 at most one other block.  Closure, restriction to an invariant span, the
-joint kernel, the operator span, the hom space and the isomorphism check
-live here; the builder files keep only their builders.
+joint kernel, the hom space and the isomorphism check live here, with the
+operator span as the tests' oracle; the builder files keep only their
+builders.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .linalg import (
     Vec,
     closed_span,
     kernel_basis,
-    rank_mod_p,
     vec_axpy,
     vec_mod,
 )
@@ -78,26 +78,19 @@ def restricted_action(m, ech: RationalEchelon) -> tuple[list, Callable]:
 
 def singular_blocks(m, gen_keys, block_filter: Callable | None = None) -> dict:
     """Joint kernel of the generator operators, one entry per block that
-    carries a nonzero kernel.  Mod-p rank is used only to discard blocks
-    whose kernel is provably zero; surviving blocks are solved exactly."""
+    carries a nonzero kernel.  Each block is solved exactly by
+    ``kernel_basis``, which stops reading equations once they pin every
+    coordinate, so a block with a zero kernel costs no more than its rank."""
     out: dict = {}
     for key, cols in m.weight_blocks().items():
         if block_filter is not None and not block_filter(key):
             continue
-        k = len(cols)
-        pos = {c: t for t, c in enumerate(cols)}
         rows_map: dict = {}
         for g in gen_keys:
             for t, c in enumerate(cols):
                 for r, x in m.column(g, c).items():
                     rows_map.setdefault((g, r), {})[t] = x
-        rows = list(rows_map.values())
-        if not rows:
-            out[key] = [{c: 1} for c in cols]
-            continue
-        if rank_mod_p(rows, stop_at=k) >= k:
-            continue
-        local = kernel_basis(rows, k)
+        local = kernel_basis(rows_map.values(), len(cols))
         if local:
             out[key] = [{cols[t]: c for t, c in v.items()} for v in local]
     return out
@@ -107,7 +100,8 @@ def burnside_full(m, gen_keys) -> bool:
     """Whether products of the generator operators span all of End mod p.
 
     A True answer certifies fullness over the rationals; False certifies
-    nothing by itself."""
+    nothing by itself.  No library function calls it: it is the tests'
+    small-module oracle for ``modules.is_simple``."""
     p = DEFAULT_PRIME
     dim = m.dim
     target = dim * dim

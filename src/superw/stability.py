@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .glmodules import gl_simple
 from .induction import kac_plus
-from .linalg import RationalEchelon, rank_mod_p
+from .linalg import RationalEchelon
 from .modules import Character, FiniteWModule
 from .partitions import Partition, aspartition
 from .spanops import singular_blocks
@@ -80,16 +80,12 @@ def restricted_character(m: FiniteWModule, window: int,
                 img = m.column(g, c)
                 if img:
                     rows.append({local[r]: x for r, x in img.items()})
-        k = len(cols)
-        if not rows:
-            dim = k
-        elif rank_mod_p(rows, stop_at=k) >= k:
-            dim = 0
-        else:
-            ech = RationalEchelon()
-            for r in rows:
-                ech.insert(dict(r))
-            dim = k - ech.dim
+        ech = RationalEchelon()
+        for r in rows:
+            ech.insert(r)
+            if ech.dim == len(cols):
+                break
+        dim = len(cols) - ech.dim
         if dim:
             key = (w.dense(window), z)
             entries[key] = entries.get(key, 0) + dim

@@ -32,6 +32,27 @@ def test_rank_below_one_exits_two_before_any_output(argv, capsys):
     assert "error: rank must be positive" in captured.err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_check_rank_below_one_exits_two_before_any_output(n, capsys):
+    assert main(["check", "--n", n, "--samples", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rank must be positive, got {n}\n"
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_socle_shape_too_long_for_the_rank_exits_two(n, capsys):
+    assert main(["socle", "-l", "1,1,1", "-m", "1", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: shapes (1,1,1),(1) need rank >= 4\n"
+
+
+def test_kac_simple_module_is_decided_by_the_highest_weight(capsys):
+    assert main(["kac", "-l", "1", "-m", "", "--n", "3"]) == 0
+    assert "simple: True (via highest-weight)" in capsys.readouterr().out
+
+
 def test_check_passes(capsys):
     assert main(["check", "--n", "2", "--samples", "40", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Source hygiene: no library module imports a name it never reads, no
-function takes a retired tuning option, and the mod-p modulus stays inside
-the linear algebra and the two certificates built on it.
+function takes a retired tuning option, the mod-p modulus stays inside the
+linear algebra and the certificates built on it, and no library function
+calls a test oracle.
 
 Stdlib ``ast`` scans, so the checks need no linter.  The package's
 ``__init__.py`` is exempt from the import scan, since its imports are its
@@ -17,6 +18,12 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # options that no caller set; the library fixes their values instead
 RETIRED_PARAMS = {"prime", "max_steps", "burnside_threshold", "generating_only"}
+
+# oracles the tests compare against; the library decides without them
+ORACLES = {"burnside_full", "rank_mod_p"}
+
+# names of retired paths that must not come back
+RETIRED_NAMES = {"BURNSIDE_MAX_DIM"}
 
 # the only readers of the mod-p modulus: None allows the whole module
 PRIME_READERS = {"linalg.py": None, "spanops.py": {"burnside_full"},
@@ -110,3 +117,54 @@ def test_only_the_certificates_read_the_modulus(path):
         assert found == set()
     elif PRIME_READERS[path.name] is not None:
         assert found - {"<module>"} <= PRIME_READERS[path.name]
+
+
+def calls_to(source: str, names: set[str]) -> list[str]:
+    """Calls of the names, bare or as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in names:
+                out.append(f"line {node.lineno}: {name}")
+    return out
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name the source binds, reads, imports or defines."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+    return out
+
+
+def test_scans_flag_oracle_calls_and_retired_names():
+    src = ("from .spanops import burnside_full\n"
+           "BURNSIDE_MAX_DIM = 96\n"
+           "def f(m):\n"
+           "    if m.dim <= BURNSIDE_MAX_DIM and burnside_full(m, []):\n"
+           "        return linalg.rank_mod_p(m.rows)\n"
+           "    return rank_mod_p\n")
+    assert calls_to(src, ORACLES) == ["line 4: burnside_full", "line 5: rank_mod_p"]
+    assert RETIRED_NAMES <= identifiers(src)
+    assert calls_to("def rank_mod_p(rows):\n    return len(rows)\n", ORACLES) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_library_function_calls_an_oracle(path):
+    assert calls_to(path.read_text(), ORACLES) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_retired_name_comes_back(path):
+    assert identifiers(path.read_text()) & RETIRED_NAMES == set()

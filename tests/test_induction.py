@@ -10,9 +10,10 @@ from fractions import Fraction
 from superw.glmodules import gl_natural, gl_simple, gl_trivial
 from superw.induction import (find_primitive, kac_minus_truncated, kac_plus,
                               layer_dims, typicality)
-from superw.modules import (check_representation, local_terms,
+from superw.modules import (check_representation, is_simple, local_terms,
                             submodule_generated)
 from superw.spanops import hom_space, hom_value
+from superw.suite import PAIRS_LE2
 from superw.walgebra import BorelOrder, grading_element, term_degree
 from superw.weights import Weight
 
@@ -116,8 +117,16 @@ def test_typicality_json():
 
 def test_kac_plus_simplicity_tracks_typicality_small():
     # one typical and one atypical pair at rank 3
-    from superw.modules import is_simple
     typ = kac_plus(gl_simple((1,), (1,), 3), 3)
     assert is_simple(typ).simple
     atyp = kac_plus(gl_simple((), (1,), 3), 3)
     assert not is_simple(atyp).simple
+
+
+def test_rank_five_dichotomy():
+    # criterion 3 one rank up: K+(V(lam|mu)) is simple exactly away from
+    # lam = () with at most one row in mu, decided by the highest weight
+    for lam, mu in PAIRS_LE2:
+        verdict = is_simple(kac_plus(gl_simple(lam, mu, 5), 5))
+        assert verdict.simple == (not (lam.size == 0 and mu.length <= 1)), (lam, mu)
+        assert verdict.method in ("highest-weight", "witness")

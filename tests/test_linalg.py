@@ -179,6 +179,14 @@ def test_kernel_basis_matches_dense_gauss_jordan():
     assert min(seen.values()) >= 50, seen
 
 
+def test_kernel_of_integer_rows_stays_integral():
+    # singular vectors seed closures, which run far slower on Fraction
+    for rows, ncols in (([], 2), ([{0: 2, 1: -4}], 3), ([{1: 3, 2: 6}], 3)):
+        ker = kernel_basis(rows, ncols)
+        assert ker == dense_kernel(rows, ncols)
+        assert all(type(x) is int for v in ker for x in v.values())
+
+
 def test_kernel_basis_stops_reading_at_full_rank():
     def rows():
         yield {0: 1, 1: 1}
