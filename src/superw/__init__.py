@@ -3,8 +3,9 @@ algebra at finite rank: the graded bracket, weight modules over the
 degree-zero general linear part, induced modules in both directions,
 tensor-field realizations, and cross-rank stabilization checks.
 
-Everything is computed over the rationals; arithmetic modulo the fixed
-prime 2^61 - 1 only ever shortcuts in the certifying direction.
+Everything is computed over the rationals, and every verdict is exact;
+arithmetic modulo a prime survives only in oracles the tests compare
+against.
 """
 
 from .errors import (InhomogeneousError, NonBasisElementError,

@@ -91,6 +91,8 @@ def _leibniz_failures(n: int, samples: int, seed: int, limit: int = 1) -> list:
 def cmd_check(args) -> int:
     n, samples, seed = args.n, args.samples, args.seed
     _require_rank(n)
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     br = sign_bugged_bracket if args.inject_sign_bug else bracket
     props = []
 

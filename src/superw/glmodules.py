@@ -15,6 +15,7 @@ from .linalg import RationalEchelon, Vec, vec_axpy
 from .partitions import (
     Partition,
     aspartition,
+    schur_dim,
     schur_weights,
     socle_layer_mults,
     stable_highest_weight,
@@ -258,53 +259,34 @@ def weyl_dim(nu, n: int) -> int:
     return q
 
 
-def gl_character(nu, n: int) -> dict[tuple, int]:
-    """Weight multiplicities of the simple module with dominant weight nu.
-
-    Handles negative entries by tensoring with a power of the determinant."""
-    nu = tuple(nu)
-    if len(nu) != n or any(nu[i] < nu[i + 1] for i in range(n - 1)):
-        raise ValueError(f"{nu} is not dominant for rank {n}")
-    shift = -min(nu[-1], 0)
-    lam = Partition(tuple(c + shift for c in nu if c + shift > 0))
-    base = schur_weights(lam, n)
-    if shift == 0:
-        return dict(base)
-    return {tuple(c - shift for c in t): m for t, m in base.items()}
-
-
-def char_product(a: dict[tuple, int], b: dict[tuple, int]) -> dict[tuple, int]:
-    out: dict[tuple, int] = {}
-    for wa, ma in a.items():
-        for wb, mb in b.items():
-            t = tuple(x + y for x, y in zip(wa, wb))
-            nv = out.get(t, 0) + ma * mb
-            if nv:
-                out[t] = nv
-            else:
-                out.pop(t, None)
-    return out
-
-
 def decompose_character(ch: dict[tuple, int], n: int) -> dict[tuple, int]:
-    """Write a character as a sum of simple characters by repeatedly
-    stripping the lexicographically greatest surviving weight."""
-    rest = {t: m for t, m in ch.items() if m}
+    """Multiplicities of simple characters, dominant weight -> count, by one
+    pass over the weights of ch, each folded into the dominant chamber.
+
+    With rho = (n-1, ..., 0), a weight w with w + rho regular contributes
+    sign(s) * ch(w) to nu = s(w + rho) - rho, where s sorts w + rho into
+    descending order; a singular w + rho contributes nothing.  For a
+    W-invariant character this is its decomposition (Weyl's character
+    formula).  For ch = {lam + w: mult_X(w)}, the weights of a module X
+    shifted by a dominant lam, it is V(lam) (x) X (Brauer-Klimyk).  Keys are
+    dense weights of length n.  Raises ValueError when a multiplicity comes
+    out negative, which no genuine character of either kind yields."""
+    rho = range(n - 1, -1, -1)
     out: dict[tuple, int] = {}
-    while rest:
-        top = max(rest)
-        mult = rest[top]
-        if mult < 0 or any(top[i] < top[i + 1] for i in range(n - 1)):
-            raise ValueError("character is not a nonnegative sum of simples")
-        out[top] = out.get(top, 0) + mult
-        piece = gl_character(top, n)
-        for t, m in piece.items():
-            nv = rest.get(t, 0) - mult * m
-            if nv:
-                rest[t] = nv
-            else:
-                rest.pop(t, None)
-    return out
+    for w, mult in ch.items():
+        v = [x + r for x, r in zip(w, rho)]
+        if not mult or len(set(v)) < n:
+            continue
+        for i in range(n):
+            for j in range(i + 1, n):
+                if v[i] < v[j]:
+                    mult = -mult
+        v.sort(reverse=True)
+        nu = tuple(x - r for x, r in zip(v, rho))
+        out[nu] = out.get(nu, 0) + mult
+    if any(m < 0 for m in out.values()):
+        raise ValueError("character is not a nonnegative sum of simples")
+    return {nu: m for nu, m in out.items() if m}
 
 
 def decompose(m: GlModule, order: str = "natural") -> dict[Weight, int]:
@@ -381,19 +363,22 @@ class SocleReport:
 
 
 def verify_socle_identity(lam, mu, n: int) -> SocleReport:
-    """Decompose ch(S_lam(V)) * ch(S_mu(V*)) into simple characters and
-    compare the constituent pairs with the predicted contraction layers:
+    """Decompose S_lam(V) (x) S_mu(V*) into simple characters, as lam plus
+    the weights of S_mu(V*) (Brauer-Klimyk), and compare the constituent
+    pairs with the predicted contraction layers:
     layer k carries V(lam'|mu') with multiplicity summed over shapes of
     size k paired against both quotients."""
     lam = aspartition(lam)
     mu = aspartition(mu)
-    lhs_a = dict(schur_weights(lam, n))
-    lhs_b = {tuple(-x for x in reversed(t)): c for t, c in schur_weights(mu, n).items()}
-    lhs = char_product(lhs_a, lhs_b)
-    lhs_dim = sum(lhs.values())
+    top = lam.parts + (0,) * (n - lam.length)
+    mu_dual = {tuple(-x for x in reversed(t)): c
+               for t, c in schur_weights(mu, n).items()}
+    lhs_dim = schur_dim(lam, n) * sum(mu_dual.values())
+    shifted = {} if lam.length > n else {
+        tuple(a + b for a, b in zip(top, t)): c for t, c in mu_dual.items()}
 
     observed: dict[tuple[Partition, Partition], int] = {}
-    for dense, mult in decompose_character(lhs, n).items():
+    for dense, mult in decompose_character(shifted, n).items():
         pair = weight_to_partition_pair(Weight.from_dense(dense), n)
         observed[pair] = observed.get(pair, 0) + mult
 

@@ -1,4 +1,4 @@
-"""Sparse exact-rational vectors, echelon bookkeeping, and mod-p shortcuts.
+"""Sparse exact-rational vectors and echelon bookkeeping.
 
 Vectors are dicts from integer coordinates to nonzero rationals.  Echelon
 state keeps each stored row normalized so its minimal coordinate is the
@@ -9,24 +9,20 @@ Exact kernels come from the same sparse echelon: ``kernel_basis`` inserts
 the constraint rows and back-substitutes one basis vector per free column,
 so no dense matrix is ever formed.
 
-Mod-p computations serve only as one-sided certificates, all modulo the
-fixed prime ``DEFAULT_PRIME`` = 2^61 - 1.  The library has one user: the
-closure that ``modules.submodule_generated`` runs before its exact one.
-The rank of a rational matrix reduced mod p never exceeds the rational
-rank, so a span that is full mod p is full over the rationals; no "not
-full" conclusion is ever drawn from a mod-p run alone.  ``rank_mod_p``
-here and ``spanops.burnside_full`` are oracles that no library function
-calls: the tests compare against them, and the benchmark's tracer still
-looks them up by name.
+Every library answer is exact.  The mod-p echelon (``ModPEchelon``,
+``vec_mod``, modulo ``DEFAULT_PRIME`` = 2^61 - 1) survives only for the
+oracles ``rank_mod_p`` here and ``spanops.burnside_full``: no library
+function calls them; the tests compare against them, and the benchmark's
+tracer still looks them up by name.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 Vec = dict  # coordinate -> nonzero coefficient
 
-# Mersenne prime 2^61 - 1, the modulus of every mod-p certificate
+# Mersenne prime 2^61 - 1, the modulus of the mod-p oracles
 DEFAULT_PRIME = (1 << 61) - 1
 
 def vec_axpy(acc: Vec, c, v: Vec) -> None:
@@ -187,33 +183,6 @@ class ModPEchelon:
         self.rows[piv] = r
         self.order.append(piv)
         return piv
-
-
-def closed_span(seeds: Iterable[Vec], ops: list[Callable[[Vec], Vec]],
-                p: int | None = None):
-    """Smallest op-stable span containing the seeds.
-
-    Returns a RationalEchelon (p None) or ModPEchelon."""
-    ech = ModPEchelon(p) if p else RationalEchelon()
-    queue: list = []
-    for s in seeds:
-        if p:
-            s = vec_mod(s, p)
-        piv = ech.insert(s)
-        if piv is not None:
-            queue.append(ech.rows[piv])
-    while queue:
-        v = queue.pop()
-        for op in ops:
-            w = op(v)
-            if not w:
-                continue
-            if p:
-                w = vec_mod(w, p)
-            piv = ech.insert(w)
-            if piv is not None:
-                queue.append(ech.rows[piv])
-    return ech
 
 
 def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[Vec]:

@@ -24,7 +24,7 @@ from .grassmann import (
     format_monomial,
     indices_of,
 )
-from .linalg import DEFAULT_PRIME, RationalEchelon, Vec, vec_axpy
+from .linalg import RationalEchelon, Vec, vec_axpy
 from .spanops import apply_gen, module_closure, restricted_action, singular_blocks
 from .walgebra import (
     BorelOrder,
@@ -276,23 +276,25 @@ def dual_module(m: FiniteWModule) -> FiniteWModule:
 
 @dataclass
 class Submodule:
-    """Invariant span inside a parent module."""
+    """Invariant span inside a parent module, held by its exact echelon."""
     parent: FiniteWModule
     echelon: RationalEchelon
-    full: bool
     _module: Optional[FiniteWModule] = None
 
     @property
+    def full(self) -> bool:
+        return self.echelon.dim == self.parent.dim
+
+    @property
     def dim(self) -> int:
-        return self.parent.dim if self.full else self.echelon.dim
+        return self.echelon.dim
 
     def contains(self, vec: Vec) -> bool:
-        return self.full or self.echelon.contains(vec)
+        return self.echelon.contains(vec)
 
     def module(self) -> FiniteWModule:
         """The span as a module: the parent itself when the span is
-        everything, else the action on the echelon basis.  A span certified
-        full mod p keeps no echelon rows, so it must not be restricted."""
+        everything, else the action on the echelon basis."""
         if self.full:
             return self.parent
         if self._module is None:
@@ -302,17 +304,9 @@ class Submodule:
 
 
 def submodule_generated(m: FiniteWModule, seeds: Iterable[Vec]) -> Submodule:
-    """Smallest invariant subspace containing the seeds.
-
-    A mod-p closure that already fills the module certifies fullness and
-    skips the exact pass; anything smaller is recomputed exactly."""
-    seeds = list(seeds)
-    gens = local_terms(m.rank)
-    mod = module_closure(m, gens, seeds, p=DEFAULT_PRIME)
-    if mod.dim == m.dim:
-        return Submodule(parent=m, echelon=RationalEchelon(), full=True)
-    ech = module_closure(m, gens, seeds, p=None)
-    return Submodule(parent=m, echelon=ech, full=ech.dim == m.dim)
+    """Smallest invariant subspace containing the seeds, closed exactly
+    under the local terms, which generate the algebra."""
+    return Submodule(parent=m, echelon=module_closure(m, local_terms(m.rank), seeds))
 
 
 def restrict_module(m: FiniteWModule, ech: RationalEchelon, name: str = "") -> FiniteWModule:
@@ -386,8 +380,8 @@ def is_simple(m: FiniteWModule, seed: int = 0) -> SimplicityVerdict:
     no second singular line can generate as well.  Two or more independent
     singular lines therefore mean "not simple": one of them generates a
     proper submodule and is returned as the witness, and the verdict
-    stands even where none is found.  The only mod-p step is the closure
-    inside ``submodule_generated``, which certifies fullness alone.
+    stands even where none is found.  Every step is exact: the joint
+    kernels and the closures inside ``submodule_generated``.
 
     ``seed`` is unused; it is kept for callers that still pass it."""
     if m.dim == 0:

@@ -29,7 +29,6 @@ from .linalg import (
     ModPEchelon,
     RationalEchelon,
     Vec,
-    closed_span,
     kernel_basis,
     vec_axpy,
     vec_mod,
@@ -43,9 +42,25 @@ def apply_gen(m, gen, vec: Vec) -> Vec:
     return out
 
 
-def module_closure(m, gen_keys, seeds: Iterable[Vec], p: int | None = None):
-    ops = [lambda v, g=g: apply_gen(m, g, v) for g in gen_keys]
-    return closed_span(seeds, ops, p=p)
+def module_closure(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
+    """Smallest span containing the seeds and stable under the generator
+    operators, exactly."""
+    ech = RationalEchelon()
+    queue: list = []
+    for s in seeds:
+        piv = ech.insert(s)
+        if piv is not None:
+            queue.append(ech.rows[piv])
+    while queue:
+        v = queue.pop()
+        for g in gen_keys:
+            w = apply_gen(m, g, v)
+            if not w:
+                continue
+            piv = ech.insert(w)
+            if piv is not None:
+                queue.append(ech.rows[piv])
+    return ech
 
 
 def restricted_action(m, ech: RationalEchelon) -> tuple[list, Callable]:

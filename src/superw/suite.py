@@ -150,9 +150,9 @@ def criterion_1() -> Criterion:
 
 def criterion_2() -> Criterion:
     """Socle multiplicity identity across every pair of shapes with at
-    most three boxes each, two past the stable rank for the pair."""
+    most four boxes each, two past the stable rank for the pair."""
     def run():
-        shapes = [p for s in range(4) for p in partitions_of(s)]
+        shapes = [p for s in range(5) for p in partitions_of(s)]
         count = 0
         for lam, mu in product(shapes, repeat=2):
             n = lam.size + mu.size + 2

@@ -40,6 +40,14 @@ def test_check_rank_below_one_exits_two_before_any_output(n, capsys):
     assert captured.err == f"error: rank must be positive, got {n}\n"
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_check_samples_below_one_exit_two_before_any_output(samples, capsys):
+    assert main(["check", "--n", "2", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: samples must be positive, got {samples}\n"
+
+
 @pytest.mark.parametrize("n", ["2", "3"])
 def test_socle_shape_too_long_for_the_rank_exits_two(n, capsys):
     assert main(["socle", "-l", "1,1,1", "-m", "1", "--n", n]) == 2

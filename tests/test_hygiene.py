@@ -1,6 +1,6 @@
 """Source hygiene: no library module imports a name it never reads, no
-function takes a retired tuning option, the mod-p modulus stays inside the
-linear algebra and the certificates built on it, and no library function
+function takes a retired tuning option, the mod-p modulus and the mod-p
+echelon stay inside the two oracles built on them, and no library function
 calls a test oracle.
 
 Stdlib ``ast`` scans, so the checks need no linter.  The package's
@@ -25,9 +25,51 @@ ORACLES = {"burnside_full", "rank_mod_p"}
 # names of retired paths that must not come back
 RETIRED_NAMES = {"BURNSIDE_MAX_DIM"}
 
-# the only readers of the mod-p modulus: None allows the whole module
-PRIME_READERS = {"linalg.py": None, "spanops.py": {"burnside_full"},
-                 "modules.py": {"submodule_generated"}}
+# the only readers of the mod-p modulus
+PRIME_READERS = {"linalg.py": {"rank_mod_p"}, "spanops.py": {"burnside_full"}}
+
+# the mod-p echelon and reduction, and the only definitions that use them:
+# their own, and the two oracles
+MOD_P_NAMES = ("ModPEchelon", "vec_mod")
+MOD_P_USERS = {"linalg.py": {"ModPEchelon", "vec_mod", "rank_mod_p"},
+               "spanops.py": {"burnside_full"}}
+
+# the closure that ran mod p before its exact pass, as it stood in the
+# library; the scans below must flag both functions
+MOD_P_CLOSURE = """
+from .linalg import DEFAULT_PRIME, ModPEchelon, RationalEchelon, vec_mod
+
+def closed_span(seeds, ops, p=None):
+    ech = ModPEchelon(p) if p else RationalEchelon()
+    queue = []
+    for s in seeds:
+        if p:
+            s = vec_mod(s, p)
+        piv = ech.insert(s)
+        if piv is not None:
+            queue.append(ech.rows[piv])
+    while queue:
+        v = queue.pop()
+        for op in ops:
+            w = op(v)
+            if not w:
+                continue
+            if p:
+                w = vec_mod(w, p)
+            piv = ech.insert(w)
+            if piv is not None:
+                queue.append(ech.rows[piv])
+    return ech
+
+def submodule_generated(m, seeds):
+    seeds = list(seeds)
+    gens = local_terms(m.rank)
+    mod = module_closure(m, gens, seeds, p=DEFAULT_PRIME)
+    if mod.dim == m.dim:
+        return Submodule(parent=m, echelon=RationalEchelon(), full=True)
+    ech = module_closure(m, gens, seeds, p=None)
+    return Submodule(parent=m, echelon=ech, full=ech.dim == m.dim)
+"""
 
 
 def unused_imports(source: str) -> list[str]:
@@ -110,13 +152,36 @@ def test_no_function_takes_a_retired_option(path):
     assert retired_params(path.read_text()) == []
 
 
+def stray_readers(source: str, names, allowed: set[str]) -> set[str]:
+    """Top-level definitions that read or import one of the names but are
+    not allowed to; a module-level import is allowed where some definition
+    is."""
+    found = set().union(*(readers_of(source, name) for name in names))
+    if allowed:
+        found.discard("<module>")
+    return found - allowed
+
+
+def test_scans_flag_the_mod_p_closure():
+    assert stray_readers(MOD_P_CLOSURE, ["DEFAULT_PRIME"], set()) == {
+        "<module>", "submodule_generated"}
+    assert stray_readers(MOD_P_CLOSURE, ["DEFAULT_PRIME"],
+                         PRIME_READERS["spanops.py"]) == {"submodule_generated"}
+    assert stray_readers(MOD_P_CLOSURE, MOD_P_NAMES,
+                         MOD_P_USERS["linalg.py"]) == {"closed_span"}
+    assert stray_readers(MOD_P_CLOSURE, MOD_P_NAMES, {"closed_span"}) == set()
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_certificates_read_the_modulus(path):
-    found = readers_of(path.read_text(), "DEFAULT_PRIME")
-    if path.name not in PRIME_READERS:
-        assert found == set()
-    elif PRIME_READERS[path.name] is not None:
-        assert found - {"<module>"} <= PRIME_READERS[path.name]
+    allowed = PRIME_READERS.get(path.name, set())
+    assert stray_readers(path.read_text(), ["DEFAULT_PRIME"], allowed) == set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_oracles_use_the_mod_p_echelon(path):
+    allowed = MOD_P_USERS.get(path.name, set())
+    assert stray_readers(path.read_text(), MOD_P_NAMES, allowed) == set()
 
 
 def calls_to(source: str, names: set[str]) -> list[str]:
