@@ -33,6 +33,7 @@ from .walgebra import (
     basis_terms,
     bracket,
     format_term,
+    generating_terms,
     nilradical_generating_terms,
     term_parity,
     term_weight,
@@ -42,8 +43,8 @@ from .weights import Weight
 
 
 def local_terms(n: int) -> list[Term]:
-    """Basis terms of the three lowest z-degrees; they generate the whole
-    algebra for rank >= 1, so module computations may restrict to them."""
+    """Basis terms of the three lowest z-degrees, the default pairs of
+    ``check_representation``; spans use the smaller ``generating_terms``."""
     out: list[Term] = []
     for k in (-1, 0, 1):
         out.extend(basis_terms(n, k))
@@ -87,7 +88,7 @@ class FiniteWModule:
         return len(self.weights)
 
     def gen_keys(self) -> list[Term]:
-        return local_terms(self.rank)
+        return generating_terms(self.rank)
 
     def label(self, j: int) -> str:
         return self.labels[j] if self.labels else f"e{j}"
@@ -305,8 +306,8 @@ class Submodule:
 
 def submodule_generated(m: FiniteWModule, seeds: Iterable[Vec]) -> Submodule:
     """Smallest invariant subspace containing the seeds, closed exactly
-    under the local terms, which generate the algebra."""
-    return Submodule(parent=m, echelon=module_closure(m, local_terms(m.rank), seeds))
+    under ``m.gen_keys()``, which generate the algebra."""
+    return Submodule(parent=m, echelon=module_closure(m, m.gen_keys(), seeds))
 
 
 def restrict_module(m: FiniteWModule, ech: RationalEchelon, name: str = "") -> FiniteWModule:
@@ -328,7 +329,7 @@ def quotient_module(m: FiniteWModule, sub: Submodule, name: str = "") -> FiniteW
     weights = [m.weights[j] for j in free]
 
     def col(term: Term, t: int) -> Vec:
-        img = m.act_term(term, {free[t]: Fraction(1)})
+        img = m.act_term(term, {free[t]: 1})
         if not img:
             return {}
         red = ech.reduce(dict(img))

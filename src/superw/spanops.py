@@ -8,8 +8,8 @@ plain gl(n) modules (``GlModule``), expose
     weights         -> list[Weight], one per basis vector
     weight_blocks() -> dict[block_key, list[int]]   (a partition of 0..dim-1)
     column(gen, j)  -> sparse dict row -> coeff
-    gen_keys()      -> generator keys of the acting algebra; they include
-                       the Cartan, so they pin weight blocks
+    gen_keys()      -> keys of operators generating an algebra that
+                       contains the Cartan, so they pin weight blocks
     character()     -> formal character, comparable within one kind
 
 where every operator ``gen`` is block-homogeneous: it maps each block into
@@ -174,8 +174,8 @@ def hom_basis(m1, m2, gen_keys) -> list[dict]:
 
     Returned maps are sparse dicts (row2, col1) -> coefficient; they are
     block-diagonal across shared weight blocks by construction.  That
-    ansatz is complete only when gen_keys contains the Cartan operators,
-    which forces every intertwiner to preserve weight blocks.
+    ansatz is complete only when gen_keys generates an algebra containing
+    the Cartan: an even map commuting with x and y commutes with [x, y].
 
     The commutation equations go straight to ``kernel_basis``: one exact
     sparse echelon, which stops reading equations once they pin every
@@ -224,8 +224,8 @@ def hom_basis(m1, m2, gen_keys) -> list[dict]:
 def hom_space(a, b) -> list[dict]:
     """Basis of the intertwiners a -> b of two modules of one kind.
 
-    It is complete: ``a.gen_keys()`` contains the Cartan, so every
-    intertwiner preserves weight blocks, as ``hom_basis`` assumes."""
+    It is complete: ``a.gen_keys()`` generate an algebra containing the
+    Cartan, so every intertwiner preserves weight blocks."""
     if a.rank != b.rank:
         raise RankMismatchError("rank mismatch")
     return hom_basis(a, b, a.gen_keys())

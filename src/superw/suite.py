@@ -283,14 +283,14 @@ def criterion_7() -> Criterion:
 
 
 def criterion_8() -> Criterion:
-    """Window-restricted characters stabilize across ranks 4..6 for the
+    """Window-restricted characters stabilize across ranks 4..7 for the
     advertised families."""
     def run():
         cases = [((1,), (), "L-"), ((), (1,), "L-"), ((1,), (1,), "L-"),
                  ((1,), (1,), "K+")]
         dims = []
         for lam, mu, obj in cases:
-            rep = stabilization_sweep(lam, mu, 4, 6, obj)
+            rep = stabilization_sweep(lam, mu, 4, 7, obj)
             if not rep.stabilized:
                 return False, f"{obj} family lam={lam}, mu={mu} drifts: {rep.first_mismatch}"
             dims.append(rep.characters[0][1].total_dim())

@@ -328,6 +328,18 @@ def nilradical_generating_terms(b: BorelOrder) -> list[Term]:
     return out
 
 
+def generating_terms(n: int) -> list[Term]:
+    """A Lie-generating set of the whole algebra: the basis below rank 3,
+    else the 2n+1 terms d_n, x_i d_{i+1}, x_{i+1} d_i, x1x2 d3 and x1x2 d1.
+    A span or an even map that the set preserves, the algebra preserves;
+    the test suite verifies the generation claim up to rank 7."""
+    if n < 3:
+        return basis_terms(n)
+    roots = [t for i in range(1, n)
+             for t in ((1 << (i - 1), i + 1), (1 << i, i))]
+    return [(0, n)] + roots + [(3, 3), (3, 1)]
+
+
 _TERM_RE = re.compile(
     r"^\s*(?P<coeff>[+-]?\d+(?:/\d+)?)?\s*\*?\s*(?P<mono>(?:x\d+(?:\^x\d+)*)?)\s*(?:d(?P<target>\d+))\s*$"
 )

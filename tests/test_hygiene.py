@@ -1,7 +1,8 @@
 """Source hygiene: no library module imports a name it never reads, no
 function takes a retired tuning option, the mod-p modulus and the mod-p
-echelon stay inside the two oracles built on them, and no library function
-calls a test oracle.
+echelon stay inside the two oracles built on them, no library function
+calls a test oracle, and only the bracket check reads the three lowest
+degrees.
 
 Stdlib ``ast`` scans, so the checks need no linter.  The package's
 ``__init__.py`` is exempt from the import scan, since its imports are its
@@ -69,6 +70,17 @@ def submodule_generated(m, seeds):
         return Submodule(parent=m, echelon=RationalEchelon(), full=True)
     ech = module_closure(m, gens, seeds, p=None)
     return Submodule(parent=m, echelon=ech, full=ech.dim == m.dim)
+"""
+
+# the basis terms of the three lowest degrees stay the bracket check's
+# default pairs; spans and hom spaces run over a module's generator keys
+LOCAL_TERMS_READERS = {"modules.py": {"check_representation"}}
+
+# the closure as it stood in the library, over the three lowest degrees;
+# the scan below must flag it
+LOCAL_TERMS_CLOSURE = """
+def submodule_generated(m: FiniteWModule, seeds: Iterable[Vec]) -> Submodule:
+    return Submodule(parent=m, echelon=module_closure(m, local_terms(m.rank), seeds))
 """
 
 
@@ -182,6 +194,19 @@ def test_only_the_certificates_read_the_modulus(path):
 def test_only_the_oracles_use_the_mod_p_echelon(path):
     allowed = MOD_P_USERS.get(path.name, set())
     assert stray_readers(path.read_text(), MOD_P_NAMES, allowed) == set()
+
+
+def test_scan_flags_a_closure_over_the_lowest_degrees():
+    assert stray_readers(LOCAL_TERMS_CLOSURE, ["local_terms"],
+                         LOCAL_TERMS_READERS["modules.py"]) == {"submodule_generated"}
+    assert stray_readers("from .modules import local_terms\n", ["local_terms"],
+                         set()) == {"<module>"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_bracket_check_reads_the_lowest_degrees(path):
+    allowed = LOCAL_TERMS_READERS.get(path.name, set())
+    assert stray_readers(path.read_text(), ["local_terms"], allowed) == set()
 
 
 def calls_to(source: str, names: set[str]) -> list[str]:

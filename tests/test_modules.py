@@ -13,6 +13,7 @@ from superw.modules import (Character, adjoint_module, check_representation,
                             trivial_module)
 from superw.glmodules import check_gl_commutators, gl_trivial
 from superw.spanops import iso_check
+from superw.tensorfields import tensor_field
 from superw.walgebra import BorelOrder, grading_element
 from superw.weights import Weight
 
@@ -138,6 +139,16 @@ def test_full_submodule_is_its_parent():
     sub = submodule_generated(m, [{1: Fraction(1)}])
     assert sub.full and sub.module() is m
     assert sub.contains({3: Fraction(5)})
+
+
+def test_quotient_of_an_integer_module_keeps_int_columns():
+    # T(C) has integer columns and the constants span a submodule; the
+    # quotient columns should not pick up Fraction arithmetic
+    m = tensor_field(gl_trivial(3), 3)
+    q = quotient_module(m, submodule_generated(m, [{0: 1}]))
+    cols = [q.column(t, j) for t in q.gen_keys() for j in range(q.dim)]
+    assert any(cols)
+    assert all(type(x) is int for col in cols for x in col.values())
 
 
 def test_quotient_of_full_submodule_raises():

@@ -9,16 +9,17 @@ from superw.glmodules import (gl_conatural, gl_dual, gl_natural, gl_simple,
                               gl_trivial, mixed_weight, weyl_dim)
 from superw.induction import kac_plus
 from superw.linalg import RationalEchelon
-from superw.modules import (adjoint_module, dual_module, is_simple,
-                            lambda_module, local_terms, quotient_module,
-                            singular_vectors, submodule_generated)
+from superw.modules import (adjoint_module, check_representation,
+                            dual_module, is_simple, lambda_module,
+                            local_terms, quotient_module, singular_vectors,
+                            submodule_generated)
 from superw.spanops import (apply_gen, burnside_full, hom_basis, hom_space,
                             hom_value, module_closure, restricted_action,
                             singular_blocks)
 from superw.suite import PAIRS_LE2
-from superw.tensorfields import tensor_field
-from superw.walgebra import (BorelOrder, nilradical_generating_terms,
-                             raising_terms)
+from superw.tensorfields import extract_L_minus_submodule, tensor_field
+from superw.walgebra import (BorelOrder, generating_terms,
+                             nilradical_generating_terms, raising_terms)
 from superw.weights import Weight
 from test_linalg import dense_kernel
 
@@ -206,6 +207,49 @@ def test_duality_homs_are_exact_intertwiners(base):
         for j in range(t.dim):
             e = {j: Fraction(1)}
             assert hom_value(phi, apply_gen(t, g, e)) == apply_gen(k, g, hom_value(phi, e))
+
+
+# the generating set against the three lowest degrees as the reference:
+# a set that failed to generate would close smaller spans and admit more
+# intertwiners
+
+
+@pytest.mark.parametrize("lam,mu,n,dim", [
+    ((1,), (1,), 4, 240), ((1,), (), 4, 15), ((2,), (), 4, 49),
+    ((), (1,), 3, 24)], ids=["(1|1)", "(1|)", "(2|)", "(|1)"])
+def test_closure_agrees_with_the_lowest_degrees(lam, mu, n, dim):
+    sub = extract_L_minus_submodule(lam, mu, n)
+    t = sub.parent
+    seed = sub.echelon.rows[sub.echelon.order[0]]
+    small = module_closure(t, generating_terms(n), [seed])
+    local = module_closure(t, local_terms(n), [seed])
+    assert small.dim == local.dim == sub.dim == dim
+    assert set(small.rows) == set(local.rows) == set(sub.echelon.rows)
+    assert all(local.contains(r) for r in small.rows.values())
+    assert all(small.contains(r) for r in local.rows.values())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("base", [
+    gl_trivial, gl_natural, gl_conatural,
+    lambda n: gl_simple((1,), (1,), n)], ids=["C", "V", "V*", "V(1|1)"])
+def test_duality_homs_agree_with_the_lowest_degrees(base, n):
+    x = base(n)
+    t = tensor_field(x, n)
+    k = dual_module(kac_plus(gl_dual(x), n))
+    homs = hom_space(t, k)
+    assert len(homs) == 1
+    assert homs == hom_basis(t, k, local_terms(n))
+
+
+@pytest.mark.parametrize("lam,dim", [((1,), 15), ((2,), 49)],
+                         ids=["(1|)", "(2|)"])
+def test_proper_simple_passes_the_full_bracket_check(lam, dim):
+    # the span closed over the small set is invariant under every local
+    # term, so its restricted action satisfies all their brackets
+    sub = extract_L_minus_submodule(lam, (), 4)
+    assert not sub.full and sub.dim == dim
+    assert check_representation(sub.module()) == []
 
 
 def test_restricted_action_rejects_mixed_weights_and_open_spans():

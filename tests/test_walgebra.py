@@ -11,10 +11,12 @@ from math import comb
 import pytest
 
 from superw.grassmann import GrassmannElement
+from superw.linalg import RationalEchelon
 from superw.suite import random_homogeneous
 from superw.walgebra import (BorelOrder, WElement, basis_terms, bracket,
                              component_dim, format_welement,
-                             graded_jacobi_defect, grading_element,
+                             generating_terms, graded_jacobi_defect,
+                             grading_element,
                              nilradical_generating_terms, parity,
                              parse_welement, raising_terms, term_weight,
                              w_apply, z_degree)
@@ -129,6 +131,28 @@ def test_generating_terms_generate_the_nilradical():
                                 nxt.append(WElement(4, {t: c}))
                 frontier = nxt
             assert span >= set(raising_terms(b)), (kind, ext)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_generating_terms_generate_the_algebra(n):
+    """The linear span of the set, closed under bracketing with it, is all
+    n 2^n terms: it holds every right-normed bracket of generators."""
+    gens = [WElement(n, {t: 1}) for t in generating_terms(n)]
+    assert len(gens) == (2 * n + 1 if n >= 3 else n << n)
+    index = {t: i for i, t in enumerate(basis_terms(n))}
+    ech = RationalEchelon()
+    queue = []
+    for x in gens:
+        if ech.insert({index[t]: c for t, c in x.terms.items()}) is not None:
+            queue.append(x)
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = bracket(g, x)
+            if y.terms and ech.insert(
+                    {index[t]: c for t, c in y.terms.items()}) is not None:
+                queue.append(y)
+    assert ech.dim == n << n
 
 
 def test_format_parse_roundtrip():
