@@ -8,8 +8,9 @@ arithmetic modulo a prime survives only in oracles the tests compare
 against.
 """
 
-from .errors import (InhomogeneousError, NonBasisElementError,
-                     RankMismatchError, RankTooSmallError)
+from .errors import (InhomogeneousError, IsomorphismUndecidedError,
+                     NonBasisElementError, RankMismatchError,
+                     RankTooSmallError)
 from .weights import Weight, order_sequence
 from .partitions import (Partition, aspartition, lr_coefficient,
                          partitions_of, schur_dim, socle_layer_mults,
@@ -33,7 +34,7 @@ from .tensorfields import (DualityReport, coinduction_duality_check,
                            extract_L_minus, tensor_field,
                            tensor_field_simplicity)
 from .stability import (StabilizationReport, restricted_character,
-                        stabilization_sweep, tail_subalgebra_terms)
+                        stabilization_sweep)
 from .suite import Criterion, run_suite
 
 # the gl and superderivation modules share one iso check
@@ -42,6 +43,7 @@ gl_iso_check = iso_check
 __all__ = [
     "BorelOrder", "Character", "Criterion", "DualityReport", "FiniteWModule",
     "GlModule", "GrassmannElement", "InhomogeneousError",
+    "IsomorphismUndecidedError",
     "NonBasisElementError", "Partition", "RankMismatchError",
     "RankTooSmallError", "SimplicityVerdict", "SocleReport",
     "StabilizationReport", "Typicality", "WElement",
@@ -57,7 +59,7 @@ __all__ = [
     "quotient_module", "removal_sign", "restricted_character", "run_suite",
     "schur_dim", "schur_module", "socle_layer_mults",
     "stabilization_sweep", "stable_highest_weight", "submodule_generated",
-    "tail_subalgebra_terms", "tensor_field", "tensor_field_simplicity",
+    "tensor_field", "tensor_field_simplicity",
     "tensor_module", "trivial_module", "typicality", "verify_socle_identity",
     "w_apply", "weyl_dim",
 ]

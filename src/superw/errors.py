@@ -15,3 +15,8 @@ class InhomogeneousError(ValueError):
 
 class NonBasisElementError(ValueError):
     """The operation needs a scalar multiple of a single basis term."""
+
+
+class IsomorphismUndecidedError(ValueError):
+    """No basis map of a hom space of dimension above 1 is invertible, so
+    whether some combination is remains open."""

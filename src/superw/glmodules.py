@@ -328,8 +328,6 @@ class SocleReport:
     layers: dict = field(default_factory=dict)
     # observed constituents no layer predicts
     extras: list = field(default_factory=list)
-    # predicted constituents whose weight needs a larger rank
-    skipped: list = field(default_factory=list)
 
     def to_json(self) -> str:
         payload = {
@@ -351,10 +349,6 @@ class SocleReport:
                 {"lambda'": list(lp.parts), "mu'": list(mp.parts), "observed": obs}
                 for lp, mp, obs in self.extras
             ],
-            "skipped": [
-                {"lambda'": list(lp.parts), "mu'": list(mp.parts), "expected": exp}
-                for lp, mp, exp in self.skipped
-            ],
             "pass": self.holds,
             "lhs_dim": self.lhs_dim,
             "rhs_dim": self.rhs_dim,
@@ -367,15 +361,19 @@ def verify_socle_identity(lam, mu, n: int) -> SocleReport:
     the weights of S_mu(V*) (Brauer-Klimyk), and compare the constituent
     pairs with the predicted contraction layers:
     layer k carries V(lam'|mu') with multiplicity summed over shapes of
-    size k paired against both quotients."""
+    size k paired against both quotients.
+
+    Raises RankTooSmallError when the pair (lam|mu) needs a larger rank.
+    Every layer pair (lam'|mu') has lam' inside lam and mu' inside mu, so
+    then every layer fits the rank too."""
     lam = aspartition(lam)
     mu = aspartition(mu)
+    mixed_weight(lam, mu, n)  # the top pair must fit the rank
     top = lam.parts + (0,) * (n - lam.length)
     mu_dual = {tuple(-x for x in reversed(t)): c
                for t, c in schur_weights(mu, n).items()}
     lhs_dim = schur_dim(lam, n) * sum(mu_dual.values())
-    shifted = {} if lam.length > n else {
-        tuple(a + b for a, b in zip(top, t)): c for t, c in mu_dual.items()}
+    shifted = {tuple(a + b for a, b in zip(top, t)): c for t, c in mu_dual.items()}
 
     observed: dict[tuple[Partition, Partition], int] = {}
     for dense, mult in decompose_character(shifted, n).items():
@@ -383,19 +381,12 @@ def verify_socle_identity(lam, mu, n: int) -> SocleReport:
         observed[pair] = observed.get(pair, 0) + mult
 
     layers: dict = {}
-    skipped: list = []
     matched: set = set()
     holds = True
     for k in range(min(lam.size, mu.size) + 1):
         entries = socle_layer_mults(lam, mu, k)
         rows = []
         for (lp, mp), exp in sorted(entries.items()):
-            try:
-                mixed_weight(lp, mp, n)
-            except RankTooSmallError:
-                skipped.append((lp, mp, exp))
-                holds = False
-                continue
             obs = observed.get((lp, mp), 0)
             rows.append((lp, mp, exp, obs))
             matched.add((lp, mp))
@@ -410,8 +401,7 @@ def verify_socle_identity(lam, mu, n: int) -> SocleReport:
     rhs_dim = sum(weyl_dim(mixed_weight(lp, mp, n), n) * exp
                   for rows in layers.values() for lp, mp, exp, _ in rows)
     return SocleReport(rank=n, lam=lam, mu=mu, holds=holds, lhs_dim=lhs_dim,
-                       rhs_dim=rhs_dim, layers=layers, extras=extras,
-                       skipped=skipped)
+                       rhs_dim=rhs_dim, layers=layers, extras=extras)
 
 
 def check_gl_commutators(m: GlModule) -> list:

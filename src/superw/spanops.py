@@ -17,13 +17,19 @@ at most one other block.  Closure, restriction to an invariant span, the
 joint kernel, the hom space and the isomorphism check live here, with the
 operator span as the tests' oracle; the builder files keep only their
 builders.
+
+The isomorphism check is exact and draws no random number: two modules
+are isomorphic when some basis map of their hom space is invertible on
+every weight block, and are not when none is and the hom space has
+dimension at most 1.  A larger hom space with no invertible basis map
+raises IsomorphismUndecidedError rather than guess.
 """
 from __future__ import annotations
 
-import random
 from typing import Callable, Iterable, Optional
 
-from .errors import NonBasisElementError, RankMismatchError
+from .errors import (IsomorphismUndecidedError, NonBasisElementError,
+                     RankMismatchError)
 from .linalg import (
     DEFAULT_PRIME,
     ModPEchelon,
@@ -232,12 +238,35 @@ def hom_space(a, b) -> list[dict]:
 
 
 def iso_check(a, b, seed: int = 0) -> Optional[dict]:
-    """Invertible intertwiner between two modules of one kind, or None."""
-    if a.rank != b.rank or a.dim != b.dim:
+    """Invertible intertwiner a -> b between two modules of one kind, or
+    None when none exists.
+
+    Exact: different ranks or characters mean None.  Otherwise the first
+    basis map of Hom(a, b) that is invertible on every weight block is
+    returned.  With none, a hom space of dimension at most 1 holds no
+    invertible map, and a larger one raises IsomorphismUndecidedError.
+    ``seed`` is unused; it is kept for callers that still pass it."""
+    if a.rank != b.rank or a.character() != b.character():
         return None
-    if a.character() != b.character():
-        return None
-    return invertible_combination(a, b, hom_space(a, b), seed=seed)
+    homs = hom_space(a, b)
+    blocks = a.weight_blocks().values()
+    for phi in homs:
+        images: dict = {}  # col1 -> its image, row2 -> coeff
+        for (r2, c1), x in phi.items():
+            images.setdefault(c1, {})[r2] = x
+        if all(_full_rank([images.get(c1, {}) for c1 in cols]) for cols in blocks):
+            return phi
+    if len(homs) > 1:
+        raise IsomorphismUndecidedError(
+            f"no basis map of the {len(homs)}-dimensional hom space is invertible")
+    return None
+
+
+def _full_rank(vecs: list[Vec]) -> bool:
+    ech = RationalEchelon()
+    for v in vecs:
+        ech.insert(v)
+    return ech.dim == len(vecs)
 
 
 def hom_value(phi: dict, vec: Vec) -> Vec:
@@ -252,51 +281,3 @@ def hom_value(phi: dict, vec: Vec) -> Vec:
             else:
                 out.pop(r2, None)
     return out
-
-
-def invertible_combination(m1, m2, homs: list[dict], seed: int = 0) -> Optional[dict]:
-    """Search the hom space for an invertible element; None if not found.
-
-    Invertibility is decided exactly, block by weight block."""
-    if not homs or m1.dim != m2.dim:
-        return None
-    blocks1 = m1.weight_blocks()
-    blocks2 = m2.weight_blocks()
-    if set(blocks1) != set(blocks2):
-        return None
-    for key in blocks1:
-        if len(blocks1[key]) != len(blocks2[key]):
-            return None
-
-    def is_invertible(phi: dict) -> bool:
-        images: dict = {}  # col1 -> its image, row2 -> coeff
-        for (r2, c1), a in phi.items():
-            images.setdefault(c1, {})[r2] = a
-        # rank per weight block must be full
-        for cols1 in blocks1.values():
-            ech = RationalEchelon()
-            for c1 in cols1:
-                ech.insert(images.get(c1, {}))
-            if ech.dim < len(cols1):
-                return False
-        return True
-
-    for phi in homs:
-        if is_invertible(phi):
-            return phi
-    rng = random.Random(seed)
-    for _ in range(12):
-        combo: dict = {}
-        for phi in homs:
-            c = rng.randint(-3, 3)
-            if not c:
-                continue
-            for key, a in phi.items():
-                nv = combo.get(key, 0) + c * a
-                if nv:
-                    combo[key] = nv
-                else:
-                    combo.pop(key, None)
-        if combo and is_invertible(combo):
-            return combo
-    return None

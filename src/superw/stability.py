@@ -7,18 +7,21 @@ up new mass like xi_1 xi_j d_j at every rank), so the comparison uses the
 part of the module that the tail copy of the algebra on indices {w+1..n}
 does not see:
 
-* annihilator mode: the joint kernel of every basis term supported on
-  the tail.  This is the finite-rank face of the large-annihilator
-  condition and suits modules whose vectors are killed by deep tails
-  (tensor fields and their submodules).
+* annihilator mode: the joint kernel of the tail algebra.  This is the
+  finite-rank face of the large-annihilator condition and suits modules
+  whose vectors are killed by deep tails (tensor fields and their
+  submodules).
 
-* coinvariants mode: the quotient by the span of all tail-term images.
+* coinvariants mode: the quotient by the image of the tail algebra.
   Downward inductions have no tail-killed vectors at all (the d_i act
   freely), but their coinvariants on the window stabilize.
 
-Both restricted characters live on weights supported inside the window,
-and the sweep report records the per-rank characters plus the first
-disagreement, if any.
+Both modes apply only the tail's own generating set, the rank n-w
+``generating_terms`` shifted past the window: a joint kernel under a
+generating set is the kernel under the algebra, and the algebra's image
+is the span of the generators' images.  Both restricted characters live
+on weights supported inside the window, and the sweep report records the
+per-rank characters plus the first disagreement, if any.
 """
 from __future__ import annotations
 
@@ -32,14 +35,7 @@ from .modules import Character, FiniteWModule
 from .partitions import Partition, aspartition
 from .spanops import singular_blocks
 from .tensorfields import extract_L_minus, tensor_field
-from .walgebra import Term, basis_terms, term_weight
-
-
-def tail_subalgebra_terms(n: int, window: int) -> list[Term]:
-    """Basis terms supported entirely on indices {window+1..n}: the copy
-    of the rank n-window algebra acting on the deep coordinates."""
-    lo_mask = (1 << window) - 1
-    return [(m, j) for m, j in basis_terms(n) if not (m & lo_mask) and j > window]
+from .walgebra import generating_terms, term_weight
 
 
 def _window_blocks(m: FiniteWModule, window: int):
@@ -56,7 +52,8 @@ def restricted_character(m: FiniteWModule, window: int,
     n = m.rank
     if not 0 < window <= n:
         raise ValueError(f"window {window} out of range for rank {n}")
-    tail = tail_subalgebra_terms(n, window)
+    tail = [(mask << window, j + window)
+            for mask, j in generating_terms(n - window)]
     entries: dict = {}
     if mode == "annihilator":
         sing = singular_blocks(m, tail,

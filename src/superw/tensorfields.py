@@ -95,10 +95,12 @@ class DualityReport:
 
 
 def coinduction_duality_check(x: GlModule, n: int, seed: int = 0) -> DualityReport:
-    """T(X) should be the full dual of the downward induction from X*."""
+    """T(X) should be the full dual of the downward induction from X*.
+
+    ``seed`` is unused; it is kept for callers that still pass it."""
     t = tensor_field(x, n)
     k = dual_module(kac_plus(gl_dual(x), n))
-    phi = iso_check(t, k, seed=seed)
+    phi = iso_check(t, k)
     return DualityReport(rank=n, base_name=x.name or "X", passes=phi is not None,
                          dim=t.dim, intertwiner=phi)
 

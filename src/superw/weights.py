@@ -86,9 +86,6 @@ class Weight:
         """Sum of all coordinates."""
         return sum(c for _, c in self._items)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._items)
-
     def max_index(self) -> int:
         return self._items[-1][0] if self._items else 0
 

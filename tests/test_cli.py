@@ -134,3 +134,12 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as e:
         main(["dims"])
     assert e.value.code == 2
+
+
+def test_tensorfield_takes_no_seed(capsys):
+    # the duality check is exact, so there is no search for a seed to steer
+    with pytest.raises(SystemExit) as e:
+        main(["tensorfield", "-l", "1", "-m", "", "--n", "3", "--duality",
+              "--seed", "3"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

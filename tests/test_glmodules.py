@@ -11,7 +11,8 @@ from superw.glmodules import (check_gl_commutators, decompose,
                               gl_natural, gl_simple, gl_tensor, gl_trivial,
                               mixed_tensor, schur_module,
                               verify_socle_identity, weyl_dim)
-from superw.partitions import Partition, partitions_of, schur_dim, schur_weights
+from superw.partitions import (Partition, partitions_of, schur_dim,
+                               schur_weights, socle_layer_mults)
 from superw.spanops import iso_check
 from superw.weights import Weight
 
@@ -181,17 +182,34 @@ def test_socle_identity_deeper_pair():
 
 
 def test_socle_identity_fails_below_stable_rank():
-    rep = verify_socle_identity((1, 1), (1, 1), 2)
-    assert not rep.holds
-    assert rep.skipped
+    # the top pair (1,1|1,1) needs rank 4; no layer verdict is given
+    with pytest.raises(RankTooSmallError, match=r"need rank >= 4"):
+        verify_socle_identity((1, 1), (1, 1), 2)
+    with pytest.raises(RankTooSmallError):
+        verify_socle_identity((1, 1), (1, 1), 3)
+    assert verify_socle_identity((1, 1), (1, 1), 4).holds
 
 
 def test_socle_identity_with_a_shape_longer_than_the_rank():
-    # S_(1,1,1)(V) vanishes at rank 2, so the product has no constituent
-    rep = verify_socle_identity((1, 1, 1), (1,), 2)
-    assert (rep.lhs_dim, rep.extras) == (0, [])
-    assert rep.layers == {1: [(Partition((1, 1)), Partition(), 1, 0)]}
-    assert not rep.holds and rep.skipped
+    for n in (2, 3):
+        with pytest.raises(RankTooSmallError, match=r"need rank >= 4"):
+            verify_socle_identity((1, 1, 1), (1,), n)
+
+
+def test_every_layer_fits_once_the_top_pair_does():
+    # layer pairs shrink both shapes, so a rank that carries (lam|mu)
+    # carries every layer: each is checked, none is left out
+    for lam in [p for s in range(4) for p in partitions_of(s)]:
+        for mu in [p for s in range(3) for p in partitions_of(s)]:
+            n = lam.length + mu.length
+            if n == 0:
+                continue
+            rep = verify_socle_identity(lam, mu, n)
+            layered = {(lp, mp) for rows in rep.layers.values()
+                       for lp, mp, _, _ in rows}
+            predicted = {pair for k in range(min(lam.size, mu.size) + 1)
+                         for pair in socle_layer_mults(lam, mu, k)}
+            assert layered == predicted, (lam, mu)
 
 
 def test_socle_report_json_shape():

@@ -4,18 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from superw.errors import NonBasisElementError, RankMismatchError
+from superw.errors import (IsomorphismUndecidedError, NonBasisElementError,
+                           RankMismatchError)
 from superw.glmodules import (gl_conatural, gl_dual, gl_natural, gl_simple,
                               gl_trivial, mixed_weight, weyl_dim)
 from superw.induction import kac_plus
 from superw.linalg import RationalEchelon
-from superw.modules import (adjoint_module, check_representation,
-                            dual_module, is_simple, lambda_module,
-                            local_terms, quotient_module, singular_vectors,
-                            submodule_generated)
+from superw.modules import (FiniteWModule, adjoint_module,
+                            check_representation, dual_module, is_simple,
+                            lambda_module, local_terms, quotient_module,
+                            singular_vectors, submodule_generated,
+                            trivial_module)
 from superw.spanops import (apply_gen, burnside_full, hom_basis, hom_space,
-                            hom_value, module_closure, restricted_action,
-                            singular_blocks)
+                            hom_value, iso_check, module_closure,
+                            restricted_action, singular_blocks)
 from superw.suite import PAIRS_LE2
 from superw.tensorfields import extract_L_minus_submodule, tensor_field
 from superw.walgebra import (BorelOrder, generating_terms,
@@ -271,3 +273,37 @@ def test_hom_space_rejects_rank_mismatch():
         hom_space(gl_natural(2), gl_natural(3))
     with pytest.raises(RankMismatchError):
         hom_space(lambda_module(2), lambda_module(3))
+
+
+def direct_sum(a, b) -> FiniteWModule:
+    """a (+) b on the basis of a followed by that of b: each action column
+    of b is shifted past a's and stacked below a's columns."""
+    def col(term, j):
+        if j < a.dim:
+            return a.column(term, j)
+        return {a.dim + r: x for r, x in b.column(term, j - a.dim).items()}
+
+    return FiniteWModule(a.rank, a.weights + b.weights, col_fn=col)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_iso_check_rejects_a_split_module_on_a_hom_line(n):
+    # Lambda(n) is a non-split extension of Lambda(n)/C by the constants C:
+    # same character as the direct sum, and Hom is the line through the
+    # projection onto Lambda(n)/C, which is not invertible
+    lam = lambda_module(n)
+    top = quotient_module(lam, submodule_generated(lam, [{0: 1}]))
+    split = direct_sum(trivial_module(n), top)
+    assert check_representation(split) == []
+    assert split.character() == lam.character()
+    assert len(hom_space(lam, split)) == 1
+    assert iso_check(lam, split) is None
+
+
+def test_iso_check_refuses_a_larger_hom_space_without_an_invertible_basis_map():
+    # End(Lambda(2) (+) Lambda(2)) is the 2 x 2 matrices; its echelon basis
+    # is the four matrix units, none invertible, though the identity is
+    s = direct_sum(lambda_module(2), lambda_module(2))
+    assert len(hom_space(s, s)) == 4
+    with pytest.raises(IsomorphismUndecidedError, match="4-dimensional"):
+        iso_check(s, s)

@@ -4,11 +4,20 @@ import json
 
 import pytest
 
+from superw import stability
 from superw.glmodules import gl_trivial
 from superw.induction import kac_plus
 from superw.modules import lambda_module
-from superw.stability import (restricted_character, stabilization_sweep,
-                              tail_subalgebra_terms)
+from superw.stability import (_build_family_member, restricted_character,
+                              stabilization_sweep)
+from superw.walgebra import basis_terms
+
+
+def tail_subalgebra_terms(n: int, window: int):
+    """Oracle: every basis term supported on indices {window+1..n}, the
+    whole tail algebra rather than its generating set."""
+    lo_mask = (1 << window) - 1
+    return [(m, j) for m, j in basis_terms(n) if not (m & lo_mask) and j > window]
 
 
 def test_tail_subalgebra_is_a_lower_rank_copy():
@@ -75,3 +84,28 @@ def test_sweep_validation():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         restricted_character(lambda_module(3), 2, mode="smooth")
+
+
+def _oracle_character(monkeypatch, m, window, mode):
+    """restricted_character over the whole tail basis instead of the
+    shifted generating set."""
+    shifted = {(mask << window, j + window)
+               for mask, j in basis_terms(m.rank - window)}
+    assert shifted == set(tail_subalgebra_terms(m.rank, window))
+    with monkeypatch.context() as mp:
+        mp.setattr(stability, "generating_terms", basis_terms)
+        return restricted_character(m, window, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["annihilator", "coinvariants"])
+@pytest.mark.parametrize("obj,lam,mu", [
+    ("L-", (1,), (1,)), ("T", (1,), (1,)), ("K+", (1,), (1,)), ("L-", (2,), ()),
+    ("K+", (1, 1), ()), ("K+", (), (2,)), ("T", (), (1,)), ("T", (1, 1), ()),
+])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_generating_set_gives_the_tail_algebra_character(monkeypatch, obj, lam,
+                                                         mu, n, mode):
+    m = _build_family_member(obj, lam, mu, n)
+    for window in (2, 3):
+        assert restricted_character(m, window, mode) == \
+            _oracle_character(monkeypatch, m, window, mode)

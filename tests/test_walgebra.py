@@ -113,32 +113,11 @@ def test_raising_terms_extensions():
     assert degs >= {1, 2}
 
 
-def test_generating_terms_generate_the_nilradical():
-    """Brackets of the generating set must span every raising term."""
-    for kind in ("natural", "interleaved"):
-        for ext in ("min", "max"):
-            b = BorelOrder(kind, 4, ext)
-            gens = [WElement(4, {t: 1}) for t in nilradical_generating_terms(b)]
-            span = {t for g in gens for t in g.terms}
-            frontier = list(gens)
-            while frontier:
-                nxt = []
-                for g in frontier:
-                    for h in gens:
-                        for t, c in bracket(g, h).terms.items():
-                            if t not in span:
-                                span.add(t)
-                                nxt.append(WElement(4, {t: c}))
-                frontier = nxt
-            assert span >= set(raising_terms(b)), (kind, ext)
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_generating_terms_generate_the_algebra(n):
-    """The linear span of the set, closed under bracketing with it, is all
-    n 2^n terms: it holds every right-normed bracket of generators."""
-    gens = [WElement(n, {t: 1}) for t in generating_terms(n)]
-    assert len(gens) == (2 * n + 1 if n >= 3 else n << n)
+def bracket_span(terms, n: int) -> tuple[RationalEchelon, dict]:
+    """Linear span of the terms closed under bracketing with them, which
+    holds every right-normed bracket of the terms; returns the echelon
+    and the basis-term index its coordinates use."""
+    gens = [WElement(n, {t: 1}) for t in terms]
     index = {t: i for i, t in enumerate(basis_terms(n))}
     ech = RationalEchelon()
     queue = []
@@ -152,7 +131,31 @@ def test_generating_terms_generate_the_algebra(n):
             if y.terms and ech.insert(
                     {index[t]: c for t, c in y.terms.items()}) is not None:
                 queue.append(y)
-    assert ech.dim == n << n
+    return ech, index
+
+
+def test_bracket_span_is_linear():
+    # x1 d2 and x2 d1 span sl(2): x1 d1 - x2 d2 is one direction, not two
+    ech, _ = bracket_span([(0b01, 2), (0b10, 1)], 4)
+    assert ech.dim == 3
+
+
+def test_generating_terms_generate_the_nilradical():
+    """Brackets of the generating set span exactly the raising terms."""
+    for kind in ("natural", "interleaved"):
+        for ext in ("min", "max"):
+            b = BorelOrder(kind, 4, ext)
+            ech, index = bracket_span(nilradical_generating_terms(b), 4)
+            raising = set(raising_terms(b))
+            assert ech.dim == len(raising), (kind, ext)
+            assert all(ech.contains({index[t]: 1}) for t in raising), (kind, ext)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_generating_terms_generate_the_algebra(n):
+    """The bracket span of the set is all n 2^n terms."""
+    assert len(generating_terms(n)) == (2 * n + 1 if n >= 3 else n << n)
+    assert bracket_span(generating_terms(n), n)[0].dim == n << n
 
 
 def test_format_parse_roundtrip():
