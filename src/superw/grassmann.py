@@ -70,7 +70,7 @@ class GrassmannElement:
     def __init__(self, terms: Union[Mapping[Monomial, Coeff], Iterable[tuple[Monomial, Coeff]], None] = None):
         acc: dict[Monomial, Coeff] = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
+            items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
             for m, c in items:
                 if c:
                     nc = acc.get(m, 0) + c

@@ -132,7 +132,7 @@ def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
         raise ValueError("cutoff must be nonnegative")
     dx = x.dim
     t0 = _base_total(x)
-    pos = sorted((t for t in basis_terms(n) if term_degree(t) >= 1), key=term_key)
+    pos = [t for t in basis_terms(n) if term_degree(t) >= 1]
 
     monos: list[tuple[Term, ...]] = [()]
 

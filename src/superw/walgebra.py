@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from numbers import Rational
 from typing import Iterable, Mapping, Union
@@ -83,7 +84,7 @@ class WElement:
         self.rank = rank
         acc: dict[Term, Coeff] = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
+            items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
             for t, c in items:
                 mask, j = t
                 if not (1 <= j <= rank) or mask >> rank:
@@ -156,21 +157,21 @@ class WElement:
         return f"WElement({self.rank}, {self.terms!r})"
 
 
-def basis_terms(n: int, k: int | None = None) -> list[Term]:
-    """Basis terms at rank n, optionally restricted to Z-degree k."""
+@lru_cache(maxsize=None)
+def _term_table(n: int, k: int | None) -> tuple[Term, ...]:
+    """basis_terms' table, generated in term_key order: degree, mask, target."""
     if k is None:
-        out = [(m, j) for m in range(1 << n) for j in range(1, n + 1)]
-    else:
-        if not (-1 <= k <= n - 1):
-            return []
-        out = [
-            (m, j)
-            for m in range(1 << n)
-            if m.bit_count() == k + 1
-            for j in range(1, n + 1)
-        ]
-    out.sort(key=term_key)
-    return out
+        return tuple(t for d in range(-1, n) for t in _term_table(n, d))
+    return tuple((m, j) for m in range(1 << n) if m.bit_count() == k + 1
+                 for j in range(1, n + 1))
+
+
+def basis_terms(n: int, k: int | None = None) -> list[Term]:
+    """Basis terms at rank n, optionally restricted to Z-degree k: a fresh
+    list in term_key order, drawn from a table built once per (n, k)."""
+    if k is not None and not (-1 <= k <= n - 1):
+        return []
+    return list(_term_table(n, k))
 
 
 def component_dim(n: int, k: int) -> int:

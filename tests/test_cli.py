@@ -40,6 +40,19 @@ def test_check_rank_below_one_exits_two_before_any_output(n, capsys):
     assert captured.err == f"error: rank must be positive, got {n}\n"
 
 
+@pytest.mark.parametrize("n", ["13", "40"])
+def test_check_rank_above_twelve_exits_two_before_any_output(n, capsys, monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("check sampled at an oversized rank")
+
+    monkeypatch.setattr("superw.cli.jacobi_failures", sampled)
+    monkeypatch.setattr("superw.cli.random_homogeneous", sampled)
+    assert main(["check", "--n", n, "--samples", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rank must be between 1 and 12, got {n}\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_check_samples_below_one_exit_two_before_any_output(samples, capsys):
     assert main(["check", "--n", "2", "--samples", samples]) == 2
@@ -72,6 +85,21 @@ def test_check_detects_injected_sign_bug(capsys):
                "--inject-sign-bug"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_sign_bug_counterexample_is_pinned(tmp_path, capsys):
+    out = tmp_path / "check.json"
+    rc = main(["check", "--n", "4", "--samples", "200", "--seed", "3",
+               "--inject-sign-bug", "--out", str(out)])
+    assert rc == 1
+    props = {p["name"]: p for p in json.loads(out.read_text())["properties"]}
+    assert props["jacobi"]["counterexample"] == [
+        "4*x1^x2^x3 d3 + 3*x2^x3^x4 d3 + x2^x3^x4 d4",
+        "-2*x2^x3 d2 - 4*x1^x4 d2 - 3*x3^x4 d1",
+        "3*d2 - 2*d3",
+    ]
+    assert props["leibniz"]["counterexample"] is None
+    assert props["representation"]["counterexample"] is None
 
 
 def test_socle_report(capsys):

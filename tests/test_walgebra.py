@@ -18,8 +18,8 @@ from superw.walgebra import (BorelOrder, WElement, basis_terms, bracket,
                              generating_terms, graded_jacobi_defect,
                              grading_element,
                              nilradical_generating_terms, parity,
-                             parse_welement, raising_terms, term_weight,
-                             w_apply, z_degree)
+                             parse_welement, raising_terms, term_key,
+                             term_weight, w_apply, z_degree)
 from superw.weights import Weight
 
 
@@ -64,6 +64,48 @@ def test_component_dims():
             assert component_dim(n, k) == comb(n, k + 1) * n
             assert len(basis_terms(n, k)) == component_dim(n, k)
         assert len(basis_terms(n)) == n * 2 ** n
+
+
+def sorted_basis_terms(n, k=None):
+    """Oracle: the sort-based construction the per-rank table replaced."""
+    if k is None:
+        out = [(m, j) for m in range(1 << n) for j in range(1, n + 1)]
+    else:
+        if not (-1 <= k <= n - 1):
+            return []
+        out = [(m, j) for m in range(1 << n) if m.bit_count() == k + 1
+               for j in range(1, n + 1)]
+    out.sort(key=term_key)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_terms_match_the_sorted_oracle(n):
+    for k in [None, *range(-2, n + 1)]:
+        assert basis_terms(n, k) == sorted_basis_terms(n, k)
+
+
+def test_basis_terms_returns_a_fresh_list():
+    for k in (None, 1):
+        first = basis_terms(4, k)
+        first.append((0, 1))
+        first += first
+        assert basis_terms(4, k) == sorted_basis_terms(4, k)
+        assert basis_terms(4, k) is not basis_terms(4, k)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_random_stream_is_unchanged_by_the_table(n, monkeypatch):
+    def draw():
+        return [
+            random_homogeneous(rng, n)
+            for rng in (random.Random(s) for s in range(20))
+            for _ in range(100)
+        ]
+
+    table = draw()
+    monkeypatch.setattr("superw.suite.basis_terms", sorted_basis_terms)
+    assert draw() == table
 
 
 def test_degree_zero_is_matrix_algebra():
