@@ -19,10 +19,10 @@ from .grassmann import GrassmannElement, gmul, merge_sign, removal_sign
 from .walgebra import (BorelOrder, WElement, basis_terms, bracket,
                        component_dim, format_welement, graded_jacobi_defect,
                        parse_welement, w_apply)
-from .glmodules import (GlModule, SocleReport, decompose, gl_conatural,
-                        gl_natural, gl_simple, gl_trivial, mixed_tensor,
-                        schur_module, verify_socle_identity, weyl_dim)
-from .modules import (Character, FiniteWModule, SimplicityVerdict,
+from .glmodules import (SocleReport, decompose, gl_conatural, gl_natural,
+                        gl_simple, gl_trivial, mixed_tensor, schur_module,
+                        verify_socle_identity, weyl_dim)
+from .modules import (Character, FiniteWModule, GlModule, SimplicityVerdict,
                       adjoint_module, check_representation, dual_module,
                       is_simple, lambda_module, psi_invariants,
                       quotient_module, submodule_generated, tensor_module,

@@ -1,8 +1,10 @@
 """Finite-dimensional gl(n) modules over the rationals.
 
-Basis vectors carry integer weights for the diagonal Cartan; the
-elementary matrices E_ij act by explicit sparse columns.  Everything is
-exact.  Characters are dicts from dense weight tuples to multiplicities.
+A gl(n) module is a ``GlModule``: a module over the degree-zero terms of
+the superderivation algebra, where E_ij is x_i d_j.  Duals, tensor
+products and restrictions are the general ones of ``modules``; this file
+keeps the gl builders, the weight-space decompositions and the
+layer-multiplicity identity.  Everything is exact.
 """
 from __future__ import annotations
 
@@ -11,7 +13,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import NonBasisElementError, RankTooSmallError
-from .linalg import RationalEchelon, Vec, vec_axpy
+from .linalg import Vec
+from .modules import GlModule, restrict_module, tensor_module
 from .partitions import (
     Partition,
     aspartition,
@@ -21,148 +24,37 @@ from .partitions import (
     stable_highest_weight,
     weight_to_partition_pair,
 )
-from .spanops import apply_gen, module_closure, restricted_action, singular_blocks
+from .spanops import module_closure, singular_blocks
+from .walgebra import BorelOrder, Term, raising_terms
 from .weights import Weight, order_sequence
-
-GlGen = tuple[int, int]
-
-
-class GlModule:
-    """A gl(rank) module given by weights and sparse action columns."""
-
-    __slots__ = ("rank", "weights", "_cols", "name", "_blocks")
-
-    def __init__(self, rank: int, weights: list[Weight], cols: dict, name: str = ""):
-        self.rank = rank
-        self.weights = weights
-        self._cols = cols
-        self.name = name
-        self._blocks = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights)
-
-    def gen_keys(self) -> list[GlGen]:
-        n = self.rank
-        return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-
-    def raising_keys(self, order: str = "natural") -> list[GlGen]:
-        seq = order_sequence(order, self.rank)
-        return [(seq[s], seq[t])
-                for s in range(len(seq)) for t in range(s + 1, len(seq))]
-
-    def column(self, gen: GlGen, j: int) -> Vec:
-        return self._cols.get(gen, {}).get(j, {})
-
-    def act(self, gen: GlGen, vec: Vec) -> Vec:
-        return apply_gen(self, gen, vec)
-
-    def weight_blocks(self) -> dict:
-        if self._blocks is None:
-            blocks: dict = {}
-            for j, w in enumerate(self.weights):
-                blocks.setdefault(w, []).append(j)
-            self._blocks = blocks
-        return self._blocks
-
-    def character(self) -> dict[tuple, int]:
-        n = self.rank
-        ch: dict[tuple, int] = {}
-        for w in self.weights:
-            t = w.dense(n)
-            ch[t] = ch.get(t, 0) + 1
-        return ch
-
-    def __repr__(self):
-        tag = self.name or "gl-module"
-        return f"<{tag} rank={self.rank} dim={self.dim}>"
-
-
-def _cols_from_action(rank: int, dim: int, action) -> dict:
-    cols: dict = {}
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            gc: dict = {}
-            for c in range(dim):
-                v = action(i, j, c)
-                if v:
-                    gc[c] = v
-            if gc:
-                cols[(i, j)] = gc
-    return cols
 
 
 def gl_trivial(n: int) -> GlModule:
-    return GlModule(n, [Weight.zero()], {}, name="C")
+    return GlModule(n, [Weight.zero()], col_fn=lambda term, j: {}, name="C")
 
 
 def gl_natural(n: int) -> GlModule:
     """V with basis e_1..e_n, E_ij e_k = delta_jk e_i."""
     weights = [Weight.eps(i) for i in range(1, n + 1)]
 
-    def action(i, j, c):
-        return {i - 1: 1} if c == j - 1 else {}
+    def col(term: Term, c: int) -> Vec:
+        mask, j = term
+        if c != j - 1 or mask.bit_count() != 1:
+            return {}  # only the degree-zero terms x_i d_j act
+        return {mask.bit_length() - 1: 1}
 
-    return GlModule(n, weights, _cols_from_action(n, n, action), name="V")
+    return GlModule(n, weights, col_fn=col, name="V")
 
 
 def gl_conatural(n: int) -> GlModule:
     """V* with basis f_1..f_n, E_ij f_k = -delta_ik f_j."""
     weights = [-Weight.eps(i) for i in range(1, n + 1)]
 
-    def action(i, j, c):
-        return {j - 1: -1} if c == i - 1 else {}
+    def col(term: Term, c: int) -> Vec:
+        mask, j = term
+        return {j - 1: -1} if mask == 1 << c else {}
 
-    return GlModule(n, weights, _cols_from_action(n, n, action), name="V*")
-
-
-def gl_dual(m: GlModule) -> GlModule:
-    """Dual module on the dual basis: matrices are negated transposes."""
-    cols: dict = {}
-    for gen, gc in m._cols.items():
-        dual_gc: dict = {}
-        for c, col in gc.items():
-            for r, a in col.items():
-                dual_gc.setdefault(r, {})[c] = -a
-        if dual_gc:
-            cols[gen] = dual_gc
-    weights = [-w for w in m.weights]
-    name = f"({m.name})*" if m.name else ""
-    return GlModule(m.rank, weights, cols, name=name)
-
-
-def gl_tensor(a: GlModule, b: GlModule) -> GlModule:
-    """a (x) b with basis pairs ordered (a-index, b-index)."""
-    if a.rank != b.rank:
-        raise ValueError("tensor factors must share a rank")
-    db = b.dim
-    weights = [wa + wb for wa in a.weights for wb in b.weights]
-    cols: dict = {}
-    gens = set(a._cols) | set(b._cols)
-    for gen in gens:
-        gc: dict = {}
-        ga = a._cols.get(gen, {})
-        gb = b._cols.get(gen, {})
-        for ca in range(a.dim):
-            cola = ga.get(ca, {})
-            for cb in range(b.dim):
-                out: Vec = {}
-                for r, x in cola.items():
-                    out[r * db + cb] = x
-                for r, x in gb.get(cb, {}).items():
-                    k = ca * db + r
-                    nv = out.get(k, 0) + x
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
-                if out:
-                    gc[ca * db + cb] = out
-        if gc:
-            cols[gen] = gc
-    name = f"{a.name}(x){b.name}" if a.name and b.name else ""
-    return GlModule(a.rank, weights, cols, name=name)
+    return GlModule(n, weights, col_fn=col, name="V*")
 
 
 def mixed_tensor(p: int, q: int, n: int) -> GlModule:
@@ -170,45 +62,23 @@ def mixed_tensor(p: int, q: int, n: int) -> GlModule:
     factors = [gl_natural(n)] * p + [gl_conatural(n)] * q
     if not factors:
         return gl_trivial(n)
-    m = reduce(gl_tensor, factors)
+    m = reduce(tensor_module, factors)
     m.name = f"V^{p}(x)V*^{q}"
     return m
-
-
-def restrict_to_span(m, ech: RationalEchelon, gens: dict | None = None,
-                     name: str = "") -> GlModule:
-    """Present an invariant span of m as a gl module on the echelon basis.
-
-    gens maps each E_ij to the operator of m that acts as it; by default
-    m is itself a gl module and E_ij acts as E_ij."""
-    weights, col = restricted_action(m, ech)
-    if gens is None:
-        gens = {g: g for g in m.gen_keys()}
-    cols: dict = {}
-    for e, gen in gens.items():
-        gc: dict = {}
-        for t in range(len(weights)):
-            c = col(gen, t)
-            if c:
-                gc[t] = c
-        if gc:
-            cols[e] = gc
-    return GlModule(m.rank, weights, cols, name=name)
 
 
 def cyclic_simple(m: GlModule, hw: Weight, order: str = "natural") -> GlModule:
     """Simple submodule generated by a vector of weight hw that the raising
     operators of the given order kill."""
-    blocks = m.weight_blocks()
-    if hw not in blocks:
+    if hw not in m.weights:
         raise NonBasisElementError(f"weight {hw} does not occur")
-    sing = singular_blocks(m, m.raising_keys(order),
-                           block_filter=lambda key: key == hw)
-    vecs = sing.get(hw)
-    if not vecs:
+    sing = singular_blocks(m, raising_terms(BorelOrder(order, m.rank)),
+                           block_filter=lambda key: key[0] == hw)
+    if not sing:
         raise NonBasisElementError(f"no highest-weight vector of weight {hw}")
+    (vecs,) = sing.values()
     ech = module_closure(m, m.gen_keys(), [vecs[0]])
-    return restrict_to_span(m, ech, name=f"V({hw})")
+    return restrict_module(m, ech, name=f"V({hw})")
 
 
 def gl_simple(lam, mu, n: int, order: str = "natural") -> GlModule:
@@ -292,12 +162,12 @@ def decompose_character(ch: dict[tuple, int], n: int) -> dict[tuple, int]:
 def decompose(m: GlModule, order: str = "natural") -> dict[Weight, int]:
     """Multiplicities of simples in a semisimple module, read off from
     highest-weight vectors."""
-    sing = singular_blocks(m, m.raising_keys(order))
+    sing = singular_blocks(m, raising_terms(BorelOrder(order, m.rank)))
     seq = order_sequence(order, m.rank)
-    return {w: len(vs)
-            for w, vs in sorted(sing.items(),
-                                key=lambda kv: kv[0].sort_key(seq),
-                                reverse=True)}
+    return {key[0]: len(vs)
+            for key, vs in sorted(sing.items(),
+                                  key=lambda kv: kv[0][0].sort_key(seq),
+                                  reverse=True)}
 
 
 def mixed_weight(lam, mu, n: int) -> tuple:
@@ -402,26 +272,3 @@ def verify_socle_identity(lam, mu, n: int) -> SocleReport:
                   for rows in layers.values() for lp, mp, exp, _ in rows)
     return SocleReport(rank=n, lam=lam, mu=mu, holds=holds, lhs_dim=lhs_dim,
                        rhs_dim=rhs_dim, layers=layers, extras=extras)
-
-
-def check_gl_commutators(m: GlModule) -> list:
-    """All violations of [E_ij, E_kl] = d_jk E_il - d_li E_kj on basis vectors."""
-    bad = []
-    n = m.rank
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    for c in range(m.dim):
-                        lhs: Vec = {}
-                        vec_axpy(lhs, 1, m.act((i, j), m.column((k, l), c)))
-                        vec_axpy(lhs, -1, m.act((k, l), m.column((i, j), c)))
-                        rhs: Vec = {}
-                        if j == k:
-                            vec_axpy(rhs, 1, m.column((i, l), c))
-                        if l == i:
-                            vec_axpy(rhs, -1, m.column((k, j), c))
-                        vec_axpy(lhs, -1, rhs)
-                        if lhs:
-                            bad.append(((i, j), (k, l), c))
-    return bad

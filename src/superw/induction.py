@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InhomogeneousError, RankMismatchError
-from .glmodules import GlModule
 from .grassmann import indices_of, removal_sign
 from .linalg import Vec, vec_axpy
-from .modules import FiniteWModule, singular_vectors
+from .modules import FiniteWModule, GlModule, singular_vectors
 from .walgebra import (
     BorelOrder,
     Term,
@@ -92,7 +91,7 @@ def kac_plus(x: GlModule, n: int) -> FiniteWModule:
             if d > 0:
                 return {}
             if d == 0:
-                return dict(x.column((tm.bit_length(), tj), v))
+                return dict(x.column(term, v))
             return {(1 << (tj - 1)) * dx + v: 1}
         bit = mask & -mask
         i = bit.bit_length()
@@ -226,10 +225,7 @@ def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
                 out[idx[m2] * dx + v] = c2
             return out
         if not mono:
-            tm, tj = term
-            if d == 0:
-                return dict(x.column((tm.bit_length(), tj), v))
-            return {}
+            return dict(x.column(term, v)) if d == 0 else {}
         h = mono[0]
         rj = idx[mono[1:]] * dx + v
         out = {}

@@ -5,6 +5,10 @@ column of any algebra basis term on any basis vector.  Columns are cached
 as they are computed, so large modules only pay for the operators a
 computation actually touches.
 
+A gl(n) module is a ``GlModule``: the same class, acted on by the
+degree-zero terms x_i d_j = E_ij alone.  Duals, tensor products and
+restrictions keep the class of their input.
+
 The z-degree of a basis vector always equals the coordinate sum of its
 weight, and the parity is that number mod 2; constructions below all
 preserve this, so both gradings are derived from the weight.
@@ -17,7 +21,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .errors import NonBasisElementError, RankMismatchError
-from .glmodules import GlModule, restrict_to_span
 from .grassmann import (
     GrassmannElement,
     basis as grassmann_basis,
@@ -145,6 +148,14 @@ class FiniteWModule:
         return f"<{tag} rank={self.rank} dim={self.dim}>"
 
 
+class GlModule(FiniteWModule):
+    """Module over the degree-zero part gl(rank), where E_ij is the term
+    x_i d_j, keyed ``(1 << (i - 1), j)``; only those terms act."""
+
+    def gen_keys(self) -> list[Term]:
+        return basis_terms(self.rank, 0)
+
+
 @dataclass
 class Character:
     """Formal character: multiplicities keyed by (dense weight, z-degree)."""
@@ -250,7 +261,7 @@ def tensor_module(a: FiniteWModule, b: FiniteWModule) -> FiniteWModule:
         return out
 
     name = f"{a.name}(x){b.name}" if a.name and b.name else ""
-    return FiniteWModule(a.rank, weights, col_fn=col, name=name)
+    return type(a)(a.rank, weights, col_fn=col, name=name)
 
 
 def dual_module(m: FiniteWModule) -> FiniteWModule:
@@ -269,7 +280,7 @@ def dual_module(m: FiniteWModule) -> FiniteWModule:
         return out
 
     name = f"({m.name})*" if m.name else ""
-    return FiniteWModule(m.rank, weights, term_fn=term_matrix, name=name)
+    return type(m)(m.rank, weights, term_fn=term_matrix, name=name)
 
 
 # ---------------------------------------------------------------- spans and quotients
@@ -313,8 +324,7 @@ def submodule_generated(m: FiniteWModule, seeds: Iterable[Vec]) -> Submodule:
 def restrict_module(m: FiniteWModule, ech: RationalEchelon, name: str = "") -> FiniteWModule:
     """Present an invariant span on its echelon basis."""
     weights, col = restricted_action(m, ech)
-    return FiniteWModule(m.rank, weights, col_fn=col, name=name,
-                         meta=dict(m.meta))
+    return type(m)(m.rank, weights, col_fn=col, name=name, meta=dict(m.meta))
 
 
 def quotient_module(m: FiniteWModule, sub: Submodule, name: str = "") -> FiniteWModule:
@@ -409,17 +419,17 @@ def is_simple(m: FiniteWModule, seed: int = 0) -> SimplicityVerdict:
 
 
 def psi_invariants(m: FiniteWModule) -> GlModule:
-    """Joint kernel of the degree -1 operators, as a gl module."""
+    """Joint kernel of the degree -1 operators, as a gl module: E_ij acts
+    as x_i d_j, the same term in both modules."""
     n = m.rank
     partials = [(0, i) for i in range(1, n + 1)]
     ech = RationalEchelon()
     for vecs in singular_blocks(m, partials).values():
         for v in vecs:
             ech.insert(v)
-    # E_ij acts as x_i d_j
-    gens = {(i, j): (1 << (i - 1), j)
-            for i in range(1, n + 1) for j in range(1, n + 1)}
-    return restrict_to_span(m, ech, gens, name=f"Psi({m.name})" if m.name else "Psi")
+    weights, col = restricted_action(m, ech)
+    return GlModule(n, weights, col_fn=col,
+                    name=f"Psi({m.name})" if m.name else "Psi")
 
 
 # ---------------------------------------------------------------- checks and maps
@@ -448,56 +458,3 @@ def check_representation(m: FiniteWModule, terms: list[Term] | None = None,
                 if lhs:
                     bad.append((x, y, c))
     return bad
-
-
-# ---------------------------------------------------------------- serialization
-
-
-def _frac_str(c) -> str:
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def module_to_json(m: FiniteWModule, terms: list[Term] | None = None) -> str:
-    """Materialize the action of the given terms (default: all) as JSON."""
-    n = m.rank
-    terms = terms if terms is not None else all_terms(n)
-    cols: dict = {}
-    for t in terms:
-        mat: dict = {}
-        for j in range(m.dim):
-            col = m.column(t, j)
-            if col:
-                mat[str(j)] = {str(r): _frac_str(x) for r, x in sorted(col.items())}
-        if mat:
-            cols[f"{t[0]}|{t[1]}"] = mat
-    payload = {
-        "rank": n,
-        "dim": m.dim,
-        "name": m.name,
-        "weights": [m.weights[j].to_json() for j in range(m.dim)],
-        "labels": [m.label(j) for j in range(m.dim)],
-        "columns": cols,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def module_from_json(text: str) -> FiniteWModule:
-    payload = json.loads(text)
-    n = payload["rank"]
-    weights = [Weight.from_json(w) for w in payload["weights"]]
-    cols: dict[Term, dict[int, Vec]] = {}
-    for key, mat in payload["columns"].items():
-        mask_s, j_s = key.split("|")
-        term = (int(mask_s), int(j_s))
-        cols[term] = {
-            int(c): {int(r): Fraction(x) for r, x in col.items()}
-            for c, col in mat.items()
-        }
-
-    def term_fn(term: Term) -> dict:
-        return cols.get(term, {})
-
-    return FiniteWModule(n, weights, term_fn=term_fn,
-                         name=payload.get("name", ""),
-                         labels=payload.get("labels"))

@@ -1,7 +1,7 @@
 """The span engine, written once against a small module protocol.
 
-Both module kinds, the superderivation modules (``FiniteWModule``) and the
-plain gl(n) modules (``GlModule``), expose
+Every module is a ``FiniteWModule``; a gl(n) module (``GlModule``) is one
+over the degree-zero terms x_i d_j only.  A module exposes
 
     dim             -> int
     rank            -> int
@@ -10,7 +10,7 @@ plain gl(n) modules (``GlModule``), expose
     column(gen, j)  -> sparse dict row -> coeff
     gen_keys()      -> keys of operators generating an algebra that
                        contains the Cartan, so they pin weight blocks
-    character()     -> formal character, comparable within one kind
+    character()     -> formal character
 
 where every operator ``gen`` is block-homogeneous: it maps each block into
 at most one other block.  Closure, restriction to an invariant span, the
@@ -228,7 +228,7 @@ def hom_basis(m1, m2, gen_keys) -> list[dict]:
 
 
 def hom_space(a, b) -> list[dict]:
-    """Basis of the intertwiners a -> b of two modules of one kind.
+    """Basis of the intertwiners a -> b of two modules over one algebra.
 
     It is complete: ``a.gen_keys()`` generate an algebra containing the
     Cartan, so every intertwiner preserves weight blocks."""
@@ -238,8 +238,8 @@ def hom_space(a, b) -> list[dict]:
 
 
 def iso_check(a, b, seed: int = 0) -> Optional[dict]:
-    """Invertible intertwiner a -> b between two modules of one kind, or
-    None when none exists.
+    """Invertible intertwiner a -> b between two modules over one algebra,
+    or None when none exists.
 
     Exact: different ranks or characters mean None.  Otherwise the first
     basis map of Hom(a, b) that is invertible on every weight block is

@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonBasisElementError, RankMismatchError
-from .glmodules import GlModule, gl_dual, gl_simple
+from .glmodules import gl_simple
 from .grassmann import indices_of, merge_sign, removal_sign
 from .induction import kac_plus
 from .linalg import Vec
 from .modules import (
     FiniteWModule,
+    GlModule,
     SimplicityVerdict,
     Submodule,
     dual_module,
@@ -69,7 +70,7 @@ def tensor_field(x: GlModule, n: int) -> FiniteWModule:
                 continue
             c0 = sgn * removal_sign(i, a) * ms
             base = ((a ^ bit) | f) * dx
-            for r, c in x.column((i, tj), v).items():
+            for r, c in x.column((bit, tj), v).items():
                 key = base + r
                 nv = out.get(key, 0) + c0 * c
                 if nv:
@@ -99,7 +100,7 @@ def coinduction_duality_check(x: GlModule, n: int, seed: int = 0) -> DualityRepo
 
     ``seed`` is unused; it is kept for callers that still pass it."""
     t = tensor_field(x, n)
-    k = dual_module(kac_plus(gl_dual(x), n))
+    k = dual_module(kac_plus(dual_module(x), n))
     phi = iso_check(t, k)
     return DualityReport(rank=n, base_name=x.name or "X", passes=phi is not None,
                          dim=t.dim, intertwiner=phi)

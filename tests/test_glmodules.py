@@ -1,20 +1,23 @@
 """Weight modules over the degree-zero part: construction, splitting,
 and the contraction-layer identity."""
 
+from functools import reduce
 from itertools import product
 
 import pytest
 
 from superw.errors import RankTooSmallError
-from superw.glmodules import (check_gl_commutators, decompose,
-                              decompose_character, gl_conatural, gl_dual,
-                              gl_natural, gl_simple, gl_tensor, gl_trivial,
-                              mixed_tensor, schur_module,
-                              verify_socle_identity, weyl_dim)
+from superw.glmodules import (decompose, decompose_character, gl_conatural,
+                              gl_natural, gl_simple, gl_trivial, mixed_tensor,
+                              schur_module, verify_socle_identity, weyl_dim)
+from superw.modules import check_representation, dual_module, tensor_module
 from superw.partitions import (Partition, partitions_of, schur_dim,
-                               schur_weights, socle_layer_mults)
-from superw.spanops import iso_check
-from superw.weights import Weight
+                               schur_weights, socle_layer_mults,
+                               stable_highest_weight)
+from superw.spanops import (iso_check, module_closure, restricted_action,
+                            singular_blocks)
+from superw.walgebra import basis_terms
+from superw.weights import Weight, order_sequence
 
 
 # ---------------------------------------------------------------- peeling oracle
@@ -90,7 +93,7 @@ def test_weyl_fold_matches_peeling(lam, mu):
 
 
 def test_decompose_character_of_mixed_tensor():
-    ch = mixed_tensor(1, 1, 3).character()
+    ch = mixed_tensor(1, 1, 3).character().restrict()
     assert decompose_character(ch, 3) == {(1, 0, -1): 1, (0, 0, 0): 1}
 
 
@@ -105,12 +108,12 @@ def test_decompose_character_rejects_a_negative_multiplicity():
 def test_commutators_hold_on_builders():
     for m in (gl_natural(3), gl_conatural(3), mixed_tensor(1, 1, 3),
               schur_module((2,), 2)):
-        assert check_gl_commutators(m) == []
+        assert check_representation(m, basis_terms(m.rank, 0)) == []
 
 
 def test_natural_and_conatural_are_dual():
-    assert iso_check(gl_dual(gl_conatural(3)), gl_natural(3)) is not None
-    assert iso_check(gl_dual(gl_natural(2)), gl_conatural(2)) is not None
+    assert iso_check(dual_module(gl_conatural(3)), gl_natural(3)) is not None
+    assert iso_check(dual_module(gl_natural(2)), gl_conatural(2)) is not None
 
 
 def test_decompose_mixed_tensor():
@@ -119,7 +122,7 @@ def test_decompose_mixed_tensor():
 
 
 def test_decompose_square_of_natural():
-    got = decompose(gl_tensor(gl_natural(2), gl_natural(2)))
+    got = decompose(tensor_module(gl_natural(2), gl_natural(2)))
     assert got == {Weight(((1, 2),)): 1, Weight(((1, 1), (2, 1))): 1}
 
 
@@ -225,3 +228,156 @@ def test_socle_report_json_shape():
 def test_mixed_tensor_rank_guard():
     with pytest.raises(RankTooSmallError):
         gl_simple((1, 1, 1), (1, 1), 4)
+
+
+# ---------------------------------------------------------------- eager oracle
+#
+# An independent build of gl(n) modules from the matrix rules alone: every
+# E_ij column computed up front and keyed (i, j).  Each lazily built
+# gl_simple must match it column for column under E_ij = x_i d_j.
+
+
+class EagerGl:
+    """A gl(rank) module given by weights and eager (i, j)-keyed columns."""
+
+    def __init__(self, rank: int, weights: list, cols: dict):
+        self.rank = rank
+        self.weights = weights
+        self.cols = cols
+        self.dim = len(weights)
+
+    def gen_keys(self) -> list:
+        return [(i, j) for i in range(1, self.rank + 1)
+                for j in range(1, self.rank + 1)]
+
+    def column(self, gen, j: int) -> dict:
+        return self.cols.get(gen, {}).get(j, {})
+
+    def weight_blocks(self) -> dict:
+        blocks: dict = {}
+        for j, w in enumerate(self.weights):
+            blocks.setdefault(w, []).append(j)
+        return blocks
+
+
+def eager_natural(n: int) -> EagerGl:
+    # E_ij e_k = delta_jk e_i
+    cols = {(i, j): {j - 1: {i - 1: 1}}
+            for i in range(1, n + 1) for j in range(1, n + 1)}
+    return EagerGl(n, [Weight.eps(i) for i in range(1, n + 1)], cols)
+
+
+def eager_conatural(n: int) -> EagerGl:
+    # E_ij f_k = -delta_ik f_j
+    cols = {(i, j): {i - 1: {j - 1: -1}}
+            for i in range(1, n + 1) for j in range(1, n + 1)}
+    return EagerGl(n, [-Weight.eps(i) for i in range(1, n + 1)], cols)
+
+
+def eager_dual(m: EagerGl) -> EagerGl:
+    cols: dict = {}
+    for gen, gc in m.cols.items():
+        dual_gc: dict = {}
+        for c, col in gc.items():
+            for r, a in col.items():
+                dual_gc.setdefault(r, {})[c] = -a
+        if dual_gc:
+            cols[gen] = dual_gc
+    return EagerGl(m.rank, [-w for w in m.weights], cols)
+
+
+def eager_tensor(a: EagerGl, b: EagerGl) -> EagerGl:
+    db = b.dim
+    cols: dict = {}
+    for gen in set(a.cols) | set(b.cols):
+        gc: dict = {}
+        for ca in range(a.dim):
+            for cb in range(db):
+                out = {r * db + cb: x for r, x in a.column(gen, ca).items()}
+                for r, x in b.column(gen, cb).items():
+                    k = ca * db + r
+                    nv = out.get(k, 0) + x
+                    if nv:
+                        out[k] = nv
+                    else:
+                        out.pop(k, None)
+                if out:
+                    gc[ca * db + cb] = out
+        if gc:
+            cols[gen] = gc
+    return EagerGl(a.rank, [wa + wb for wa in a.weights for wb in b.weights], cols)
+
+
+def eager_restrict_to_span(m: EagerGl, ech) -> EagerGl:
+    weights, col = restricted_action(m, ech)
+    cols: dict = {}
+    for gen in m.gen_keys():
+        gc = {t: c for t in range(len(weights)) if (c := col(gen, t))}
+        if gc:
+            cols[gen] = gc
+    return EagerGl(m.rank, weights, cols)
+
+
+def eager_gl_simple(lam, mu, n: int, order: str) -> EagerGl:
+    lam, mu = Partition(lam), Partition(mu)
+    factors = [eager_natural(n)] * lam.size + [eager_conatural(n)] * mu.size
+    if not factors:
+        return EagerGl(n, [Weight.zero()], {})
+    amb = reduce(eager_tensor, factors)
+    hw = stable_highest_weight(lam, mu, order, n)
+    seq = order_sequence(order, n)
+    raising = [(seq[s], seq[t]) for s in range(n) for t in range(s + 1, n)]
+    (vecs,) = singular_blocks(amb, raising, block_filter=lambda w: w == hw).values()
+    return eager_restrict_to_span(amb, module_closure(amb, amb.gen_keys(), [vecs[0]]))
+
+
+def assert_same_columns(m, oracle: EagerGl) -> None:
+    n = oracle.rank
+    assert m.weights == oracle.weights
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for c in range(oracle.dim):
+                assert m.column((1 << (i - 1), j), c) == oracle.column((i, j), c)
+
+
+SHAPES_LE2 = [(), (1,), (2,), (1, 1)]
+# pairs whose highest weight fits the rank in the order
+CHECKED = {(3, "natural"): 15, (3, "interleaved"): 9,
+           (4, "natural"): 16, (4, "interleaved"): 16,
+           (5, "natural"): 16, (5, "interleaved"): 16}
+
+
+@pytest.mark.parametrize("order", ["natural", "interleaved"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gl_simple_matches_the_eager_oracle(n, order):
+    checked = 0
+    for lam, mu in product(SHAPES_LE2, SHAPES_LE2):
+        try:
+            m = gl_simple(lam, mu, n, order=order)
+        except RankTooSmallError:
+            with pytest.raises(RankTooSmallError):
+                eager_gl_simple(lam, mu, n, order)
+            continue
+        oracle = eager_gl_simple(lam, mu, n, order)
+        assert_same_columns(m, oracle)
+        assert_same_columns(dual_module(m), eager_dual(oracle))
+        checked += 1
+    assert checked == CHECKED[n, order]
+
+
+def test_eager_oracle_tells_the_dual_from_the_module():
+    m = gl_simple((1,), (1,), 3)
+    oracle = eager_gl_simple((1,), (1,), 3, "natural")
+    with pytest.raises(AssertionError):
+        assert_same_columns(dual_module(m), oracle)
+
+
+@pytest.mark.parametrize("build", [gl_natural, gl_conatural,
+                                   lambda n: gl_simple((1,), (1,), n)],
+                         ids=["V", "V*", "V(1|1)"])
+def test_only_the_degree_zero_terms_act(build):
+    # d_1 has no source index and x1x2 d1 is not a matrix unit: neither
+    # may be read as some E_ij
+    m = build(3)
+    for term in [(0, 1), (0, 3), (0b11, 1), (0b101, 2), (0b111, 3)]:
+        assert all(m.column(term, c) == {} for c in range(m.dim)), term

@@ -2,7 +2,8 @@
 function takes a retired tuning option, the mod-p modulus and the mod-p
 echelon stay inside the two oracles built on them, no library function
 calls a test oracle, only the bracket check reads the three lowest
-degrees, and only the two seeded property samplers draw random numbers.
+degrees, only the two seeded property samplers draw random numbers, and
+only ``modules.py`` defines a class with action columns.
 
 Stdlib ``ast`` scans, so the checks need no linter.  The package's
 ``__init__.py`` is exempt from the import scan, since its imports are its
@@ -107,6 +108,35 @@ def invertible_combination(m1, m2, homs, seed=0):
         if combo and is_invertible(combo):
             return combo
     return None
+"""
+
+
+# the one module class that builds action columns; a gl module is one of
+# them, over the degree-zero terms
+COLUMN_CLASSES = {"modules.py": ["FiniteWModule"]}
+
+# the gl module class as it stood in glmodules, with eager (i, j)-keyed
+# columns of its own; the scan below must flag it
+EAGER_GL_MODULE = """
+class GlModule:
+    __slots__ = ("rank", "weights", "_cols", "name", "_blocks")
+
+    def __init__(self, rank, weights, cols, name=""):
+        self.rank = rank
+        self.weights = weights
+        self._cols = cols
+        self.name = name
+        self._blocks = None
+
+    def gen_keys(self):
+        n = self.rank
+        return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+    def column(self, gen, j):
+        return self._cols.get(gen, {}).get(j, {})
+
+    def act(self, gen, vec):
+        return apply_gen(self, gen, vec)
 """
 
 
@@ -306,3 +336,22 @@ def test_scan_flags_the_random_iso_search():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_property_samplers_draw_random_numbers(path):
     assert path.name in RANDOM_IMPORTERS or not imports_random(path.read_text())
+
+
+def column_classes(source: str) -> list[str]:
+    """Classes that define a ``column`` method."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ClassDef) and any(
+                      isinstance(f, ast.FunctionDef) and f.name == "column"
+                      for f in node.body))
+
+
+def test_scan_flags_the_eager_gl_module():
+    assert column_classes(EAGER_GL_MODULE) == ["GlModule"]
+    assert column_classes("class GlModule(FiniteWModule):\n"
+                          "    def gen_keys(self):\n        return []\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_module_class_builds_columns(path):
+    assert column_classes(path.read_text()) == COLUMN_CLASSES.get(path.name, [])
