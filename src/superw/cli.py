@@ -20,16 +20,16 @@ from pathlib import Path
 
 from .glmodules import gl_simple, verify_socle_identity
 from .induction import find_primitive, kac_minus_truncated, kac_plus, typicality
-from .modules import (all_terms, check_representation, is_simple,
-                      lambda_module, psi_invariants)
+from .modules import (check_representation, is_simple, lambda_module,
+                      psi_invariants)
 from .partitions import Partition, stable_highest_weight
 from .spanops import iso_check
 from .stability import stabilization_sweep
 from .suite import (jacobi_failures, random_homogeneous, run_suite,
                     sign_bugged_bracket, suite_to_json)
 from .tensorfields import coinduction_duality_check, extract_L_minus, tensor_field
-from .walgebra import (BorelOrder, bracket, component_dim, format_term,
-                       format_welement, parity, w_apply)
+from .walgebra import (BorelOrder, basis_terms, bracket, component_dim,
+                       format_term, format_welement, parity, w_apply)
 from .grassmann import GrassmannElement, gmul
 
 
@@ -115,7 +115,7 @@ def cmd_check(args) -> int:
                   "counterexample": leib_dump})
 
     rng = random.Random(seed + 2)
-    pool = all_terms(n)
+    pool = basis_terms(n)
     picked = sorted(rng.sample(pool, min(10, len(pool))))
     rep_bad = check_representation(lambda_module(n), terms=picked)
     rep_dump = None

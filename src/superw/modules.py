@@ -37,9 +37,9 @@ from .walgebra import (
     bracket,
     format_term,
     generating_terms,
-    nilradical_generating_terms,
     term_parity,
     term_weight,
+    triangular_terms,
     w_apply,
 )
 from .weights import Weight
@@ -48,17 +48,7 @@ from .weights import Weight
 def local_terms(n: int) -> list[Term]:
     """Basis terms of the three lowest z-degrees, the default pairs of
     ``check_representation``; spans use the smaller ``generating_terms``."""
-    out: list[Term] = []
-    for k in (-1, 0, 1):
-        out.extend(basis_terms(n, k))
-    return out
-
-
-def all_terms(n: int) -> list[Term]:
-    out: list[Term] = []
-    for k in range(-1, n):
-        out.extend(basis_terms(n, k))
-    return out
+    return basis_terms(n, -1) + basis_terms(n, 0) + basis_terms(n, 1)
 
 
 class FiniteWModule:
@@ -92,6 +82,10 @@ class FiniteWModule:
 
     def gen_keys(self) -> list[Term]:
         return generating_terms(self.rank)
+
+    def check_keys(self) -> list[Term]:
+        """The terms whose brackets ``check_representation`` checks by default."""
+        return local_terms(self.rank)
 
     def label(self, j: int) -> str:
         return self.labels[j] if self.labels else f"e{j}"
@@ -154,6 +148,8 @@ class GlModule(FiniteWModule):
 
     def gen_keys(self) -> list[Term]:
         return basis_terms(self.rank, 0)
+
+    check_keys = gen_keys
 
 
 @dataclass
@@ -223,7 +219,7 @@ def lambda_module(n: int) -> FiniteWModule:
 
 def adjoint_module(n: int) -> FiniteWModule:
     """The algebra acting on itself by the bracket."""
-    terms = all_terms(n)
+    terms = basis_terms(n)
     index = {t: j for j, t in enumerate(terms)}
     weights = [term_weight(t) for t in terms]
 
@@ -357,15 +353,14 @@ def singular_vectors(m: FiniteWModule, b: BorelOrder,
                      zdegs: Iterable[int] | None = None) -> dict:
     """Joint kernels of the raising operators of b, one entry per block.
 
-    Only a bracket-generating subset of the nilradical is applied: the
-    operators that kill a vector also kill their brackets, so the joint
-    kernel is the same as over all raising operators, at a fraction of
-    the cost."""
+    Only the raising set of ``triangular_terms(b)``, which generates them,
+    is applied: operators that kill a vector also kill their brackets, so
+    the joint kernel is the same, at a fraction of the cost."""
     if b.rank != m.rank:
         raise RankMismatchError("order rank differs from module rank")
     zset = set(zdegs) if zdegs is not None else None
     flt = None if zset is None else (lambda key: key[1] in zset)
-    return singular_blocks(m, nilradical_generating_terms(b), block_filter=flt)
+    return singular_blocks(m, triangular_terms(b)[0], block_filter=flt)
 
 
 @dataclass
@@ -383,16 +378,15 @@ class SimplicityVerdict:
 def is_simple(m: FiniteWModule, seed: int = 0) -> SimplicityVerdict:
     """Decide simplicity by the highest-weight certificate.
 
-    Every nonzero invariant subspace contains a vector killed by the
-    raising operators of the degree-supported triangular decomposition, so
-    the module is simple exactly when those vectors form a single line
-    whose generated subspace is everything.  A singular vector v that
-    generates gives M = U(n-)v, so v alone spans the top weight space and
-    no second singular line can generate as well.  Two or more independent
-    singular lines therefore mean "not simple": one of them generates a
-    proper submodule and is returned as the witness, and the verdict
-    stands even where none is found.  Every step is exact: the joint
-    kernels and the closures inside ``submodule_generated``.
+    Every nonzero invariant subspace contains a vector killed by n+ of the
+    degree-supported W(n) = n- + h + n+, so the module is simple exactly
+    when those vectors form one line that generates everything.  Such a
+    v is killed by n+ and is a weight vector, so U(g)v = U(n-)v by PBW: its
+    closure under the n lowering terms, which generate n-, is its whole
+    submodule.  A generating v spans the top weight space of M = U(n-)v,
+    so two or more independent singular lines mean "not simple": one of
+    them generates a proper submodule and is returned as the witness, and
+    the verdict stands even where none is found.  Every step is exact.
 
     ``seed`` is unused; it is kept for callers that still pass it."""
     if m.dim == 0:
@@ -404,12 +398,13 @@ def is_simple(m: FiniteWModule, seed: int = 0) -> SimplicityVerdict:
     if not cands:
         raise NonBasisElementError("no highest-weight vector found; "
                                    "module is not weight-finite")
+    _, lowering = triangular_terms(b)
     for key, v in cands:
-        sub = submodule_generated(m, [v])
-        if not sub.full:
+        dim = module_closure(m, lowering, [v]).dim
+        if dim < m.dim:
             return SimplicityVerdict(False, "witness",
                                      f"singular vector at {key[0]} generates "
-                                     f"dim {sub.dim} < {m.dim}",
+                                     f"dim {dim} < {m.dim}",
                                      witness=v, witness_weight=key[0])
     if len(cands) == 1:
         return SimplicityVerdict(True, "highest-weight",
@@ -439,7 +434,7 @@ def check_representation(m: FiniteWModule, terms: list[Term] | None = None,
                          vectors: Iterable[int] | None = None) -> list:
     """Violations of [x,y].v = x.(y.v) - (-1)^(p(x)p(y)) y.(x.v)."""
     n = m.rank
-    terms = terms if terms is not None else local_terms(n)
+    terms = terms if terms is not None else m.check_keys()
     cols = range(m.dim) if vectors is None else list(vectors)
     bad = []
     for x in terms:

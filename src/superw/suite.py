@@ -30,7 +30,7 @@ from .stability import stabilization_sweep
 from .tensorfields import coinduction_duality_check, extract_L_minus
 from .walgebra import (BorelOrder, WElement, basis_terms, bracket,
                        component_dim, graded_jacobi_defect,
-                       nilradical_generating_terms)
+                       triangular_terms)
 from .weights import Weight
 
 JACOBI_SEED = 20240817
@@ -202,7 +202,7 @@ def criterion_4() -> Criterion:
     def run():
         x_term = (0b101, 2)
         b = BorelOrder("interleaved", 4, "min")
-        gens = nilradical_generating_terms(b)
+        gens, _ = triangular_terms(b)
         for lam, mu in PAIRS_LE2:
             base = gl_simple(lam, mu, 4, order="interleaved")
             m = kac_minus_truncated(base, 4, cutoff=2)

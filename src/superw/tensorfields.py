@@ -30,7 +30,7 @@ from .modules import (
 )
 from .partitions import aspartition, stable_highest_weight
 from .spanops import iso_check, singular_blocks
-from .walgebra import BorelOrder, Term, nilradical_generating_terms, term_parity
+from .walgebra import BorelOrder, Term, term_parity, triangular_terms
 from .weights import Weight
 
 
@@ -112,7 +112,7 @@ def interleaved_min_borel(n: int) -> BorelOrder:
 
 def _singular_line(t: FiniteWModule, hw: Weight, b: BorelOrder) -> Vec:
     key = (hw, hw.total(), hw.total() % 2)
-    sing = singular_blocks(t, nilradical_generating_terms(b),
+    sing = singular_blocks(t, triangular_terms(b)[0],
                            block_filter=lambda k: k == key)
     vecs = sing.get(key)
     if not vecs:

@@ -315,30 +315,35 @@ def raising_terms(b: BorelOrder) -> list[Term]:
     return out
 
 
-def nilradical_generating_terms(b: BorelOrder) -> list[Term]:
-    """A Lie-generating subset of the raising terms: simple positive root
-    vectors plus, for the max extension, the degree-one component.  A joint
-    kernel over this set coincides with the joint kernel over all raising
-    operators; the test suite verifies the generation claim at low rank."""
-    n = b.rank
-    out: list[Term] = [(1 << (i - 1), j) for i, j in b.simple_pairs()]
+def triangular_terms(b: BorelOrder) -> tuple[list[Term], list[Term]]:
+    """Lie generators (raising, lowering) of W(n) = n- + h + n+ for b, with
+    s = b.sequence().  raising generates ``raising_terms(b)``: the simple
+    root vectors x_{s_k} d_{s_(k+1)}, plus d_{s1} for "min", or for "max"
+    the lowest weight vectors x_{s1}x_{sn} d_{s1}, x_{s(n-1)}x_{sn} d_{s1} of
+    W_1 (all of W_1 below rank 3).  lowering, the n terms d_{sn} and
+    x_{s_(k+1)} d_{s_k} for k = n-1 down to 1, generates the negative roots
+    plus W_{-1}.  The test suite verifies each claim by span up to rank 7."""
+    s = b.sequence()
+    raising = [(1 << (i - 1), j) for i, j in b.simple_pairs()]
+    lowering = [(0, s[-1])] + [(1 << (j - 1), i) for i, j in b.simple_pairs()[::-1]]
     if b.extension == "min":
-        out += [(0, j) for j in range(1, n + 1)]
+        raising.append((0, s[0]))
     elif b.extension == "max":
-        out += basis_terms(n, 1)
-    return out
+        raising += basis_terms(b.rank, 1) if b.rank < 3 else [
+            (1 << (i - 1) | 1 << (s[-1] - 1), s[0]) for i in (s[0], s[-2])]
+    return raising, lowering
 
 
 def generating_terms(n: int) -> list[Term]:
     """A Lie-generating set of the whole algebra: the basis below rank 3,
-    else the 2n+1 terms d_n, x_i d_{i+1}, x_{i+1} d_i, x1x2 d3 and x1x2 d1.
-    A span or an even map that the set preserves, the algebra preserves;
-    the test suite verifies the generation claim up to rank 7."""
+    else the 2n+1 lowering and raising terms of ``triangular_terms`` for
+    the natural "max" order; h = [n+, n-].  Lowering first, from d_n up,
+    keeps hom-space eliminations sparse.  Spans and even maps that the set
+    preserves, the algebra preserves (verified up to rank 7)."""
     if n < 3:
         return basis_terms(n)
-    roots = [t for i in range(1, n)
-             for t in ((1 << (i - 1), i + 1), (1 << i, i))]
-    return [(0, n)] + roots + [(3, 3), (3, 1)]
+    raising, lowering = triangular_terms(BorelOrder("natural", n, "max"))
+    return lowering + raising
 
 
 _TERM_RE = re.compile(

@@ -10,7 +10,8 @@ from superw.errors import RankTooSmallError
 from superw.glmodules import (decompose, decompose_character, gl_conatural,
                               gl_natural, gl_simple, gl_trivial, mixed_tensor,
                               schur_module, verify_socle_identity, weyl_dim)
-from superw.modules import check_representation, dual_module, tensor_module
+from superw.modules import (GlModule, check_representation, dual_module,
+                            lambda_module, local_terms, tensor_module)
 from superw.partitions import (Partition, partitions_of, schur_dim,
                                schur_weights, socle_layer_mults,
                                stable_highest_weight)
@@ -109,6 +110,25 @@ def test_commutators_hold_on_builders():
     for m in (gl_natural(3), gl_conatural(3), mixed_tensor(1, 1, 3),
               schur_module((2,), 2)):
         assert check_representation(m, basis_terms(m.rank, 0)) == []
+
+
+def test_check_representation_defaults_to_the_acting_terms():
+    # the degree -1 and 1 terms act by zero on a gl module, so their
+    # brackets with x_i d_j would fail; the default pairs are the module's
+    assert gl_natural(3).check_keys() == basis_terms(3, 0)
+    assert lambda_module(3).check_keys() == local_terms(3)
+    for m in (gl_natural(3), gl_simple((1,), (1,), 3),
+              gl_simple((2,), (1,), 4, order="interleaved")):
+        assert check_representation(m) == []
+    nat = gl_natural(3)
+    e12 = (0b001, 2)
+
+    def col(term, j):
+        v = nat.column(term, j)
+        return {r: -x for r, x in v.items()} if term == e12 else v
+
+    flipped = GlModule(3, nat.weights, col_fn=col)
+    assert (e12, (0b010, 1), 0) in check_representation(flipped)
 
 
 def test_natural_and_conatural_are_dual():

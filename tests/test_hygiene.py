@@ -74,8 +74,9 @@ def submodule_generated(m, seeds):
 """
 
 # the basis terms of the three lowest degrees stay the bracket check's
-# default pairs; spans and hom spaces run over a module's generator keys
-LOCAL_TERMS_READERS = {"modules.py": {"check_representation"}}
+# default pairs on a W-module, read by FiniteWModule.check_keys; spans and
+# hom spaces run over a module's generator keys
+LOCAL_TERMS_READERS = {"modules.py": {"FiniteWModule"}}
 
 # the closure as it stood in the library, over the three lowest degrees;
 # the scan below must flag it

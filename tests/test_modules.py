@@ -54,9 +54,8 @@ def test_exterior_module_has_unique_proper_submodule():
 def test_adjoint_closure_from_grading_element_is_full():
     # the grading element is central in degree zero but not invariant
     # under the odd parts, so it generates the whole adjoint
-    from superw.modules import all_terms
     m = adjoint_module(2)
-    index = {t: j for j, t in enumerate(all_terms(2))}
+    index = {t: j for j, t in enumerate(basis_terms(2))}
     seed = {index[t]: Fraction(c)
             for t, c in grading_element(2).terms.items()}
     sub = submodule_generated(m, [seed])

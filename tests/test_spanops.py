@@ -8,7 +8,7 @@ from superw.errors import (IsomorphismUndecidedError, NonBasisElementError,
                            RankMismatchError)
 from superw.glmodules import (gl_conatural, gl_natural, gl_simple, gl_trivial,
                               mixed_weight, weyl_dim)
-from superw.induction import kac_plus
+from superw.induction import kac_minus_truncated, kac_plus
 from superw.linalg import RationalEchelon
 from superw.modules import (FiniteWModule, adjoint_module,
                             check_representation, dual_module, is_simple,
@@ -20,8 +20,8 @@ from superw.spanops import (apply_gen, burnside_full, hom_basis, hom_space,
                             restricted_action, singular_blocks)
 from superw.suite import PAIRS_LE2
 from superw.tensorfields import extract_L_minus_submodule, tensor_field
-from superw.walgebra import (BorelOrder, generating_terms,
-                             nilradical_generating_terms, raising_terms)
+from superw.walgebra import (BorelOrder, generating_terms, raising_terms,
+                             triangular_terms)
 from superw.weights import Weight
 from test_linalg import dense_kernel
 
@@ -42,7 +42,7 @@ def test_closure_from_generator_is_everything():
 def test_singular_lines_of_the_exterior_module():
     m = lambda_module(3)
     b = BorelOrder("natural", 3, "max")
-    sing = singular_blocks(m, nilradical_generating_terms(b))
+    sing = singular_blocks(m, triangular_terms(b)[0])
     weights = {key[0] for key in sing}
     assert weights == {Weight.zero(),
                        Weight(((1, 1), (2, 1), (3, 1)))}
@@ -52,7 +52,7 @@ def test_singular_lines_of_the_exterior_module():
 def test_singular_block_filter():
     m = lambda_module(3)
     b = BorelOrder("natural", 3, "max")
-    sing = singular_blocks(m, nilradical_generating_terms(b),
+    sing = singular_blocks(m, triangular_terms(b)[0],
                            block_filter=lambda key: key[0].is_zero())
     assert {key[0] for key in sing} == {Weight.zero()}
 
@@ -80,7 +80,10 @@ def _span(vecs) -> RationalEchelon:
 def test_singular_vectors_match_all_raising_operators(build, order):
     # singular_vectors applies only a generating subset of the nilradical;
     # the joint kernel over every raising operator is the reference
-    m = build()
+    _assert_same_kernels(build(), order)
+
+
+def _assert_same_kernels(m, order):
     fast = singular_vectors(m, order)
     full = singular_blocks(m, raising_terms(order))
     assert fast.keys() == full.keys()
@@ -90,6 +93,41 @@ def test_singular_vectors_match_all_raising_operators(build, order):
         assert a.dim == b.dim == len(fast[key]) == len(vecs)
         assert all(a.contains(v) for v in vecs)
         assert all(b.contains(v) for v in fast[key])
+
+
+@pytest.mark.parametrize("kind", ["natural", "interleaved"])
+@pytest.mark.parametrize("ext,build", [
+    ("max", lambda kind: kac_plus(gl_simple((1,), (1,), 3, order=kind), 3)),
+    ("max", lambda kind: kac_plus(gl_simple((2,), (1,), 3, order=kind), 3)),
+    ("max", lambda kind: kac_plus(gl_simple((), (1,), 4, order=kind), 4)),
+    ("max", lambda kind: kac_plus(gl_simple((1,), (1,), 4, order=kind), 4)),
+    ("min", lambda kind: kac_minus_truncated(
+        gl_simple((1,), (1,), 4, order=kind), 4, 2)),
+    ("min", lambda kind: kac_minus_truncated(gl_trivial(4), 4, 3)),
+], ids=["K+(1|1)@3", "K+(2|1)@3", "K+(|1)@4", "K+(1|1)@4",
+        "K-(1|1)@4,D=2", "K-(|)@4,D=3"])
+def test_triangular_raising_sets_match_all_raising_operators(ext, build, kind):
+    # the n+1 max terms on upward inductions, and the n min terms on
+    # truncated downward inductions, a genuine module over W_{<=0}, which
+    # holds every min raising term
+    m = build(kind)
+    _assert_same_kernels(m, BorelOrder(kind, m.rank, ext))
+
+
+@pytest.mark.parametrize("lam,mu", [p for p in PAIRS_LE2
+                                    if p[0].length + p[1].length <= 3],
+                         ids=str)
+def test_lowering_closure_matches_the_generated_submodule(lam, mu):
+    # is_simple closes each singular candidate under the n lowering terms;
+    # the closure under the whole algebra's generators is the reference
+    m = kac_plus(gl_simple(lam, mu, 3), 3)
+    b = BorelOrder("natural", 3, "max")
+    _, lowering = triangular_terms(b)
+    cands = [v for vecs in singular_vectors(m, b).values() for v in vecs]
+    assert cands
+    for v in cands:
+        assert (module_closure(m, lowering, [v]).dim
+                == submodule_generated(m, [v]).dim)
 
 
 def test_burnside_detects_simplicity():
@@ -110,7 +148,7 @@ def test_singular_blocks_match_the_dense_kernel(build):
     # every block, also those whose kernel is zero, against dense
     # Gauss-Jordan on the same equations
     m = build()
-    gens = nilradical_generating_terms(BorelOrder("natural", 3, "max"))
+    gens, _ = triangular_terms(BorelOrder("natural", 3, "max"))
     sing = singular_blocks(m, gens)
     zero = 0
     for key, cols in m.weight_blocks().items():
@@ -157,7 +195,7 @@ def test_is_simple_agrees_with_the_operator_span(build):
     assert m.dim <= 96
     verdict = is_simple(m)
     assert verdict.method != "operator-span"
-    assert verdict.simple == burnside_full(m, local_terms(m.rank))
+    assert verdict.simple == burnside_full(m, generating_terms(m.rank))
 
 
 def test_several_generating_singular_lines_mean_not_simple(monkeypatch):
@@ -173,6 +211,10 @@ def test_several_generating_singular_lines_mean_not_simple(monkeypatch):
     other = next(j for j in range(q.dim) if j not in top)
     fake = {key: [top], ("other",): [{other: Fraction(1)}]}
     monkeypatch.setattr(mods, "singular_vectors", lambda m, b: fake)
+    # the fake line is not singular, so it generates only under the whole
+    # algebra, not under the lowering set that a singular line needs
+    monkeypatch.setattr(mods, "triangular_terms",
+                        lambda b: (triangular_terms(b)[0], generating_terms(3)))
     verdict = is_simple(q)
     assert not verdict.simple
     assert verdict.method == "highest-weight" and verdict.witness is None

@@ -16,10 +16,9 @@ from superw.suite import random_homogeneous
 from superw.walgebra import (BorelOrder, WElement, basis_terms, bracket,
                              component_dim, format_welement,
                              generating_terms, graded_jacobi_defect,
-                             grading_element,
-                             nilradical_generating_terms, parity,
-                             parse_welement, raising_terms, term_key,
-                             term_weight, w_apply, z_degree)
+                             grading_element, parity, parse_welement,
+                             raising_terms, term_key, term_weight,
+                             triangular_terms, w_apply, z_degree)
 from superw.weights import Weight
 
 
@@ -182,22 +181,65 @@ def test_bracket_span_is_linear():
     assert ech.dim == 3
 
 
+def spans_exactly(terms, target, n: int) -> bool:
+    ech, index = bracket_span(terms, n)
+    return (ech.dim == len(target)
+            and all(ech.contains({index[t]: 1}) for t in target))
+
+
+def lowering_target(b: BorelOrder) -> list:
+    """n- opposite the max extension: the negative roots plus W_{-1}."""
+    return ([(1 << (j - 1), i) for i, j in b.positive_pairs()]
+            + basis_terms(b.rank, -1))
+
+
 def test_generating_terms_generate_the_nilradical():
-    """Brackets of the generating set span exactly the raising terms."""
-    for kind in ("natural", "interleaved"):
-        for ext in ("min", "max"):
-            b = BorelOrder(kind, 4, ext)
-            ech, index = bracket_span(nilradical_generating_terms(b), 4)
-            raising = set(raising_terms(b))
-            assert ech.dim == len(raising), (kind, ext)
-            assert all(ech.contains({index[t]: 1}) for t in raising), (kind, ext)
+    """Brackets of the raising set span exactly the raising terms, and
+    those of the lowering set the negative roots plus W_{-1}, up to rank 7
+    in both orders and both extensions."""
+    for n in range(1, 8):
+        for kind in ("natural", "interleaved"):
+            for ext in ("min", "max"):
+                b = BorelOrder(kind, n, ext)
+                raising, lowering = triangular_terms(b)
+                assert spans_exactly(raising, raising_terms(b), n), b
+                assert spans_exactly(lowering, lowering_target(b), n), b
+                if n >= 3:
+                    assert len(raising) == n + (ext == "max"), b
+                    assert len(lowering) == n, b
+
+
+@pytest.mark.parametrize("kind", ["natural", "interleaved"])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_triangular_terms_fail_without_any_one_term(n, kind):
+    # each set is minimal, and swapping the extension's extra term, or
+    # d_{sn}, for the opposite end of its string loses generation
+    for ext in ("min", "max"):
+        b = BorelOrder(kind, n, ext)
+        s = b.sequence()
+        raising, lowering = triangular_terms(b)
+        for k in range(len(raising)):
+            assert not spans_exactly(raising[:k] + raising[k + 1:],
+                                     raising_terms(b), n), (ext, k)
+        for k in range(len(lowering)):
+            assert not spans_exactly(lowering[:k] + lowering[k + 1:],
+                                     lowering_target(b), n), (ext, k)
+        wrong = ((0, s[-1]) if ext == "min"
+                 else ((1 << (s[0] - 1)) | (1 << (s[1] - 1)), s[-1]))
+        assert not spans_exactly(raising[:-1] + [wrong], raising_terms(b), n)
+        assert not spans_exactly([(0, s[0])] + lowering[1:],
+                                 lowering_target(b), n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_generating_terms_generate_the_algebra(n):
-    """The bracket span of the set is all n 2^n terms."""
+    """The bracket span of the set is all n 2^n terms; from rank 3 on the
+    set is both triangular sets of the natural max order, lowering first."""
     assert len(generating_terms(n)) == (2 * n + 1 if n >= 3 else n << n)
     assert bracket_span(generating_terms(n), n)[0].dim == n << n
+    if n >= 3:
+        raising, lowering = triangular_terms(BorelOrder("natural", n, "max"))
+        assert generating_terms(n) == lowering + raising
 
 
 def test_format_parse_roundtrip():
