@@ -18,18 +18,17 @@ from .partitions import (Partition, aspartition, lr_coefficient,
 from .grassmann import GrassmannElement, gmul, merge_sign, removal_sign
 from .walgebra import (BorelOrder, WElement, basis_terms, bracket,
                        component_dim, format_welement, graded_jacobi_defect,
-                       parse_welement, w_apply)
-from .glmodules import (SocleReport, decompose, gl_conatural, gl_natural,
-                        gl_simple, gl_trivial, mixed_tensor, schur_module,
-                        verify_socle_identity, weyl_dim)
+                       w_apply)
+from .glmodules import (SocleReport, gl_conatural, gl_natural, gl_simple,
+                        gl_trivial, mixed_tensor, verify_socle_identity,
+                        weyl_dim)
 from .modules import (Character, FiniteWModule, GlModule, SimplicityVerdict,
                       adjoint_module, check_representation, dual_module,
                       is_simple, lambda_module, psi_invariants,
-                      quotient_module, submodule_generated, tensor_module,
-                      trivial_module)
+                      quotient_module, submodule_generated, tensor_module)
 from .spanops import hom_space, iso_check
 from .induction import (Typicality, find_primitive, kac_minus_truncated,
-                        kac_plus, layer_dims, typicality)
+                        kac_plus, typicality)
 from .tensorfields import (DualityReport, coinduction_duality_check,
                            extract_L_minus, tensor_field,
                            tensor_field_simplicity)
@@ -49,17 +48,17 @@ __all__ = [
     "StabilizationReport", "Typicality", "WElement",
     "Weight", "adjoint_module", "aspartition", "basis_terms", "bracket",
     "check_representation", "coinduction_duality_check", "component_dim",
-    "decompose", "dual_module", "extract_L_minus", "find_primitive",
+    "dual_module", "extract_L_minus", "find_primitive",
     "format_welement", "gl_conatural", "gl_iso_check", "gl_natural",
     "gl_simple", "gl_trivial", "gmul", "graded_jacobi_defect", "hom_space",
     "is_simple", "iso_check", "kac_minus_truncated", "kac_plus",
-    "lambda_module", "layer_dims", "lr_coefficient", "merge_sign",
-    "mixed_tensor", "order_sequence", "parse_welement", "partitions_of",
+    "lambda_module", "lr_coefficient", "merge_sign",
+    "mixed_tensor", "order_sequence", "partitions_of",
     "psi_invariants",
     "quotient_module", "removal_sign", "restricted_character", "run_suite",
-    "schur_dim", "schur_module", "socle_layer_mults",
+    "schur_dim", "socle_layer_mults",
     "stabilization_sweep", "stable_highest_weight", "submodule_generated",
     "tensor_field", "tensor_field_simplicity",
-    "tensor_module", "trivial_module", "typicality", "verify_socle_identity",
+    "tensor_module", "typicality", "verify_socle_identity",
     "w_apply", "weyl_dim",
 ]

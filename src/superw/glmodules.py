@@ -26,7 +26,7 @@ from .partitions import (
 )
 from .spanops import module_closure, singular_blocks
 from .walgebra import BorelOrder, Term, raising_terms
-from .weights import Weight, order_sequence
+from .weights import Weight
 
 
 def gl_trivial(n: int) -> GlModule:
@@ -98,20 +98,6 @@ def gl_simple(lam, mu, n: int, order: str = "natural") -> GlModule:
     return out
 
 
-def schur_module(lam, n: int) -> GlModule:
-    """S_lam(V) inside the |lam|-fold tensor power of V."""
-    lam = aspartition(lam)
-    if lam.length > n:
-        raise RankTooSmallError(f"shape {lam} needs rank >= {lam.length}")
-    if lam.size == 0:
-        return gl_trivial(n)
-    amb = mixed_tensor(lam.size, 0, n)
-    hw = Weight.from_dense(lam.parts + (0,) * (n - lam.length))
-    out = cyclic_simple(amb, hw)
-    out.name = f"S_{lam}(V)"
-    return out
-
-
 def weyl_dim(nu, n: int) -> int:
     """Dimension of the simple module with dominant weight nu (dense tuple)."""
     nu = tuple(nu)
@@ -157,17 +143,6 @@ def decompose_character(ch: dict[tuple, int], n: int) -> dict[tuple, int]:
     if any(m < 0 for m in out.values()):
         raise ValueError("character is not a nonnegative sum of simples")
     return {nu: m for nu, m in out.items() if m}
-
-
-def decompose(m: GlModule, order: str = "natural") -> dict[Weight, int]:
-    """Multiplicities of simples in a semisimple module, read off from
-    highest-weight vectors."""
-    sing = singular_blocks(m, raising_terms(BorelOrder(order, m.rank)))
-    seq = order_sequence(order, m.rank)
-    return {key[0]: len(vs)
-            for key, vs in sorted(sing.items(),
-                                  key=lambda kv: kv[0][0].sort_key(seq),
-                                  reverse=True)}
 
 
 def mixed_weight(lam, mu, n: int) -> tuple:

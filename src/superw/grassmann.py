@@ -8,6 +8,7 @@ ints, widening to Fraction only when division appears upstream).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 from typing import Iterable, Mapping, Union
 
@@ -21,34 +22,30 @@ def degree(mono: Monomial) -> int:
     return mono.bit_count()
 
 
+@lru_cache(maxsize=None)
+def inversion_mask(a: Monomial) -> Monomial:
+    """The sign kernel: bit k-1 is set when an odd number of the generators
+    of x^a lie above x_k, so for disjoint a and b the product x^a * x^b is
+    x^(a|b) times (-1)^popcount(inversion_mask(a) & b)."""
+    s = 0
+    while a:
+        low = a & -a
+        s ^= low - 1  # x_low sits above every position below it
+        a ^= low
+    return s
+
+
 def merge_sign(a: Monomial, b: Monomial) -> int:
     """Sign of x^a * x^b relative to the sorted monomial x^(a|b); 0 on overlap."""
     if a & b:
         return 0
-    s = 0
-    bb = b
-    while bb:
-        j = bb & -bb
-        # generators of a above position j must jump over x_j
-        s += (a >> j.bit_length()).bit_count()
-        bb ^= j
-    return -1 if s & 1 else 1
+    return -1 if (inversion_mask(a) & b).bit_count() & 1 else 1
 
 
 def removal_sign(i: int, mono: Monomial) -> int:
     """Sign picked up by the derivation d_i passing to position of x_i."""
     below = mono & ((1 << (i - 1)) - 1)
     return -1 if below.bit_count() & 1 else 1
-
-
-def mask_of(indices: Iterable[int]) -> Monomial:
-    m = 0
-    for i in indices:
-        bit = 1 << (i - 1)
-        if m & bit:
-            raise ValueError(f"repeated index {i}")
-        m |= bit
-    return m
 
 
 def indices_of(mono: Monomial) -> tuple[int, ...]:
@@ -81,20 +78,11 @@ class GrassmannElement:
         self.terms = acc
 
     @classmethod
-    def unit(cls) -> "GrassmannElement":
-        return cls({0: 1})
-
-    @classmethod
-    def zero(cls) -> "GrassmannElement":
-        return cls()
-
-    @classmethod
-    def generator(cls, i: int) -> "GrassmannElement":
-        return cls({1 << (i - 1): 1})
-
-    @classmethod
-    def monomial(cls, indices: Iterable[int], coeff: Coeff = 1) -> "GrassmannElement":
-        return cls({mask_of(indices): coeff})
+    def _of(cls, terms: dict[Monomial, Coeff]) -> "GrassmannElement":
+        """Wrap a dict that already holds no zero coefficient, unchecked."""
+        f = object.__new__(cls)
+        f.terms = terms
+        return f
 
     def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
         out = dict(self.terms)
@@ -104,21 +92,21 @@ class GrassmannElement:
                 out[m] = nc
             else:
                 out.pop(m, None)
-        return GrassmannElement(out)
+        return GrassmannElement._of(out)
 
     def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
         return self + (-other)
 
     def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement({m: -c for m, c in self.terms.items()})
+        return GrassmannElement._of({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "GrassmannElement":
         if isinstance(other, GrassmannElement):
             return gmul(self, other)
         if isinstance(other, Rational):
             if not other:
-                return GrassmannElement()
-            return GrassmannElement({m: c * other for m, c in self.terms.items()})
+                return GrassmannElement._of({})
+            return GrassmannElement._of({m: c * other for m, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other) -> "GrassmannElement":
@@ -150,28 +138,20 @@ class GrassmannElement:
 
 def gmul(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
     out: dict[Monomial, Coeff] = {}
+    gterms = g.terms.items()
     for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            s = merge_sign(a, b)
-            if not s:
+        inv_a = inversion_mask(a)
+        for b, cb in gterms:
+            if a & b:
                 continue
             m = a | b
-            nc = out.get(m, 0) + s * ca * cb
+            c = -ca * cb if (inv_a & b).bit_count() & 1 else ca * cb
+            nc = out.get(m, 0) + c
             if nc:
                 out[m] = nc
             else:
                 out.pop(m, None)
-    return GrassmannElement(out)
-
-
-def apply_partial(i: int, f: GrassmannElement) -> GrassmannElement:
-    """Left partial derivative d_i, an odd derivation with d_i(x_j) = delta_ij."""
-    bit = 1 << (i - 1)
-    out: dict[Monomial, Coeff] = {}
-    for m, c in f.terms.items():
-        if m & bit:
-            out[m ^ bit] = out.get(m ^ bit, 0) + removal_sign(i, m) * c
-    return GrassmannElement(out)
+    return GrassmannElement._of(out)
 
 
 def basis(n: int, k: int | None = None) -> list[Monomial]:
@@ -185,22 +165,6 @@ def format_monomial(mono: Monomial) -> str:
     if mono == 0:
         return "1"
     return "^".join(f"x{i}" for i in indices_of(mono))
-
-
-def parse_monomial(text: str) -> Monomial:
-    text = text.strip()
-    if text == "1":
-        return 0
-    parts = text.split("^")
-    idx = []
-    for p in parts:
-        p = p.strip()
-        if not p.startswith("x"):
-            raise ValueError(f"bad monomial factor {p!r} in {text!r}")
-        idx.append(int(p[1:]))
-    if idx != sorted(idx):
-        raise ValueError(f"monomial indices not ascending in {text!r}")
-    return mask_of(idx)
 
 
 def _format_coeff(c: Coeff) -> str:

@@ -253,17 +253,6 @@ def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
     return mod
 
 
-def layer_dims(m: FiniteWModule) -> dict[int, int]:
-    """Dimension of each induction layer, read off the degree bookkeeping."""
-    t0 = m.meta["base_total"]
-    s = m.meta["layer_sign"]
-    out: dict[int, int] = {}
-    for z in m.zdegs:
-        layer = s * (z - t0)
-        out[layer] = out.get(layer, 0) + 1
-    return dict(sorted(out.items()))
-
-
 @dataclass(frozen=True)
 class Typicality:
     """Whether a one-line weight parametrizes a typical induced module."""

@@ -37,12 +37,6 @@ def vec_axpy(acc: Vec, c, v: Vec) -> None:
             acc.pop(k, None)
 
 
-def vec_scaled(v: Vec, c) -> Vec:
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
-
-
 def vec_mod(v: Vec, p: int) -> Vec:
     out = {}
     for k, x in v.items():

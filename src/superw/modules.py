@@ -123,12 +123,6 @@ class FiniteWModule:
             self._blocks = blocks
         return self._blocks
 
-    def weight_of(self, vec: Vec) -> Weight:
-        ws = {self.weights[j] for j in vec}
-        if len(ws) != 1:
-            raise NonBasisElementError("vector is not weight-homogeneous")
-        return ws.pop()
-
     def character(self) -> "Character":
         entries: dict = {}
         n = self.rank
@@ -161,27 +155,6 @@ class Character:
     def total_dim(self) -> int:
         return sum(self.entries.values())
 
-    def restrict(self) -> dict[tuple, int]:
-        """Forget the z-degree, leaving a plain gl weight character."""
-        out: dict[tuple, int] = {}
-        for (w, _z), m in self.entries.items():
-            out[w] = out.get(w, 0) + m
-        return out
-
-    def convolve(self, other: "Character") -> "Character":
-        if self.rank != other.rank:
-            raise RankMismatchError("character ranks differ")
-        out: dict = {}
-        for (w1, z1), m1 in self.entries.items():
-            for (w2, z2), m2 in other.entries.items():
-                key = (tuple(a + b for a, b in zip(w1, w2)), z1 + z2)
-                nv = out.get(key, 0) + m1 * m2
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
-        return Character(self.rank, out)
-
     def to_json(self) -> str:
         rows = [
             {"weight": list(w), "zdeg": z, "mult": m}
@@ -195,11 +168,6 @@ class Character:
 
 
 # ---------------------------------------------------------------- standard modules
-
-
-def trivial_module(n: int) -> FiniteWModule:
-    return FiniteWModule(n, [Weight.zero()], col_fn=lambda term, j: {},
-                         name="C", labels=["1"])
 
 
 def lambda_module(n: int) -> FiniteWModule:

@@ -267,17 +267,3 @@ def _full_rank(vecs: list[Vec]) -> bool:
     for v in vecs:
         ech.insert(v)
     return ech.dim == len(vecs)
-
-
-def hom_value(phi: dict, vec: Vec) -> Vec:
-    """Apply a hom given as (row2, col1) -> coeff to a vector of m1."""
-    out: Vec = {}
-    for (r2, c1), a in phi.items():
-        x = vec.get(c1)
-        if x:
-            nv = out.get(r2, 0) + a * x
-            if nv:
-                out[r2] = nv
-            else:
-                out.pop(r2, None)
-    return out

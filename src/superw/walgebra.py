@@ -20,7 +20,6 @@ monomial at low rank.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +29,6 @@ from typing import Iterable, Mapping, Union
 
 from .errors import (
     InhomogeneousError,
-    NonBasisElementError,
     RankMismatchError,
 )
 from .grassmann import (
@@ -39,9 +37,7 @@ from .grassmann import (
     Monomial,
     format_monomial,
     indices_of,
-    merge_sign,
-    parse_monomial,
-    removal_sign,
+    inversion_mask,
 )
 from .weights import ORDER_KINDS, Weight, order_sequence
 
@@ -98,12 +94,16 @@ class WElement:
         self.terms = acc
 
     @classmethod
-    def basis_term(cls, rank: int, mask: Monomial, j: int, coeff: Coeff = 1) -> "WElement":
-        return cls(rank, {(mask, j): coeff})
+    def _of(cls, rank: int, terms: dict[Term, Coeff]) -> "WElement":
+        """Wrap a dict of in-range terms with no zero coefficient, unchecked."""
+        x = object.__new__(cls)
+        x.rank = rank
+        x.terms = terms
+        return x
 
     @classmethod
-    def partial(cls, rank: int, j: int) -> "WElement":
-        return cls(rank, {(0, j): 1})
+    def basis_term(cls, rank: int, mask: Monomial, j: int, coeff: Coeff = 1) -> "WElement":
+        return cls(rank, {(mask, j): coeff})
 
     @classmethod
     def matrix_unit(cls, rank: int, i: int, j: int) -> "WElement":
@@ -123,19 +123,19 @@ class WElement:
                 out[t] = nc
             else:
                 out.pop(t, None)
-        return WElement(self.rank, out)
+        return WElement._of(self.rank, out)
 
     def __sub__(self, other: "WElement") -> "WElement":
         return self + (-other)
 
     def __neg__(self) -> "WElement":
-        return WElement(self.rank, {t: -c for t, c in self.terms.items()})
+        return WElement._of(self.rank, {t: -c for t, c in self.terms.items()})
 
     def __mul__(self, other) -> "WElement":
         if isinstance(other, Rational):
             if not other:
-                return WElement(self.rank)
-            return WElement(self.rank, {t: c * other for t, c in self.terms.items()})
+                return WElement._of(self.rank, {})
+            return WElement._of(self.rank, {t: c * other for t, c in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -180,65 +180,70 @@ def component_dim(n: int, k: int) -> int:
 
 def bracket(x: WElement, y: WElement) -> WElement:
     """Superbracket by composition; see the module docstring for the
-    collapsed closed form evaluated here."""
+    collapsed closed form evaluated here, in one pass over the term pairs.
+
+    A hit x^a d_j(x^b) = +-x^rem, rem = b minus x_j, carries the removal
+    sign (popcount of b below x_j) and the merge sign of x^a x^rem, whose
+    parities add, so one popcount of their xor decides it."""
     x._check(y)
     out: dict[Term, Coeff] = {}
-
-    def accumulate(t: Term, c: Coeff):
-        nc = out.get(t, 0) + c
-        if nc:
-            out[t] = nc
-        else:
-            out.pop(t, None)
-
+    yterms = y.terms.items()
     for (a, j), ca in x.terms.items():
-        pa = (a.bit_count() - 1) & 1
-        jbit_a = 1 << (j - 1)
-        for (b, l), cb in y.terms.items():
-            pb = (b.bit_count() - 1) & 1
-            c = ca * cb
-            if b & jbit_a:
-                rem = b ^ jbit_a
-                s = removal_sign(j, b) * merge_sign(a, rem)
-                if s:
-                    accumulate((a | rem, l), s * c)
+        a_even = not a.bit_count() & 1  # x^a d_j is odd
+        jbit = 1 << (j - 1)
+        for (b, l), cb in yterms:
+            if b & jbit:
+                rem = b ^ jbit
+                if not a & rem:
+                    t = (a | rem, l)
+                    c = ca * cb
+                    if ((inversion_mask(a) & rem) ^ (b & (jbit - 1))).bit_count() & 1:
+                        c = -c
+                    nc = out.get(t, 0) + c
+                    if nc:
+                        out[t] = nc
+                    else:
+                        out.pop(t, None)
             lbit = 1 << (l - 1)
             if a & lbit:
                 rem = a ^ lbit
-                s = removal_sign(l, a) * merge_sign(b, rem)
-                if s:
-                    sign = 1 if (pa and pb) else -1
-                    accumulate((b | rem, j), sign * s * c)
-    return WElement(x.rank, out)
+                if not b & rem:
+                    t = (b | rem, j)
+                    c = ca * cb
+                    # -(-1)^{p(x)p(y)} times the hit's sign
+                    odd = ((inversion_mask(b) & rem) ^ (a & (lbit - 1))).bit_count()
+                    if not (odd + (a_even and not b.bit_count() & 1)) & 1:
+                        c = -c
+                    nc = out.get(t, 0) + c
+                    if nc:
+                        out[t] = nc
+                    else:
+                        out.pop(t, None)
+    return WElement._of(x.rank, out)
 
 
 def w_apply(x: WElement, f: GrassmannElement) -> GrassmannElement:
     """Action of a superderivation on a Grassmann element."""
     out: dict[Monomial, Coeff] = {}
+    fterms = f.terms.items()
     for (a, j), c in x.terms.items():
         jbit = 1 << (j - 1)
-        for m, cm in f.terms.items():
+        for m, cm in fterms:
             if not m & jbit:
                 continue
             rem = m ^ jbit
-            s = removal_sign(j, m) * merge_sign(a, rem)
-            if s:
-                key = a | rem
-                nc = out.get(key, 0) + s * c * cm
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
-    return GrassmannElement(out)
-
-
-def z_degree(x: WElement) -> int:
-    if not x.terms:
-        raise InhomogeneousError("zero element has no degree")
-    degs = {term_degree(t) for t in x.terms}
-    if len(degs) != 1:
-        raise InhomogeneousError(f"element mixes degrees {sorted(degs)}")
-    return degs.pop()
+            if a & rem:
+                continue
+            key = a | rem
+            v = c * cm
+            if ((inversion_mask(a) & rem) ^ (m & (jbit - 1))).bit_count() & 1:
+                v = -v
+            nc = out.get(key, 0) + v
+            if nc:
+                out[key] = nc
+            else:
+                out.pop(key, None)
+    return GrassmannElement._of(out)
 
 
 def parity(x: WElement) -> int:
@@ -250,25 +255,21 @@ def parity(x: WElement) -> int:
     return ps.pop()
 
 
-def weight_of(x: WElement) -> Weight:
-    if len(x.terms) != 1:
-        raise NonBasisElementError("weight defined for scalar multiples of basis terms")
-    (t,) = x.terms
-    return term_weight(t)
-
-
 def graded_jacobi_defect(x: WElement, y: WElement, z: WElement, bracket_fn=bracket) -> WElement:
-    """(-1)^{p(x)p(z)}[x,[y,z]] + cyclic; zero exactly when Jacobi holds."""
+    """(-1)^{p(x)p(z)}[x,[y,z]] + cyclic; zero exactly when Jacobi holds.
+    The three signed double brackets are summed into one dict."""
     px, py, pz = parity(x), parity(y), parity(z)
-
-    def sgn(p, q):
-        return -1 if p & q else 1
-
-    return (
-        sgn(px, pz) * bracket_fn(x, bracket_fn(y, z))
-        + sgn(py, px) * bracket_fn(y, bracket_fn(z, x))
-        + sgn(pz, py) * bracket_fn(z, bracket_fn(x, y))
-    )
+    out: dict[Term, Coeff] = {}
+    for odd, w in ((px & pz, bracket_fn(x, bracket_fn(y, z))),
+                   (py & px, bracket_fn(y, bracket_fn(z, x))),
+                   (pz & py, bracket_fn(z, bracket_fn(x, y)))):
+        for t, c in w.terms.items():
+            nc = out.get(t, 0) + (-c if odd else c)
+            if nc:
+                out[t] = nc
+            else:
+                out.pop(t, None)
+    return WElement._of(x.rank, out)
 
 
 @dataclass(frozen=True)
@@ -346,11 +347,6 @@ def generating_terms(n: int) -> list[Term]:
     return lowering + raising
 
 
-_TERM_RE = re.compile(
-    r"^\s*(?P<coeff>[+-]?\d+(?:/\d+)?)?\s*\*?\s*(?P<mono>(?:x\d+(?:\^x\d+)*)?)\s*(?:d(?P<target>\d+))\s*$"
-)
-
-
 def format_welement(x: WElement) -> str:
     if not x.terms:
         return "0"
@@ -364,47 +360,3 @@ def format_welement(x: WElement) -> str:
         parts.append(("- " if c < 0 else "+ ") + body)
     s = " ".join(parts)
     return s[2:] if s.startswith("+ ") else "-" + s[2:]
-
-
-def parse_welement(text: str, rank: int) -> WElement:
-    """Parse e.g. "x1^x3 d2", "3/2*x1 d2 - d1"."""
-    text = text.strip()
-    if text in ("", "0"):
-        return WElement(rank)
-    # split into signed chunks at top level
-    chunks: list[str] = []
-    buf = ""
-    for tok in re.split(r"\s+", text):
-        if tok in ("+", "-"):
-            if buf:
-                chunks.append(buf)
-            buf = "" if tok == "+" else "-"
-        else:
-            buf = f"{buf} {tok}".strip() if buf not in ("", "-") else buf + tok
-    if buf:
-        chunks.append(buf)
-    terms: dict[Term, Coeff] = {}
-    for chunk in chunks:
-        neg = chunk.startswith("-")
-        if neg:
-            chunk = chunk[1:].strip()
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise ValueError(f"cannot parse term {chunk!r}")
-        coeff: Coeff = 1
-        if m.group("coeff"):
-            coeff = Fraction(m.group("coeff"))
-            if coeff.denominator == 1:
-                coeff = int(coeff)
-        mono = parse_monomial(m.group("mono")) if m.group("mono") else 0
-        j = int(m.group("target"))
-        t = (mono, j)
-        c = -coeff if neg else coeff
-        terms[t] = terms.get(t, 0) + c
-    return WElement(rank, terms)
-
-
-def grading_element(n: int) -> WElement:
-    """The diagonal element sum_i x_i d_i; its eigenvalue on a weight
-    vector is the sum of its weight coordinates."""
-    return WElement(n, {((1 << (i - 1)), i): 1 for i in range(1, n + 1)})

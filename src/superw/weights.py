@@ -89,9 +89,6 @@ class Weight:
     def max_index(self) -> int:
         return self._items[-1][0] if self._items else 0
 
-    def is_zero(self) -> bool:
-        return not self._items
-
     def __bool__(self) -> bool:
         return bool(self._items)
 
@@ -100,10 +97,6 @@ class Weight:
 
     def __hash__(self) -> int:
         return hash(self._items)
-
-    def sort_key(self, order: list[int]) -> tuple[int, ...]:
-        """Coordinates read along the given index order, for lex comparisons."""
-        return tuple(self[i] for i in order)
 
     def dense(self, n: int) -> tuple[int, ...]:
         if self.max_index() > n:
@@ -116,10 +109,6 @@ class Weight:
 
     def to_json(self) -> dict[str, int]:
         return {str(i): c for i, c in self._items}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, int]) -> "Weight":
-        return cls(tuple((int(i), int(c)) for i, c in data.items()))
 
     def __str__(self) -> str:
         if not self._items:

@@ -1,0 +1,230 @@
+"""Functions that only the tests call, kept out of the library.
+
+Each was a library name whose only callers were tests: constructors and
+parsers the tests build inputs with, and small readers the tests check
+results with.  They are written against the library's public types.
+"""
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+from typing import Iterable
+
+from superw.errors import (InhomogeneousError, NonBasisElementError,
+                           RankMismatchError, RankTooSmallError)
+from superw.glmodules import cyclic_simple, gl_trivial, mixed_tensor
+from superw.grassmann import Coeff, GrassmannElement, Monomial, removal_sign
+from superw.linalg import Vec
+from superw.modules import Character, FiniteWModule, GlModule
+from superw.partitions import aspartition
+from superw.spanops import singular_blocks
+from superw.walgebra import (BorelOrder, Term, WElement, raising_terms,
+                             term_degree)
+from superw.weights import Weight, order_sequence
+
+
+# ------------------------------------------------------------- grassmann
+
+def mask_of(indices: Iterable[int]) -> Monomial:
+    m = 0
+    for i in indices:
+        bit = 1 << (i - 1)
+        if m & bit:
+            raise ValueError(f"repeated index {i}")
+        m |= bit
+    return m
+
+
+def parse_monomial(text: str) -> Monomial:
+    text = text.strip()
+    if text == "1":
+        return 0
+    parts = text.split("^")
+    idx = []
+    for p in parts:
+        p = p.strip()
+        if not p.startswith("x"):
+            raise ValueError(f"bad monomial factor {p!r} in {text!r}")
+        idx.append(int(p[1:]))
+    if idx != sorted(idx):
+        raise ValueError(f"monomial indices not ascending in {text!r}")
+    return mask_of(idx)
+
+
+def generator(i: int) -> GrassmannElement:
+    return GrassmannElement({1 << (i - 1): 1})
+
+
+def apply_partial(i: int, f: GrassmannElement) -> GrassmannElement:
+    """Left partial derivative d_i, an odd derivation with d_i(x_j) = delta_ij."""
+    bit = 1 << (i - 1)
+    out: dict[Monomial, Coeff] = {}
+    for m, c in f.terms.items():
+        if m & bit:
+            out[m ^ bit] = out.get(m ^ bit, 0) + removal_sign(i, m) * c
+    return GrassmannElement(out)
+
+
+# -------------------------------------------------------------- walgebra
+
+def partial(rank: int, j: int) -> WElement:
+    return WElement(rank, {(0, j): 1})
+
+
+def z_degree(x: WElement) -> int:
+    if not x.terms:
+        raise InhomogeneousError("zero element has no degree")
+    degs = {term_degree(t) for t in x.terms}
+    if len(degs) != 1:
+        raise InhomogeneousError(f"element mixes degrees {sorted(degs)}")
+    return degs.pop()
+
+
+def grading_element(n: int) -> WElement:
+    """The diagonal element sum_i x_i d_i; its eigenvalue on a weight
+    vector is the sum of its weight coordinates."""
+    return WElement(n, {((1 << (i - 1)), i): 1 for i in range(1, n + 1)})
+
+
+_TERM_RE = re.compile(
+    r"^\s*(?P<coeff>[+-]?\d+(?:/\d+)?)?\s*\*?\s*(?P<mono>(?:x\d+(?:\^x\d+)*)?)\s*(?:d(?P<target>\d+))\s*$"
+)
+
+
+def parse_welement(text: str, rank: int) -> WElement:
+    """Parse e.g. "x1^x3 d2", "3/2*x1 d2 - d1"."""
+    text = text.strip()
+    if text in ("", "0"):
+        return WElement(rank)
+    # split into signed chunks at top level
+    chunks: list[str] = []
+    buf = ""
+    for tok in re.split(r"\s+", text):
+        if tok in ("+", "-"):
+            if buf:
+                chunks.append(buf)
+            buf = "" if tok == "+" else "-"
+        else:
+            buf = f"{buf} {tok}".strip() if buf not in ("", "-") else buf + tok
+    if buf:
+        chunks.append(buf)
+    terms: dict[Term, Coeff] = {}
+    for chunk in chunks:
+        neg = chunk.startswith("-")
+        if neg:
+            chunk = chunk[1:].strip()
+        m = _TERM_RE.match(chunk)
+        if not m:
+            raise ValueError(f"cannot parse term {chunk!r}")
+        coeff: Coeff = 1
+        if m.group("coeff"):
+            coeff = Fraction(m.group("coeff"))
+            if coeff.denominator == 1:
+                coeff = int(coeff)
+        mono = parse_monomial(m.group("mono")) if m.group("mono") else 0
+        j = int(m.group("target"))
+        t = (mono, j)
+        c = -coeff if neg else coeff
+        terms[t] = terms.get(t, 0) + c
+    return WElement(rank, terms)
+
+
+# --------------------------------------------------------------- linalg
+
+def vec_scaled(v: Vec, c) -> Vec:
+    if not c:
+        return {}
+    return {k: c * x for k, x in v.items()}
+
+
+# -------------------------------------------------------------- modules
+
+def trivial_module(n: int) -> FiniteWModule:
+    return FiniteWModule(n, [Weight.zero()], col_fn=lambda term, j: {},
+                         name="C", labels=["1"])
+
+
+def weight_of(m: FiniteWModule, vec: Vec) -> Weight:
+    ws = {m.weights[j] for j in vec}
+    if len(ws) != 1:
+        raise NonBasisElementError("vector is not weight-homogeneous")
+    return ws.pop()
+
+
+def restrict(ch: Character) -> dict[tuple, int]:
+    """Forget the z-degree, leaving a plain gl weight character."""
+    out: dict[tuple, int] = {}
+    for (w, _z), m in ch.entries.items():
+        out[w] = out.get(w, 0) + m
+    return out
+
+
+def convolve(a: Character, b: Character) -> Character:
+    if a.rank != b.rank:
+        raise RankMismatchError("character ranks differ")
+    out: dict = {}
+    for (w1, z1), m1 in a.entries.items():
+        for (w2, z2), m2 in b.entries.items():
+            key = (tuple(x + y for x, y in zip(w1, w2)), z1 + z2)
+            nv = out.get(key, 0) + m1 * m2
+            if nv:
+                out[key] = nv
+            else:
+                out.pop(key, None)
+    return Character(a.rank, out)
+
+
+# -------------------------------------------------------------- spanops
+
+def hom_value(phi: dict, vec: Vec) -> Vec:
+    """Apply a hom given as (row2, col1) -> coeff to a vector of m1."""
+    out: Vec = {}
+    for (r2, c1), a in phi.items():
+        x = vec.get(c1)
+        if x:
+            nv = out.get(r2, 0) + a * x
+            if nv:
+                out[r2] = nv
+            else:
+                out.pop(r2, None)
+    return out
+
+
+# ------------------------------------------------------------ glmodules
+
+def schur_module(lam, n: int) -> GlModule:
+    """S_lam(V) inside the |lam|-fold tensor power of V."""
+    lam = aspartition(lam)
+    if lam.length > n:
+        raise RankTooSmallError(f"shape {lam} needs rank >= {lam.length}")
+    if lam.size == 0:
+        return gl_trivial(n)
+    amb = mixed_tensor(lam.size, 0, n)
+    hw = Weight.from_dense(lam.parts + (0,) * (n - lam.length))
+    out = cyclic_simple(amb, hw)
+    out.name = f"S_{lam}(V)"
+    return out
+
+
+def decompose(m: GlModule, order: str = "natural") -> dict[Weight, int]:
+    """Multiplicities of simples in a semisimple module, read off from
+    highest-weight vectors."""
+    sing = singular_blocks(m, raising_terms(BorelOrder(order, m.rank)))
+    seq = order_sequence(order, m.rank)
+    return {key[0]: len(vs)
+            for key, vs in sorted(sing.items(),
+                                  key=lambda kv: tuple(kv[0][0][i] for i in seq),
+                                  reverse=True)}
+
+
+# ------------------------------------------------------------ induction
+
+def layer_dims(m: FiniteWModule) -> dict[int, int]:
+    """Dimension of each induction layer, read off the degree bookkeeping."""
+    t0 = m.meta["base_total"]
+    s = m.meta["layer_sign"]
+    out: dict[int, int] = {}
+    for z in m.zdegs:
+        layer = s * (z - t0)
+        out[layer] = out.get(layer, 0) + 1
+    return dict(sorted(out.items()))

@@ -7,9 +7,9 @@ from itertools import product
 import pytest
 
 from superw.errors import RankTooSmallError
-from superw.glmodules import (decompose, decompose_character, gl_conatural,
-                              gl_natural, gl_simple, gl_trivial, mixed_tensor,
-                              schur_module, verify_socle_identity, weyl_dim)
+from superw.glmodules import (decompose_character, gl_conatural,
+                              gl_natural, gl_simple, mixed_tensor,
+                              verify_socle_identity, weyl_dim)
 from superw.modules import (GlModule, check_representation, dual_module,
                             lambda_module, local_terms, tensor_module)
 from superw.partitions import (Partition, partitions_of, schur_dim,
@@ -19,6 +19,8 @@ from superw.spanops import (iso_check, module_closure, restricted_action,
                             singular_blocks)
 from superw.walgebra import basis_terms
 from superw.weights import Weight, order_sequence
+
+from helpers import decompose, restrict, schur_module
 
 
 # ---------------------------------------------------------------- peeling oracle
@@ -94,7 +96,7 @@ def test_weyl_fold_matches_peeling(lam, mu):
 
 
 def test_decompose_character_of_mixed_tensor():
-    ch = mixed_tensor(1, 1, 3).character().restrict()
+    ch = restrict(mixed_tensor(1, 1, 3).character())
     assert decompose_character(ch, 3) == {(1, 0, -1): 1, (0, 0, 0): 1}
 
 

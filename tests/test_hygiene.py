@@ -2,8 +2,9 @@
 function takes a retired tuning option, the mod-p modulus and the mod-p
 echelon stay inside the two oracles built on them, no library function
 calls a test oracle, only the bracket check reads the three lowest
-degrees, only the two seeded property samplers draw random numbers, and
-only ``modules.py`` defines a class with action columns.
+degrees, only the two seeded property samplers draw random numbers,
+only ``modules.py`` defines a class with action columns, and every
+library function has a caller outside the tests.
 
 Stdlib ``ast`` scans, so the checks need no linter.  The package's
 ``__init__.py`` is exempt from the import scan, since its imports are its
@@ -11,12 +12,16 @@ public surface.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "superw"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "superw"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # options that no caller set; the library fixes their values instead
 RETIRED_PARAMS = {"prime", "max_steps", "burnside_threshold", "generating_only"}
@@ -356,3 +361,119 @@ def test_scan_flags_the_eager_gl_module():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_module_class_builds_columns(path):
     assert column_classes(path.read_text()) == COLUMN_CLASSES.get(path.name, [])
+
+
+def library_functions(source: str) -> list[str]:
+    """Module-level functions and the methods of module-level classes, as
+    ``f`` or ``Class.method``; dunder methods are called by the language."""
+    out = []
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(top.name)
+        elif isinstance(top, ast.ClassDef):
+            out += [f"{top.name}.{f.name}" for f in top.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (f.name.startswith("__") and f.name.endswith("__"))]
+    return out
+
+
+def references(source: str, strings: bool = False) -> set[str]:
+    """Names read, bare or as an attribute, outside a definition of the same
+    name, so recursion is no caller.  With strings, identifier-like string
+    constants count too: the benchmark's tracer patches functions it names."""
+    out = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.update({node.id} - enclosing)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.update({node.attr} - enclosing)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.isidentifier()):
+            out.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return out
+
+
+def uncalled(library: list[str], callers: set[str]) -> list[str]:
+    """Library functions and methods whose name no caller reads.  Methods
+    match by name alone, so one that shares its name with a called function
+    passes: the scan is a floor, not a proof."""
+    return [f for f in library if f.rsplit(".", 1)[-1] not in callers]
+
+
+def exported_names() -> set[str]:
+    """The names in the package's ``__all__``."""
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def readme_code_names(text: str) -> set[str]:
+    """Identifiers in the README's code: fenced blocks and inline spans."""
+    code = re.findall(r"```.*?```", text, re.S)
+    code += re.findall(r"`[^`\n]+`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+# a module whose functions only a test calls, beside ones the library uses
+TEST_ONLY_FUNCTIONS = """
+def public_entry(x):
+    return _helper(x) + Counter().tally()
+
+def _helper(x):
+    return x
+
+def grading_element(n):
+    return grading_element(n - 1) if n else None
+
+class Counter:
+    def tally(self):
+        return self._step()
+
+    def _step(self):
+        return 1
+
+    def restrict(self):
+        return self
+
+    def __repr__(self):
+        return "Counter"
+"""
+
+
+def test_scan_flags_a_test_only_function():
+    library = library_functions(TEST_ONLY_FUNCTIONS)
+    callers = references(TEST_ONLY_FUNCTIONS)
+    assert uncalled(library, callers) == [
+        "public_entry", "grading_element", "Counter.restrict"]
+    # an __all__ entry that the README shows counts as called
+    assert uncalled(library, callers | {"public_entry"}) == [
+        "grading_element", "Counter.restrict"]
+    assert "grading_element" in references(
+        "def f():\n    return grading_element(3)\n")
+    traced = 'TRACED = [("modules", "restrict")]\n'
+    assert "restrict" not in references(traced)
+    assert "restrict" in references(traced, strings=True)
+    assert readme_code_names(
+        "use `kac_plus(x)` and\n```\nsuperw check\n```\nbracket") == {
+        "kac_plus", "x", "superw", "check"}
+
+
+def test_every_library_function_has_a_caller_outside_the_tests():
+    """A library function or method needs a caller in the library, the
+    scripts or the benchmark, or an ``__all__`` entry that the README
+    shows; one that only tests call belongs in ``tests/helpers.py``."""
+    callers = set().union(
+        *(references(p.read_text()) for p in MODULES + SCRIPTS),
+        *(references(p.read_text(), strings=True) for p in PERFBENCH))
+    callers |= exported_names() & readme_code_names((ROOT / "README.md").read_text())
+    library = [f"{p.stem}.{f}" for p in MODULES for f in library_functions(p.read_text())]
+    assert uncalled(library, callers) == []

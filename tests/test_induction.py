@@ -9,13 +9,15 @@ from fractions import Fraction
 
 from superw.glmodules import gl_natural, gl_simple, gl_trivial
 from superw.induction import (find_primitive, kac_minus_truncated, kac_plus,
-                              layer_dims, typicality)
+                              typicality)
 from superw.modules import (check_representation, is_simple, local_terms,
                             submodule_generated)
-from superw.spanops import hom_space, hom_value
+from superw.spanops import hom_space
 from superw.suite import PAIRS_LE2
-from superw.walgebra import BorelOrder, grading_element, term_degree
+from superw.walgebra import BorelOrder, term_degree
 from superw.weights import Weight
+
+from helpers import grading_element, hom_value, layer_dims
 
 
 def test_kac_plus_of_trivial_base():

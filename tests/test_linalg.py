@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superw.linalg import (ModPEchelon, RationalEchelon, kernel_basis,
-                           rank_mod_p, vec_axpy, vec_mod, vec_scaled)
+                           rank_mod_p, vec_axpy, vec_mod)
+
+from helpers import vec_scaled
 
 
 def dense_rref(rows, ncols):

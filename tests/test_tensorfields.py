@@ -10,6 +10,8 @@ from superw.tensorfields import (coinduction_duality_check, extract_L_minus,
                                  tensor_field, tensor_field_simplicity)
 from superw.weights import Weight
 
+from helpers import convolve
+
 
 def test_tensor_field_satisfies_the_bracket_relation():
     for n in (2, 3):
@@ -70,8 +72,8 @@ def test_mixed_pair_character_sits_under_the_product(n):
     # multiplication Lambda/C (x) W -> L((1)|(1)) is onto, so the character
     # of the target is dominated by the convolution
     a = extract_L_minus((1,), (1,), n).character()
-    conv = extract_L_minus((1,), (), n).character().convolve(
-        extract_L_minus((), (1,), n).character())
+    conv = convolve(extract_L_minus((1,), (), n).character(),
+                    extract_L_minus((), (1,), n).character())
     assert all(conv.entries.get(k, 0) >= v for k, v in a.entries.items())
 
 

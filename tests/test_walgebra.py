@@ -6,20 +6,23 @@ of the results, so a sign slip in either route cannot hide.
 """
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from superw.grassmann import GrassmannElement
+from superw.errors import RankMismatchError
+from superw.grassmann import GrassmannElement, merge_sign, removal_sign
 from superw.linalg import RationalEchelon
-from superw.suite import random_homogeneous
+from superw.suite import jacobi_failures, random_homogeneous, sign_bugged_bracket
 from superw.walgebra import (BorelOrder, WElement, basis_terms, bracket,
                              component_dim, format_welement,
-                             generating_terms, graded_jacobi_defect,
-                             grading_element, parity, parse_welement,
+                             generating_terms, graded_jacobi_defect, parity,
                              raising_terms, term_key, term_weight,
-                             triangular_terms, w_apply, z_degree)
+                             triangular_terms, w_apply)
 from superw.weights import Weight
+
+from helpers import grading_element, parse_welement, partial, z_degree
 
 
 def composition_bracket_action(x, y, f):
@@ -54,6 +57,127 @@ def test_jacobi_on_seeded_triples():
     for _ in range(300):
         x, y, z = (random_homogeneous(rng, 3) for _ in range(3))
         assert not graded_jacobi_defect(x, y, z).terms
+
+
+def bracket_oracle(x, y):
+    """The bracket as it stood before the flat kernel: the same closed form
+    through the merge and removal signs, each hit accumulated by a closure,
+    and the result rebuilt by the validating constructor."""
+    x._check(y)
+    out = {}
+
+    def accumulate(t, c):
+        nc = out.get(t, 0) + c
+        if nc:
+            out[t] = nc
+        else:
+            out.pop(t, None)
+
+    for (a, j), ca in x.terms.items():
+        pa = (a.bit_count() - 1) & 1
+        jbit_a = 1 << (j - 1)
+        for (b, l), cb in y.terms.items():
+            pb = (b.bit_count() - 1) & 1
+            c = ca * cb
+            if b & jbit_a:
+                rem = b ^ jbit_a
+                s = removal_sign(j, b) * merge_sign(a, rem)
+                if s:
+                    accumulate((a | rem, l), s * c)
+            lbit = 1 << (l - 1)
+            if a & lbit:
+                rem = a ^ lbit
+                s = removal_sign(l, a) * merge_sign(b, rem)
+                if s:
+                    sign = 1 if (pa and pb) else -1
+                    accumulate((b | rem, j), sign * s * c)
+    return WElement(x.rank, out)
+
+
+def jacobi_defect_oracle(x, y, z, bracket_fn=bracket_oracle):
+    """The defect as it stood: three signed double brackets added as
+    elements."""
+    px, py, pz = parity(x), parity(y), parity(z)
+
+    def sgn(p, q):
+        return -1 if p & q else 1
+
+    return (
+        sgn(px, pz) * bracket_fn(x, bracket_fn(y, z))
+        + sgn(py, px) * bracket_fn(y, bracket_fn(z, x))
+        + sgn(pz, py) * bracket_fn(z, bracket_fn(x, y))
+    )
+
+
+def same(a, b):
+    """Equal terms in the same insertion order: K+ columns read the order
+    of bracket results."""
+    return a.rank == b.rank and list(a.terms.items()) == list(b.terms.items())
+
+
+def random_sum(rng, n):
+    """A sum of homogeneous elements of mixed degrees, with fractions."""
+    x = random_homogeneous(rng, n)
+    for _ in range(rng.randint(0, 2)):
+        x = x + Fraction(rng.randint(1, 5), rng.randint(1, 3)) * random_homogeneous(rng, n)
+    return x
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bracket_matches_the_oracle_on_every_basis_pair(n):
+    elems = [WElement(n, {t: 1}) for t in basis_terms(n)]
+    for x in elems:
+        for y in elems:
+            assert same(bracket(x, y), bracket_oracle(x, y))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_bracket_matches_the_oracle_on_random_and_nested_brackets(n):
+    rng = random.Random(100 + n)
+    for _ in range(300):
+        x, y, z = (random_sum(rng, n) for _ in range(3))
+        yz = bracket_oracle(y, z)
+        assert same(bracket(y, z), yz)
+        assert same(bracket(x, yz), bracket_oracle(x, yz))
+        assert same(bracket(yz, x), bracket_oracle(yz, x))
+        assert same(bracket(bracket(x, yz), yz), bracket_oracle(bracket_oracle(x, yz), yz))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_jacobi_defect_matches_the_oracle(n):
+    rng = random.Random(200 + n)
+    for _ in range(300):
+        x, y, z = (random_homogeneous(rng, n) for _ in range(3))
+        for br in (bracket, bracket_oracle, sign_bugged_bracket):
+            assert same(graded_jacobi_defect(x, y, z, bracket_fn=br),
+                        jacobi_defect_oracle(x, y, z, bracket_fn=br))
+
+
+def test_results_survive_the_validating_constructor():
+    """Every result built without validation holds only in-range terms
+    with nonzero coefficients, in the order the constructor keeps."""
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.choice((3, 5, 6))
+        x, y, z = (random_homogeneous(rng, n) for _ in range(3))
+        q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for out in (bracket(x, y), bracket(x, bracket(y, z)), x + y, x + (-x),
+                    x - y, -x, q * x, x * q, 0 * x,
+                    graded_jacobi_defect(x, y, z),
+                    graded_jacobi_defect(x, y, z, bracket_fn=sign_bugged_bracket)):
+            assert all(out.terms.values())
+            assert same(WElement(out.rank, out.terms), out)
+
+
+def test_rank_mismatch_still_raises():
+    x, y = WElement(3, {(0, 1): 1}), WElement(4, {(0b11, 1): 1})
+    for op in (bracket, WElement.__add__, WElement.__sub__):
+        with pytest.raises(RankMismatchError):
+            op(x, y)
+
+
+def test_sign_bug_is_still_caught():
+    assert jacobi_failures(4, 200, bracket_fn=sign_bugged_bracket, limit=1)
 
 
 def test_component_dims():
@@ -113,7 +237,7 @@ def test_degree_zero_is_matrix_algebra():
     h = bracket(e12, e21)
     assert h.terms == {(0b001, 1): 1, (0b010, 2): -1}
     # partial against a quadratic coefficient
-    d1 = WElement.partial(3, 1)
+    d1 = partial(3, 1)
     q = WElement.basis_term(3, 0b011, 1)
     assert bracket(d1, q).terms == {(0b010, 1): 1}
 
