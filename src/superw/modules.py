@@ -28,7 +28,8 @@ from .grassmann import (
     indices_of,
 )
 from .linalg import RationalEchelon, Vec, vec_axpy
-from .spanops import apply_gen, module_closure, restricted_action, singular_blocks
+from .spanops import (apply_gen, block_index, module_closure, restricted_action,
+                      singular_blocks)
 from .walgebra import (
     BorelOrder,
     Term,
@@ -281,8 +282,20 @@ class Submodule:
 
 def submodule_generated(m: FiniteWModule, seeds: Iterable[Vec]) -> Submodule:
     """Smallest invariant subspace containing the seeds, closed exactly
-    under ``m.gen_keys()``, which generate the algebra."""
-    return Submodule(parent=m, echelon=module_closure(m, m.gen_keys(), seeds))
+    under ``m.gen_keys()``, which generate the algebra.
+
+    That algebra contains the Cartan, so the closure of a vector is the
+    closure of its weight components: each seed is split into them, in the
+    order its support first meets their blocks, before the closure."""
+    block_of = block_index(m)
+    parts: list[Vec] = []
+    for s in seeds:
+        comps: dict = {}
+        for j, x in s.items():
+            if x:
+                comps.setdefault(block_of[j], {})[j] = x
+        parts.extend(comps.values())
+    return Submodule(parent=m, echelon=module_closure(m, m.gen_keys(), parts))
 
 
 def restrict_module(m: FiniteWModule, ech: RationalEchelon, name: str = "") -> FiniteWModule:

@@ -18,6 +18,11 @@ joint kernel, the hom space and the isomorphism check live here, with the
 operator span as the tests' oracle; the builder files keep only their
 builders.
 
+Closures rely on that homogeneity and take weight vectors as seeds: every
+span they build is then a sum of its weight-block pieces, so they count
+the free dimensions of each block and apply no generator into a block the
+span already fills.
+
 The isomorphism check is exact and draws no random number: two modules
 are isomorphic when some basis map of their hom space is invertible on
 every weight block, and are not when none is and the hom space has
@@ -48,24 +53,60 @@ def apply_gen(m, gen, vec: Vec) -> Vec:
     return out
 
 
+def block_index(m) -> list[int]:
+    """The position, in ``m.weight_blocks()`` order, of each basis vector's
+    block."""
+    block_of = [0] * m.dim
+    for b, cols in enumerate(m.weight_blocks().values()):
+        for j in cols:
+            block_of[j] = b
+    return block_of
+
+
 def module_closure(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
     """Smallest span containing the seeds and stable under the generator
-    operators, exactly."""
+    operators, exactly.
+
+    Every seed must be a weight vector, one whose support lies in a single
+    weight block, else NonBasisElementError.  The generators are
+    block-homogeneous, so every echelon row stays inside one block, and
+    once a block holds as many rows as its dimension every image landing
+    in it reduces to zero.  The closure learns the target block of each
+    (block, generator) pair from its first nonzero image.  It inserts no
+    image into a full block, applies no generator whose known target is
+    full, and stops once the span is everything.  Only inserts that could
+    change nothing are skipped, so the rows, their order and their items
+    are those of applying every generator to every row."""
+    block_of = block_index(m)
+    free = [len(cols) for cols in m.weight_blocks().values()]
+    targets: list[dict] = [{} for _ in free]  # block -> gen -> target block
     ech = RationalEchelon()
-    queue: list = []
+    queue: list = []  # pivots of rows still to apply the generators to
     for s in seeds:
+        if len({block_of[j] for j, x in s.items() if x}) > 1:
+            raise NonBasisElementError("closure seed mixes weight blocks")
         piv = ech.insert(s)
         if piv is not None:
-            queue.append(ech.rows[piv])
-    while queue:
-        v = queue.pop()
+            free[block_of[piv]] -= 1
+            queue.append(piv)
+    while queue and ech.dim < m.dim:
+        p = queue.pop()
+        v, to = ech.rows[p], targets[block_of[p]]
         for g in gen_keys:
+            t = to.get(g)
+            if t is not None and not free[t]:
+                continue
             w = apply_gen(m, g, v)
             if not w:
                 continue
+            if t is None:
+                t = to[g] = block_of[next(iter(w))]
+                if not free[t]:
+                    continue
             piv = ech.insert(w)
             if piv is not None:
-                queue.append(ech.rows[piv])
+                free[t] -= 1
+                queue.append(piv)
     return ech
 
 

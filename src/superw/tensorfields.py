@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NonBasisElementError, RankMismatchError
 from .glmodules import gl_simple
-from .grassmann import indices_of, merge_sign, removal_sign
+from .grassmann import indices_of, inversion_mask
 from .induction import kac_plus
 from .linalg import Vec
 from .modules import (
@@ -53,10 +53,12 @@ def tensor_field(x: GlModule, n: int) -> FiniteWModule:
         a, tj = term
         out: Vec = {}
         bitj = 1 << (tj - 1)
+        # a hit's removal and merge signs are one popcount, as in bracket
         if f & bitj:
-            s = removal_sign(tj, f) * merge_sign(a, f ^ bitj)
-            if s:
-                out[(a | (f ^ bitj)) * dx + v] = s
+            rem = f ^ bitj
+            if not a & rem:
+                odd = ((inversion_mask(a) & rem) ^ (f & (bitj - 1))).bit_count() & 1
+                out[(a | rem) * dx + v] = -1 if odd else 1
         # the parity sign on the contraction term is what makes the bracket
         # relation close; the representation check pins it uniquely
         sgn = -1 if term_parity(term) else 1
@@ -64,12 +66,12 @@ def tensor_field(x: GlModule, n: int) -> FiniteWModule:
         while rest_bits:
             bit = rest_bits & -rest_bits
             rest_bits ^= bit
-            i = bit.bit_length()
-            ms = merge_sign(a ^ bit, f)
-            if not ms:
+            rest = a ^ bit
+            if rest & f:
                 continue
-            c0 = sgn * removal_sign(i, a) * ms
-            base = ((a ^ bit) | f) * dx
+            odd = ((inversion_mask(rest) & f) ^ (a & (bit - 1))).bit_count() & 1
+            c0 = -sgn if odd else sgn
+            base = (rest | f) * dx
             for r, c in x.column((bit, tj), v).items():
                 key = base + r
                 nv = out.get(key, 0) + c0 * c

@@ -1,8 +1,10 @@
 """Functions that only the tests call, kept out of the library.
 
 Each was a library name whose only callers were tests: constructors and
-parsers the tests build inputs with, and small readers the tests check
-results with.  They are written against the library's public types.
+parsers the tests build inputs with, small readers the tests check
+results with, and slower paths that a faster one replaced, kept as the
+oracles the tests compare it against.  They are written against the
+library's public types.
 """
 from __future__ import annotations
 
@@ -13,13 +15,14 @@ from typing import Iterable
 from superw.errors import (InhomogeneousError, NonBasisElementError,
                            RankMismatchError, RankTooSmallError)
 from superw.glmodules import cyclic_simple, gl_trivial, mixed_tensor
-from superw.grassmann import Coeff, GrassmannElement, Monomial, removal_sign
-from superw.linalg import Vec
+from superw.grassmann import (Coeff, GrassmannElement, Monomial, indices_of,
+                              merge_sign, removal_sign)
+from superw.linalg import RationalEchelon, Vec
 from superw.modules import Character, FiniteWModule, GlModule
 from superw.partitions import aspartition
-from superw.spanops import singular_blocks
+from superw.spanops import apply_gen, singular_blocks
 from superw.walgebra import (BorelOrder, Term, WElement, raising_terms,
-                             term_degree)
+                             term_degree, term_parity)
 from superw.weights import Weight, order_sequence
 
 
@@ -190,6 +193,28 @@ def hom_value(phi: dict, vec: Vec) -> Vec:
     return out
 
 
+def closure_oracle(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
+    """``module_closure`` as it stood before it skipped full weight blocks:
+    every generator is applied to every new row and every nonzero image is
+    inserted.  It takes any seed, weight vector or not."""
+    ech = RationalEchelon()
+    queue: list = []
+    for s in seeds:
+        piv = ech.insert(s)
+        if piv is not None:
+            queue.append(ech.rows[piv])
+    while queue:
+        v = queue.pop()
+        for g in gen_keys:
+            w = apply_gen(m, g, v)
+            if not w:
+                continue
+            piv = ech.insert(w)
+            if piv is not None:
+                queue.append(ech.rows[piv])
+    return ech
+
+
 # ------------------------------------------------------------ glmodules
 
 def schur_module(lam, n: int) -> GlModule:
@@ -228,3 +253,44 @@ def layer_dims(m: FiniteWModule) -> dict[int, int]:
         layer = s * (z - t0)
         out[layer] = out.get(layer, 0) + 1
     return dict(sorted(out.items()))
+
+
+# --------------------------------------------------------- tensorfields
+
+def tensor_field_oracle(x: GlModule, n: int) -> FiniteWModule:
+    """``tensor_field`` as it stood before one popcount per sign: each
+    hit's sign is ``removal_sign`` times ``merge_sign``."""
+    dx = x.dim
+    weights = [x.weights[v] + Weight(tuple((i, 1) for i in indices_of(f)))
+               for f in range(1 << n) for v in range(dx)]
+
+    def col(term: Term, j: int) -> Vec:
+        f, v = divmod(j, dx)
+        a, tj = term
+        out: Vec = {}
+        bitj = 1 << (tj - 1)
+        if f & bitj:
+            s = removal_sign(tj, f) * merge_sign(a, f ^ bitj)
+            if s:
+                out[(a | (f ^ bitj)) * dx + v] = s
+        sgn = -1 if term_parity(term) else 1
+        rest_bits = a
+        while rest_bits:
+            bit = rest_bits & -rest_bits
+            rest_bits ^= bit
+            i = bit.bit_length()
+            ms = merge_sign(a ^ bit, f)
+            if not ms:
+                continue
+            c0 = sgn * removal_sign(i, a) * ms
+            base = ((a ^ bit) | f) * dx
+            for r, c in x.column((bit, tj), v).items():
+                key = base + r
+                nv = out.get(key, 0) + c0 * c
+                if nv:
+                    out[key] = nv
+                else:
+                    out.pop(key, None)
+        return out
+
+    return FiniteWModule(n, weights, col_fn=col)

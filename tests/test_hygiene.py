@@ -2,7 +2,8 @@
 function takes a retired tuning option, the mod-p modulus and the mod-p
 echelon stay inside the two oracles built on them, no library function
 calls a test oracle, only the bracket check reads the three lowest
-degrees, only the two seeded property samplers draw random numbers,
+degrees, no sign outside ``grassmann`` but the negative control's comes
+from ``merge_sign``, only the two seeded property samplers draw random numbers,
 only ``modules.py`` defines a class with action columns, and every
 library function has a caller outside the tests.
 
@@ -88,6 +89,44 @@ LOCAL_TERMS_READERS = {"modules.py": {"FiniteWModule"}}
 LOCAL_TERMS_CLOSURE = """
 def submodule_generated(m: FiniteWModule, seeds: Iterable[Vec]) -> Submodule:
     return Submodule(parent=m, echelon=module_closure(m, local_terms(m.rank), seeds))
+"""
+
+# outside grassmann, the one reader of the two-call sign wrapper: the
+# sign-bugged bracket, the negative control; every other sign is one
+# popcount of the inversion kernel
+MERGE_SIGN_READERS = {"suite.py": {"sign_bugged_bracket"}}
+
+# the tensor-field column builder as it stood in the library, two sign
+# calls per hit; the scan below must flag it
+TWO_CALL_TENSOR_FIELD = """
+from .grassmann import indices_of, merge_sign, removal_sign
+
+def tensor_field(x, n):
+    dx = x.dim
+
+    def col(term, j):
+        f, v = divmod(j, dx)
+        a, tj = term
+        out = {}
+        bitj = 1 << (tj - 1)
+        if f & bitj:
+            s = removal_sign(tj, f) * merge_sign(a, f ^ bitj)
+            if s:
+                out[(a | (f ^ bitj)) * dx + v] = s
+        sgn = -1 if term_parity(term) else 1
+        rest_bits = a
+        while rest_bits:
+            bit = rest_bits & -rest_bits
+            rest_bits ^= bit
+            ms = merge_sign(a ^ bit, f)
+            if not ms:
+                continue
+            c0 = sgn * removal_sign(bit.bit_length(), a) * ms
+            for r, c in x.column((bit, tj), v).items():
+                out[((a ^ bit) | f) * dx + r] = c0 * c
+        return out
+
+    return FiniteWModule(n, weights(x, n), col_fn=col)
 """
 
 # the only modules that draw random numbers: both seed the property
@@ -269,6 +308,21 @@ def test_scan_flags_a_closure_over_the_lowest_degrees():
 def test_only_the_bracket_check_reads_the_lowest_degrees(path):
     allowed = LOCAL_TERMS_READERS.get(path.name, set())
     assert stray_readers(path.read_text(), ["local_terms"], allowed) == set()
+
+
+def test_scan_flags_the_two_call_tensor_field():
+    assert stray_readers(TWO_CALL_TENSOR_FIELD, ["merge_sign"],
+                         MERGE_SIGN_READERS.get("tensorfields.py", set())) == {
+        "<module>", "tensor_field"}
+    assert stray_readers(TWO_CALL_TENSOR_FIELD, ["merge_sign"],
+                         {"tensor_field"}) == set()
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grassmann.py"],
+                         ids=lambda p: p.name)
+def test_only_the_negative_control_reads_the_two_call_sign(path):
+    allowed = MERGE_SIGN_READERS.get(path.name, set())
+    assert stray_readers(path.read_text(), ["merge_sign"], allowed) == set()
 
 
 def calls_to(source: str, names: set[str]) -> list[str]:

@@ -14,15 +14,20 @@ from superw.modules import (FiniteWModule, adjoint_module,
                             check_representation, dual_module, is_simple,
                             lambda_module, local_terms, quotient_module,
                             singular_vectors, submodule_generated)
-from superw.spanops import (apply_gen, burnside_full, hom_basis, hom_space,
-                            iso_check, module_closure,
+import superw.glmodules as glm
+import superw.spanops as spanops
+from superw.spanops import (apply_gen, block_index, burnside_full, hom_basis,
+                            hom_space, iso_check, module_closure,
                             restricted_action, singular_blocks)
+from superw.partitions import stable_highest_weight
+from superw.errors import RankTooSmallError
 from superw.suite import PAIRS_LE2
 from superw.tensorfields import extract_L_minus_submodule, tensor_field
 from superw.walgebra import (BorelOrder, generating_terms, raising_terms,
                              triangular_terms)
 from superw.weights import Weight
-from helpers import hom_value, trivial_module
+import helpers
+from helpers import closure_oracle, hom_value, trivial_module
 from test_linalg import dense_kernel
 
 
@@ -37,6 +42,128 @@ def test_closure_from_generator_is_everything():
     for seed in (1, 7):  # xi1, xi1 xi2 xi3
         ech = module_closure(m, local_terms(3), [{seed: Fraction(1)}])
         assert ech.dim == m.dim
+
+
+def _same_echelon(got, want):
+    assert got.order == want.order
+    assert list(got.rows) == list(want.rows)
+    for p in want.order:
+        assert list(got.rows[p].items()) == list(want.rows[p].items())
+
+
+@pytest.mark.parametrize("n,lam,mu", [(n, lam, mu) for n in (3, 4)
+                                      for lam, mu in PAIRS_LE2
+                                      if lam.length + mu.length <= n],
+                         ids=lambda x: str(x))
+def test_closure_matches_the_oracle_row_for_row(n, lam, mu):
+    # skipping generators into full weight blocks, and stopping at the whole
+    # module, changes no row, no row order and no item order: the restricted
+    # action and the CLI reports read all three
+    b = BorelOrder("natural", n, "max")
+    _, lowering = triangular_terms(b)
+    x = gl_simple(lam, mu, n)
+    for m in (kac_plus(x, n), tensor_field(x, n)):
+        cands = [v for vecs in singular_vectors(m, b).values() for v in vecs]
+        assert cands
+        for gens in (m.gen_keys(), lowering):
+            for seeds in [[v] for v in cands] + [[{0: Fraction(1)}], cands]:
+                _same_echelon(module_closure(m, gens, seeds),
+                              closure_oracle(m, gens, seeds))
+
+
+def _gl_simple_fits(lam, mu, order, n):
+    try:
+        stable_highest_weight(lam, mu, order, n)
+    except RankTooSmallError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("lam,mu,order", [
+    (lam, mu, order) for order in ("natural", "interleaved")
+    for lam, mu in PAIRS_LE2 if _gl_simple_fits(lam, mu, order, 4)], ids=str)
+def test_gl_simples_keep_their_weights_and_columns(lam, mu, order, monkeypatch):
+    got = gl_simple(lam, mu, 4, order=order)
+    monkeypatch.setattr(glm, "module_closure", closure_oracle)
+    want = gl_simple(lam, mu, 4, order=order)
+    assert got.weights == want.weights
+    for g in want.gen_keys():
+        for j in range(want.dim):
+            assert list(got.column(g, j).items()) == list(want.column(g, j).items())
+
+
+def _recording_echelon(m, calls, full_rejects):
+    """An echelon that counts its inserts and records each rejected one
+    whose weight block was already full."""
+    block_of = block_index(m)
+    sizes = [len(cols) for cols in m.weight_blocks().values()]
+
+    class Recording(RationalEchelon):
+        def insert(self, v):
+            calls.append(v)
+            b = block_of[next(iter(v))]
+            filled = sum(block_of[p] == b for p in self.rows)
+            piv = super().insert(v)
+            if piv is None and filled == sizes[b]:
+                full_rejects.append(b)
+            return piv
+
+    return Recording
+
+
+def test_closure_inserts_nothing_into_a_full_block(monkeypatch):
+    # L-(1|1) fills all of T(V(1|1)) at n = 4, so most images the old
+    # closure inserted landed in full blocks and reduced to zero
+    sub = extract_L_minus_submodule((1,), (1,), 4)
+    t = sub.parent
+    assert sub.full
+    seed = sub.echelon.rows[sub.echelon.order[0]]
+    calls, rejects = [], []
+    monkeypatch.setattr(spanops, "RationalEchelon",
+                        _recording_echelon(t, calls, rejects))
+    fast = module_closure(t, t.gen_keys(), [seed])
+    assert fast.dim == t.dim and rejects == []
+    fast_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(helpers, "RationalEchelon",
+                        _recording_echelon(t, calls, rejects))
+    slow = closure_oracle(t, t.gen_keys(), [seed])
+    _same_echelon(fast, slow)
+    assert rejects  # the recorder sees the oracle's wasted inserts
+    assert fast_calls < len(calls) / 2
+
+
+def _mixed_seed():
+    """T(V) at n = 3 with v + w: v a singular vector generating a proper
+    submodule, w a lowering image of v in another weight block."""
+    m = tensor_field(gl_natural(3), 3)
+    b = BorelOrder("natural", 3, "max")
+    _, lowering = triangular_terms(b)
+    cands = [v for vecs in singular_vectors(m, b).values() for v in vecs]
+    v = min(cands, key=lambda v: submodule_generated(m, [v]).dim)
+    w = next(w for w in (apply_gen(m, g, v) for g in lowering) if w)
+    mixed = dict(v)
+    for j, x in w.items():
+        mixed[j] = mixed.get(j, 0) + x
+    block_of = block_index(m)
+    assert len({block_of[j] for j in mixed}) == 2
+    return m, lowering, mixed
+
+
+def test_a_mixed_seed_generates_the_oracles_submodule():
+    # the generators' algebra contains the Cartan, so the closure of v + w
+    # is the closure of v and w; the pivots pin the span
+    m, _, mixed = _mixed_seed()
+    sub = submodule_generated(m, [mixed])
+    want = closure_oracle(m, m.gen_keys(), [mixed])
+    assert 0 < sub.dim == want.dim < m.dim
+    assert set(sub.echelon.rows) == set(want.rows)
+
+
+def test_closure_rejects_a_seed_that_mixes_weights():
+    m, lowering, mixed = _mixed_seed()
+    with pytest.raises(NonBasisElementError, match="mixes weight blocks"):
+        module_closure(m, lowering, [mixed])
 
 
 def test_singular_lines_of_the_exterior_module():

@@ -3,14 +3,15 @@
 import pytest
 
 from superw.errors import RankMismatchError
-from superw.glmodules import gl_conatural, gl_natural, gl_trivial
+from superw.glmodules import gl_conatural, gl_natural, gl_simple, gl_trivial
 from superw.modules import adjoint_module, check_representation, lambda_module
 from superw.spanops import iso_check
 from superw.tensorfields import (coinduction_duality_check, extract_L_minus,
                                  tensor_field, tensor_field_simplicity)
+from superw.walgebra import basis_terms
 from superw.weights import Weight
 
-from helpers import convolve
+from helpers import convolve, tensor_field_oracle
 
 
 def test_tensor_field_satisfies_the_bracket_relation():
@@ -26,6 +27,21 @@ def test_action_splits_into_coefficient_and_contraction():
     assert t.column((1, 2), 4) == {2: 1, 5: -1}
     assert t.column((1, 2), 0) == {1: -1}
     assert t.column((2, 1), 1) == {0: -1}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("base", [
+    gl_trivial, gl_natural, gl_conatural,
+    lambda n: gl_simple((1,), (1,), n)], ids=["C", "V", "V*", "V(1|1)"])
+def test_columns_match_the_two_call_sign_builder(base, n):
+    # one popcount per hit against removal_sign times merge_sign: the same
+    # items, in the same order, for every basis term on every basis vector
+    x = base(n)
+    t, want = tensor_field(x, n), tensor_field_oracle(x, n)
+    assert t.weights == want.weights
+    for term in basis_terms(n):
+        for j in range(t.dim):
+            assert list(t.column(term, j).items()) == list(want.column(term, j).items())
 
 
 def test_trivial_coefficients_recover_scalars():
