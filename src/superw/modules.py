@@ -139,12 +139,18 @@ class FiniteWModule:
 
 class GlModule(FiniteWModule):
     """Module over the degree-zero part gl(rank), where E_ij is the term
-    x_i d_j, keyed ``(1 << (i - 1), j)``; only those terms act."""
+    x_i d_j, keyed ``(1 << (i - 1), j)``; only those terms act.
+
+    Spans and hom spaces run over the n(n-1) terms E_ij with i != j: a
+    Cartan term maps a weight vector to a multiple of itself, so it adds
+    nothing to a closure of weight vectors, and a block-diagonal map
+    commutes with it.  The bracket check keeps all n^2 terms."""
 
     def gen_keys(self) -> list[Term]:
-        return basis_terms(self.rank, 0)
+        return [t for t in basis_terms(self.rank, 0) if t[0] != 1 << (t[1] - 1)]
 
-    check_keys = gen_keys
+    def check_keys(self) -> list[Term]:
+        return basis_terms(self.rank, 0)
 
 
 @dataclass
@@ -282,11 +288,11 @@ class Submodule:
 
 def submodule_generated(m: FiniteWModule, seeds: Iterable[Vec]) -> Submodule:
     """Smallest invariant subspace containing the seeds, closed exactly
-    under ``m.gen_keys()``, which generate the algebra.
+    under ``m.gen_keys()``, which with the Cartan generate the algebra.
 
-    That algebra contains the Cartan, so the closure of a vector is the
-    closure of its weight components: each seed is split into them, in the
-    order its support first meets their blocks, before the closure."""
+    The Cartan separates weights, so the submodule of a vector is that of
+    its weight components: each seed is split into them, in the order its
+    support first meets their blocks, before the closure."""
     block_of = block_index(m)
     parts: list[Vec] = []
     for s in seeds:

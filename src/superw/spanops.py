@@ -8,20 +8,24 @@ over the degree-zero terms x_i d_j only.  A module exposes
     weights         -> list[Weight], one per basis vector
     weight_blocks() -> dict[block_key, list[int]]   (a partition of 0..dim-1)
     column(gen, j)  -> sparse dict row -> coeff
-    gen_keys()      -> keys of operators generating an algebra that
-                       contains the Cartan, so they pin weight blocks
+    gen_keys()      -> keys of operators that, with the Cartan, generate
+                       the acting algebra
     character()     -> formal character
 
-where every operator ``gen`` is block-homogeneous: it maps each block into
-at most one other block.  Closure, restriction to an invariant span, the
-joint kernel, the hom space and the isomorphism check live here, with the
-operator span as the tests' oracle; the builder files keep only their
-builders.
+where every operator ``gen`` moves every weight by one fixed weight, its
+own: it maps the block of weight mu into the block of weight mu + wt(gen),
+and to zero when the module has no vector of that weight.  Closure,
+restriction to an invariant span, the joint kernel, the hom space and the
+isomorphism check live here, with the operator span as the tests' oracle;
+the builder files keep only their builders.
 
-Closures rely on that homogeneity and take weight vectors as seeds: every
-span they build is then a sum of its weight-block pieces, so they count
-the free dimensions of each block and apply no generator into a block the
-span already fills.
+Closures and joint kernels predict each generator's target block from the
+weights alone: the first nonzero image of a generator shows its shift, and
+from then on the target of any block is a dict lookup, so no generator is
+applied into a weight the module lacks.  Closures take weight vectors as
+seeds: every span they build is then a sum of its weight-block pieces, so
+they also count the free dimensions of each block and apply no generator
+into a block the span already fills.
 
 The isomorphism check is exact and draws no random number: two modules
 are isomorphic when some basis map of their hom space is invertible on
@@ -63,6 +67,48 @@ def block_index(m) -> list[int]:
     return block_of
 
 
+class _Targets:
+    """The target block of each (block, generator) pair, from weights alone.
+
+    Each block's weight is packed into one int, sum_i w_i << k(i-1): the
+    code is additive, and one-to-one while every coordinate stays below
+    2^(k-1) in size, which k leaves room for on a weight plus the
+    difference of two weights.  A generator's shift is the code of its
+    first nonzero image's block less that of the source block; the target
+    of block b is then the block coded codes[b] + shift, or -1 when the
+    module has no vector of that weight, so the image is zero."""
+
+    def __init__(self, m):
+        ws = [m.weights[cols[0]] for cols in m.weight_blocks().values()]
+        top = max((abs(c) for w in ws for _, c in w.items()), default=0)
+        self.k = (3 * top).bit_length() + 1
+        self.codes = [self.code(w) for w in ws]
+        self.index = {c: b for b, c in enumerate(self.codes)}
+        self.shift: dict = {}  # gen -> code difference
+        self.memo: list[dict] = [{} for _ in ws]  # block -> gen -> target
+
+    def code(self, w) -> int:
+        k = self.k
+        return sum(c << k * (i - 1) for i, c in w.items())
+
+    def target(self, b: int, g) -> Optional[int]:
+        """g's target from block b: its index, -1 when that weight is
+        absent, None while g's shift is unknown."""
+        to = self.memo[b]
+        t = to.get(g)
+        if t is None:
+            s = self.shift.get(g)
+            if s is not None:
+                t = to[g] = self.index.get(self.codes[b] + s, -1)
+        return t
+
+    def learn(self, b: int, g, w) -> int:
+        """Record g's shift from a nonzero image of block b at weight w;
+        returns the target block."""
+        self.shift[g] = self.code(w) - self.codes[b]
+        return self.target(b, g)
+
+
 def module_closure(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
     """Smallest span containing the seeds and stable under the generator
     operators, exactly.
@@ -71,15 +117,19 @@ def module_closure(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
     weight block, else NonBasisElementError.  The generators are
     block-homogeneous, so every echelon row stays inside one block, and
     once a block holds as many rows as its dimension every image landing
-    in it reduces to zero.  The closure learns the target block of each
-    (block, generator) pair from its first nonzero image.  It inserts no
-    image into a full block, applies no generator whose known target is
-    full, and stops once the span is everything.  Only inserts that could
-    change nothing are skipped, so the rows, their order and their items
-    are those of applying every generator to every row."""
+    in it reduces to zero.  The closure predicts the target block of each
+    (block, generator) pair from the weights (``_Targets``), once the
+    generator's first nonzero image has shown its shift.  It applies no
+    generator into a weight the module lacks or into a full block, inserts
+    no image into a full block, and stops once the span is everything.
+    Only images that are zero or could change nothing are skipped, so the
+    rows, their order and their items are those of applying every
+    generator to every row."""
     block_of = block_index(m)
-    free = [len(cols) for cols in m.weight_blocks().values()]
-    targets: list[dict] = [{} for _ in free]  # block -> gen -> target block
+    # the free dimensions of each block; the last 0 is that of target -1,
+    # a weight the module lacks
+    free = [len(cols) for cols in m.weight_blocks().values()] + [0]
+    pred = _Targets(m)
     ech = RationalEchelon()
     queue: list = []  # pivots of rows still to apply the generators to
     for s in seeds:
@@ -89,18 +139,22 @@ def module_closure(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
         if piv is not None:
             free[block_of[piv]] -= 1
             queue.append(piv)
+    weights = m.weights
     while queue and ech.dim < m.dim:
         p = queue.pop()
-        v, to = ech.rows[p], targets[block_of[p]]
+        b = block_of[p]
+        v, to = ech.rows[p], pred.memo[b]
         for g in gen_keys:
             t = to.get(g)
+            if t is None:
+                t = pred.target(b, g)
             if t is not None and not free[t]:
                 continue
             w = apply_gen(m, g, v)
             if not w:
                 continue
             if t is None:
-                t = to[g] = block_of[next(iter(w))]
+                t = pred.learn(b, g, weights[next(iter(w))])
                 if not free[t]:
                     continue
             piv = ech.insert(w)
@@ -142,16 +196,26 @@ def singular_blocks(m, gen_keys, block_filter: Callable | None = None) -> dict:
     """Joint kernel of the generator operators, one entry per block that
     carries a nonzero kernel.  Each block is solved exactly by
     ``kernel_basis``, which stops reading equations once they pin every
-    coordinate, so a block with a zero kernel costs no more than its rank."""
+    coordinate, so a block with a zero kernel costs no more than its rank.
+    A generator whose target weight the module lacks (``_Targets``) adds
+    no equation, so its columns on that block are not built."""
     out: dict = {}
-    for key, cols in m.weight_blocks().items():
+    blocks = m.weight_blocks()
+    pred = _Targets(m)
+    weights = m.weights
+    for b, (key, cols) in enumerate(blocks.items()):
         if block_filter is not None and not block_filter(key):
             continue
         rows_map: dict = {}
         for g in gen_keys:
+            known = pred.target(b, g)
+            if known == -1:
+                continue
             for t, c in enumerate(cols):
                 for r, x in m.column(g, c).items():
                     rows_map.setdefault((g, r), {})[t] = x
+                    if known is None:
+                        known = pred.learn(b, g, weights[r])
         local = kernel_basis(rows_map.values(), len(cols))
         if local:
             out[key] = [{cols[t]: c for t, c in v.items()} for v in local]
@@ -220,9 +284,10 @@ def hom_basis(m1, m2, gen_keys) -> list[dict]:
     """Basis of the space of maps m1 -> m2 commuting with the generators.
 
     Returned maps are sparse dicts (row2, col1) -> coefficient; they are
-    block-diagonal across shared weight blocks by construction.  That
-    ansatz is complete only when gen_keys generates an algebra containing
-    the Cartan: an even map commuting with x and y commutes with [x, y].
+    block-diagonal across shared weight blocks by construction, so they
+    commute with the Cartan too.  They are therefore every intertwiner of
+    the algebra that gen_keys and the Cartan generate: an even map
+    commuting with x and y commutes with [x, y].
 
     The commutation equations go straight to ``kernel_basis``: one exact
     sparse echelon, which stops reading equations once they pin every
@@ -271,8 +336,9 @@ def hom_basis(m1, m2, gen_keys) -> list[dict]:
 def hom_space(a, b) -> list[dict]:
     """Basis of the intertwiners a -> b of two modules over one algebra.
 
-    It is complete: ``a.gen_keys()`` generate an algebra containing the
-    Cartan, so every intertwiner preserves weight blocks."""
+    It is complete: ``a.gen_keys()`` and the Cartan generate the algebra,
+    and every intertwiner preserves weight blocks, so commutes with the
+    Cartan."""
     if a.rank != b.rank:
         raise RankMismatchError("rank mismatch")
     return hom_basis(a, b, a.gen_keys())

@@ -17,7 +17,7 @@ from superw.errors import (InhomogeneousError, NonBasisElementError,
 from superw.glmodules import cyclic_simple, gl_trivial, mixed_tensor
 from superw.grassmann import (Coeff, GrassmannElement, Monomial, indices_of,
                               merge_sign, removal_sign)
-from superw.linalg import RationalEchelon, Vec
+from superw.linalg import RationalEchelon, Vec, kernel_basis
 from superw.modules import Character, FiniteWModule, GlModule
 from superw.partitions import aspartition
 from superw.spanops import apply_gen, singular_blocks
@@ -213,6 +213,24 @@ def closure_oracle(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
             if piv is not None:
                 queue.append(ech.rows[piv])
     return ech
+
+
+def singular_blocks_oracle(m, gen_keys, block_filter=None) -> dict:
+    """``singular_blocks`` as it stood before it predicted target weights:
+    every generator's columns on every block feed the kernel equations."""
+    out: dict = {}
+    for key, cols in m.weight_blocks().items():
+        if block_filter is not None and not block_filter(key):
+            continue
+        rows_map: dict = {}
+        for g in gen_keys:
+            for t, c in enumerate(cols):
+                for r, x in m.column(g, c).items():
+                    rows_map.setdefault((g, r), {})[t] = x
+        local = kernel_basis(rows_map.values(), len(cols))
+        if local:
+            out[key] = [{cols[t]: c for t, c in v.items()} for v in local]
+    return out
 
 
 # ------------------------------------------------------------ glmodules

@@ -15,9 +15,9 @@ from superw.modules import (GlModule, check_representation, dual_module,
 from superw.partitions import (Partition, partitions_of, schur_dim,
                                schur_weights, socle_layer_mults,
                                stable_highest_weight)
-from superw.spanops import (iso_check, module_closure, restricted_action,
-                            singular_blocks)
-from superw.walgebra import basis_terms
+from superw.spanops import (hom_basis, hom_space, iso_check, module_closure,
+                            restricted_action, singular_blocks)
+from superw.walgebra import BorelOrder, basis_terms, raising_terms
 from superw.weights import Weight, order_sequence
 
 from helpers import decompose, restrict, schur_module
@@ -131,6 +131,54 @@ def test_check_representation_defaults_to_the_acting_terms():
 
     flipped = GlModule(3, nat.weights, col_fn=col)
     assert (e12, (0b010, 1), 0) in check_representation(flipped)
+
+
+def test_gl_generators_leave_out_the_cartan():
+    # E_ij with i != j; the bracket check keeps every E_ij
+    for n in (1, 2, 3, 4):
+        m = gl_natural(n)
+        assert m.gen_keys() == [(1 << (i - 1), j) for i in range(1, n + 1)
+                                for j in range(1, n + 1) if i != j]
+        assert m.check_keys() == basis_terms(n, 0)
+        assert len(m.gen_keys()) == n * (n - 1)
+
+
+def _same_rows(got, want):
+    assert got.order == want.order
+    assert [list(got.rows[p].items()) for p in got.order] == \
+        [list(want.rows[p].items()) for p in want.order]
+
+
+def _same_homs(got, want):
+    assert [list(phi.items()) for phi in got] == [list(phi.items()) for phi in want]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_cartan_free_spans_and_homs_match_all_n_squared_terms(n):
+    # a Cartan term maps a weight vector to a multiple of itself, and a
+    # block-diagonal map commutes with it: dropping the n terms changes no
+    # closure row and no hom-space basis map
+    checked = 0
+    for lam, mu in product(SHAPES_LE2, SHAPES_LE2):
+        try:
+            hw = stable_highest_weight(lam, mu, "natural", n)
+        except RankTooSmallError:
+            continue
+        lam, mu = Partition(lam), Partition(mu)
+        amb = mixed_tensor(lam.size, mu.size, n)
+        (vecs,) = singular_blocks(amb, raising_terms(BorelOrder("natural", n)),
+                                  block_filter=lambda key: key[0] == hw).values()
+        for seeds in ([vecs[0]], [{j: 1} for j in range(amb.dim)]):
+            _same_rows(module_closure(amb, amb.gen_keys(), seeds),
+                       module_closure(amb, amb.check_keys(), seeds))
+        m = gl_simple(lam, mu, n)
+        others = [m, dual_module(dual_module(m))]
+        if amb.dim <= 64:
+            others.append(amb)
+        for other in others:
+            _same_homs(hom_space(m, other), hom_basis(m, other, m.check_keys()))
+        checked += 1
+    assert checked == {1: 5, 3: 15, 4: 16}[n]
 
 
 def test_natural_and_conatural_are_dual():

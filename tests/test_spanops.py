@@ -12,8 +12,9 @@ from superw.induction import kac_minus_truncated, kac_plus
 from superw.linalg import RationalEchelon
 from superw.modules import (FiniteWModule, adjoint_module,
                             check_representation, dual_module, is_simple,
-                            lambda_module, local_terms, quotient_module,
-                            singular_vectors, submodule_generated)
+                            lambda_module, local_terms, psi_invariants,
+                            quotient_module, singular_vectors,
+                            submodule_generated, tensor_module)
 import superw.glmodules as glm
 import superw.spanops as spanops
 from superw.spanops import (apply_gen, block_index, burnside_full, hom_basis,
@@ -24,11 +25,63 @@ from superw.errors import RankTooSmallError
 from superw.suite import PAIRS_LE2
 from superw.tensorfields import extract_L_minus_submodule, tensor_field
 from superw.walgebra import (BorelOrder, generating_terms, raising_terms,
-                             triangular_terms)
+                             term_weight, triangular_terms)
 from superw.weights import Weight
 import helpers
-from helpers import closure_oracle, hom_value, trivial_module
+from helpers import (closure_oracle, hom_value, singular_blocks_oracle,
+                     trivial_module)
 from test_linalg import dense_kernel
+
+
+def _proper_L_minus(lam, n):
+    sub = extract_L_minus_submodule(lam, (), n)
+    assert not sub.full
+    return sub
+
+
+def _shift_builders():
+    """One module of each builder at ranks 2-4: inductions, tensor fields,
+    the exterior and adjoint modules, duals, tensor products, a gl simple
+    (a restricted module), a proper L- submodule, a quotient and the
+    invariants of a tensor field."""
+    out = []
+    for n in (2, 3, 4):
+        builds = {
+            "K+(1|1)": lambda n: kac_plus(gl_simple((1,), (1,), n), n),
+            "K-(1|)D2": lambda n: kac_minus_truncated(gl_simple((1,), (), n), n, 2),
+            "T(1|1)": lambda n: tensor_field(gl_simple((1,), (1,), n), n),
+            "Lambda": lambda_module,
+            "adjoint": adjoint_module,
+            "K+(|1)*": lambda n: dual_module(kac_plus(gl_simple((), (1,), n), n)),
+            "Lambda(x)V": lambda n: tensor_module(
+                lambda_module(n), tensor_field(gl_natural(n), n)),
+            "V(2|1)": lambda n: gl_simple((2,), (1,), n),
+            "V(1|1)*(x)V": lambda n: tensor_module(
+                dual_module(gl_simple((1,), (1,), n)), gl_natural(n)),
+            "L-(2|)": lambda n: _proper_L_minus((2,), n).module(),
+            "T(1|)/L-": lambda n: quotient_module(
+                (sub := _proper_L_minus((1,), n)).parent, sub),
+            "Psi(T(1|))": lambda n: psi_invariants(tensor_field(gl_simple((1,), (), n), n)),
+        }
+        out += [pytest.param(b, n, id=f"{name}@{n}") for name, b in builds.items()]
+    return out
+
+
+@pytest.mark.parametrize("build,n", _shift_builders())
+def test_each_generator_moves_every_weight_by_its_own(build, n):
+    # the protocol invariant behind the predicted targets: a column of gen
+    # on a vector of weight mu lies at weight mu + term_weight(gen)
+    m = build(n)
+    assert m.dim and m.rank == n
+    moved = 0
+    for g in set(m.gen_keys()) | set(m.check_keys()):
+        shift = term_weight(g)
+        for j in range(m.dim):
+            col = m.column(g, j)
+            moved += bool(col)
+            want = m.weights[j] + shift
+            assert all(m.weights[r] == want for r in col), (g, j)
+    assert moved
 
 
 def test_closure_from_constants_is_one_dimensional():
@@ -56,11 +109,12 @@ def _same_echelon(got, want):
                                       if lam.length + mu.length <= n],
                          ids=lambda x: str(x))
 def test_closure_matches_the_oracle_row_for_row(n, lam, mu):
-    # skipping generators into full weight blocks, and stopping at the whole
-    # module, changes no row, no row order and no item order: the restricted
-    # action and the CLI reports read all three
+    # skipping generators into absent weights and full weight blocks, and
+    # stopping at the whole module, changes no row, no row order and no
+    # item order: the restricted action and the CLI reports read all three;
+    # the joint kernels skip only zero columns, so they match to the item
     b = BorelOrder("natural", n, "max")
-    _, lowering = triangular_terms(b)
+    raising, lowering = triangular_terms(b)
     x = gl_simple(lam, mu, n)
     for m in (kac_plus(x, n), tensor_field(x, n)):
         cands = [v for vecs in singular_vectors(m, b).values() for v in vecs]
@@ -69,6 +123,55 @@ def test_closure_matches_the_oracle_row_for_row(n, lam, mu):
             for seeds in [[v] for v in cands] + [[{0: Fraction(1)}], cands]:
                 _same_echelon(module_closure(m, gens, seeds),
                               closure_oracle(m, gens, seeds))
+        for gens in (raising, lowering, m.gen_keys()):
+            _same_kernels(singular_blocks(m, gens),
+                          singular_blocks_oracle(m, gens))
+
+
+def _same_kernels(got, want):
+    assert list(got) == list(want)
+    for key, vecs in want.items():
+        assert [list(v.items()) for v in got[key]] == [list(v.items()) for v in vecs]
+
+
+def test_closure_requests_no_column_into_an_absent_weight(monkeypatch):
+    # once a generator's first nonzero image has shown its shift, the
+    # closure asks for none of its columns whose target weight T(V(1|1))
+    # lacks; the oracle builds every one of them
+    seed = extract_L_minus_submodule((1,), (1,), 4).echelon
+    seed = seed.rows[seed.order[0]]
+
+    def counted(closure, module):
+        t = tensor_field(gl_simple((1,), (1,), 4), 4)
+        present = set(t.weights)
+        known: set = set()
+        misses, blind = [], []
+        col_fn = t._col_fn
+
+        def col(term, j):
+            misses.append((term, j))
+            if (term in known
+                    and t.weights[j] + term_weight(term) not in present):
+                blind.append((term, j))
+            return col_fn(term, j)
+
+        def apply(m, g, v):
+            w = apply_gen(m, g, v)
+            if w:
+                known.add(g)
+            return w
+
+        t._col_fn = col
+        monkeypatch.setattr(module, "apply_gen", apply)
+        ech = closure(t, t.gen_keys(), [seed])
+        assert ech.dim == t.dim
+        return len(misses), blind
+
+    fast, blind = counted(module_closure, spanops)
+    slow, slow_blind = counted(closure_oracle, helpers)
+    assert blind == [] and slow_blind  # the check sees the oracle's waste
+    # skipping full blocks alone left 1,024 of the oracle's 2,160 misses
+    assert fast < 0.3 * slow
 
 
 def _gl_simple_fits(lam, mu, order, n):
