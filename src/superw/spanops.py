@@ -114,17 +114,17 @@ def module_closure(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
     operators, exactly.
 
     Every seed must be a weight vector, one whose support lies in a single
-    weight block, else NonBasisElementError.  The generators are
-    block-homogeneous, so every echelon row stays inside one block, and
-    once a block holds as many rows as its dimension every image landing
-    in it reduces to zero.  The closure predicts the target block of each
-    (block, generator) pair from the weights (``_Targets``), once the
-    generator's first nonzero image has shown its shift.  It applies no
-    generator into a weight the module lacks or into a full block, inserts
-    no image into a full block, and stops once the span is everything.
-    Only images that are zero or could change nothing are skipped, so the
-    rows, their order and their items are those of applying every
-    generator to every row."""
+    weight block, else NonBasisElementError.  Each generator moves every
+    weight by one fixed weight, so every echelon row stays inside one
+    block, and once a block holds as many rows as its dimension every
+    image landing in it reduces to zero.  The closure predicts the target
+    block of each (block, generator) pair from the weights (``_Targets``),
+    once the generator's first nonzero image has shown its shift.  It
+    applies no generator into a weight the module lacks or into a full
+    block, inserts no image into a full block, and stops once the span is
+    everything.  Only images that are zero or could change nothing are
+    skipped, so the rows, their order and their items are those of
+    applying every generator to every row."""
     block_of = block_index(m)
     # the free dimensions of each block; the last 0 is that of target -1,
     # a weight the module lacks
@@ -145,7 +145,7 @@ def module_closure(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
         b = block_of[p]
         v, to = ech.rows[p], pred.memo[b]
         for g in gen_keys:
-            t = to.get(g)
+            t = to.get(g)  # target's own memo lookup, without the call
             if t is None:
                 t = pred.target(b, g)
             if t is not None and not free[t]:
@@ -200,10 +200,9 @@ def singular_blocks(m, gen_keys, block_filter: Callable | None = None) -> dict:
     A generator whose target weight the module lacks (``_Targets``) adds
     no equation, so its columns on that block are not built."""
     out: dict = {}
-    blocks = m.weight_blocks()
     pred = _Targets(m)
     weights = m.weights
-    for b, (key, cols) in enumerate(blocks.items()):
+    for b, (key, cols) in enumerate(m.weight_blocks().items()):
         if block_filter is not None and not block_filter(key):
             continue
         rows_map: dict = {}
