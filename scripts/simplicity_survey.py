@@ -3,7 +3,9 @@
 For every pair (lam, mu) with |lam| <= max_size and |mu| <= max_size, build
 the upward induction and the tensor-field module at the given rank, record
 the simplicity verdicts and the typicality pattern of the highest weight,
-and tabulate where the three notions agree.
+and tabulate where the three notions agree.  A pair whose highest weight
+does not fit the rank in the natural or the interleaved order is skipped
+and listed.  Bad arguments exit 2 with an ``error:`` line.
 
 Run as
 
@@ -13,14 +15,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
+import sys
 from dataclasses import dataclass, field
 
+from superw.errors import RankTooSmallError
 from superw.glmodules import gl_simple
 from superw.induction import kac_plus, typicality
 from superw.modules import is_simple
 from superw.partitions import Partition, partitions_of, stable_highest_weight
 from superw.tensorfields import tensor_field_simplicity
+from superw.weights import ORDER_KINDS
 
 
 @dataclass
@@ -37,7 +41,6 @@ class Row:
     kac_simple: bool
     field_simple: bool
     typical: bool
-    seconds: float = 0.0
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -47,7 +50,6 @@ class Row:
             "kac_plus_simple": self.kac_simple,
             "tensor_field_simple": self.field_simple,
             "typical": self.typical,
-            "seconds": round(self.seconds, 3),
             "notes": self.notes,
         }
 
@@ -59,21 +61,40 @@ def pairs_up_to(max_size: int):
             yield lam, mu
 
 
-def survey(cfg: SurveyConfig) -> list[Row]:
-    rows = []
+def fits(lam: Partition, mu: Partition, n: int) -> bool:
+    """Whether the highest weight of (lam, mu) fits rank n in both index
+    orders: the upward induction builds on the natural one, the tensor
+    field on the interleaved one."""
+    try:
+        for order in ORDER_KINDS:
+            stable_highest_weight(lam, mu, order, n)
+    except RankTooSmallError:
+        return False
+    return True
+
+
+def survey(cfg: SurveyConfig) -> tuple[list[Row], list[tuple[Partition, Partition]]]:
+    """The rows of every pair that fits the rank, and the skipped pairs."""
+    if cfg.n < 1:
+        raise ValueError(f"rank must be positive, got {cfg.n}")
+    if cfg.max_size < 0:
+        raise ValueError(f"max size must be non-negative, got {cfg.max_size}")
+    rows, skipped = [], []
     for lam, mu in pairs_up_to(cfg.max_size):
-        t0 = time.perf_counter()
+        if not fits(lam, mu, cfg.n):
+            skipped.append((lam, mu))
+            continue
         base = gl_simple(lam, mu, cfg.n, order="natural")
         kv = is_simple(kac_plus(base, cfg.n))
         fv = tensor_field_simplicity(lam, mu, cfg.n)
         hw = stable_highest_weight(lam, mu, "natural", cfg.n)
         ty = typicality(hw, cfg.n)
         row = Row(lam=lam, mu=mu, kac_simple=kv.simple, field_simple=fv.simple,
-                  typical=ty.typical, seconds=time.perf_counter() - t0)
+                  typical=ty.typical)
         if kv.simple != ty.typical:
             row.notes.append("upward simplicity disagrees with typicality")
         rows.append(row)
-    return rows
+    return rows, skipped
 
 
 def print_table(rows: list[Row]) -> None:
@@ -86,23 +107,32 @@ def print_table(rows: list[Row]) -> None:
     print(f"{len(rows)} pairs, upward simplicity matches typicality on {agree}")
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=4)
     ap.add_argument("--max-size", type=int, default=2)
     ap.add_argument("--out", default=None)
     a = ap.parse_args()
     cfg = SurveyConfig(n=a.n, max_size=a.max_size, out=a.out)
-    rows = survey(cfg)
+    try:
+        rows, skipped = survey(cfg)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print_table(rows)
+    for lam, mu in skipped:
+        print(f"skipped ({lam}|{mu}): highest weight does not fit rank {cfg.n}")
     if cfg.out:
         with open(cfg.out, "w") as fh:
             json.dump({"n": cfg.n, "max_size": cfg.max_size,
-                       "rows": [r.to_json() for r in rows]},
+                       "rows": [r.to_json() for r in rows],
+                       "skipped": [{"lambda": list(lam.parts), "mu": list(mu.parts)}
+                                   for lam, mu in skipped]},
                       fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"wrote {cfg.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,7 +4,7 @@ For each requested family the script rebuilds the module at every rank in
 [n_from, n_to], restricts to the leading index window, and reports whether
 the restricted character has stopped changing.  The interesting output is
 the per-rank restricted dimension trace, which flattens exactly when the
-family stabilizes.
+family stabilizes.  Bad arguments exit 2 with an ``error:`` line.
 
 Run as
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from dataclasses import dataclass
 
@@ -59,7 +60,7 @@ def run(cfg: SweepConfig, families) -> list[dict]:
     return out
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-from", type=int, default=4)
     ap.add_argument("--n-to", type=int, default=6)
@@ -70,15 +71,20 @@ def main() -> None:
     ap.add_argument("--out", default=None)
     a = ap.parse_args()
     cfg = SweepConfig(n_from=a.n_from, n_to=a.n_to, window=a.window, out=a.out)
-    families = ([parse_family(f) for f in a.family]
-                if a.family else DEFAULT_FAMILIES)
-    reports = run(cfg, families)
+    try:
+        families = ([parse_family(f) for f in a.family]
+                    if a.family else DEFAULT_FAMILIES)
+        reports = run(cfg, families)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if cfg.out:
         with open(cfg.out, "w") as fh:
             json.dump(reports, fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"wrote {cfg.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -180,8 +180,8 @@ def cmd_kac(args) -> int:
     t0 = m.meta["base_total"]
     s = m.meta["layer_sign"]
     prims = []
-    for (w, z, _p), vecs in prim.items():
-        d = (z - t0) * s
+    for w, vecs in prim.items():
+        d = (w.total() - t0) * s
         prims.extend({"weight": list(w.dense(n)), "degree": d} for _ in vecs)
     prims.sort(key=lambda e: (e["degree"], e["weight"]))
 

@@ -73,7 +73,7 @@ def cyclic_simple(m: GlModule, hw: Weight, order: str = "natural") -> GlModule:
     if hw not in m.weights:
         raise NonBasisElementError(f"weight {hw} does not occur")
     sing = singular_blocks(m, raising_terms(BorelOrder(order, m.rank)),
-                           block_filter=lambda key: key[0] == hw)
+                           block_filter=lambda w: w == hw)
     if not sing:
         raise NonBasisElementError(f"no highest-weight vector of weight {hw}")
     (vecs,) = sing.values()

@@ -283,7 +283,7 @@ def typicality(nu: Weight, n: int) -> Typicality:
 
 def find_primitive(m: FiniteWModule, b: BorelOrder, degrees=None) -> dict:
     """Singular vectors of an induced module away from the layer that
-    generates it, keyed by weight block.
+    generates it, keyed by block weight.
 
     degrees restricts to the stated induction layers; layer zero is always
     excluded since its highest-weight line generates everything."""

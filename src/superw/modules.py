@@ -55,15 +55,15 @@ def local_terms(n: int) -> list[Term]:
 class FiniteWModule:
     """Weight module with lazily materialized action columns.
 
-    Exactly one of term_fn (whole sparse matrix of a term) or col_fn
-    (single column) drives the action; caches fill in behind either.
+    ``col_fn(term, j)``, the one column source, gives the sparse column of
+    a term on basis vector j; each column is cached as it is first read.
+    Weight blocks are keyed by their weight, which also fixes their
+    z-degree and parity.
     """
 
-    def __init__(self, rank: int, weights: list[Weight], term_fn: Callable | None = None,
-                 col_fn: Callable | None = None, name: str = "",
-                 labels: list[str] | None = None, meta: dict | None = None):
-        if term_fn is None and col_fn is None:
-            raise ValueError("need term_fn or col_fn")
+    def __init__(self, rank: int, weights: list[Weight], col_fn: Callable,
+                 name: str = "", labels: list[str] | None = None,
+                 meta: dict | None = None):
         self.rank = rank
         self.weights = list(weights)
         self.zdegs = [w.total() for w in self.weights]
@@ -71,10 +71,8 @@ class FiniteWModule:
         self.name = name
         self.labels = labels
         self.meta = meta or {}
-        self._term_fn = term_fn
         self._col_fn = col_fn
         self._cols: dict[Term, dict[int, Vec]] = {}
-        self._full: set[Term] = set()
         self._blocks = None
 
     @property
@@ -93,16 +91,12 @@ class FiniteWModule:
 
     def column(self, term: Term, j: int) -> Vec:
         cols = self._cols.get(term)
-        if cols is not None and (term in self._full or j in cols):
-            return cols.get(j, {})
-        if self._col_fn is not None:
-            v = self._col_fn(term, j) or {}
-            self._cols.setdefault(term, {})[j] = v
-            return v
-        mat = self._term_fn(term) or {}
-        self._cols[term] = mat
-        self._full.add(term)
-        return mat.get(j, {})
+        if cols is None:
+            cols = self._cols[term] = {}
+        elif j in cols:
+            return cols[j]
+        v = cols[j] = self._col_fn(term, j) or {}
+        return v
 
     def act_term(self, term: Term, vec: Vec) -> Vec:
         return apply_gen(self, term, vec)
@@ -115,12 +109,13 @@ class FiniteWModule:
             vec_axpy(out, c, self.act_term(term, vec))
         return out
 
-    def weight_blocks(self) -> dict:
+    def weight_blocks(self) -> dict[Weight, list[int]]:
+        """The basis vectors of each weight, keyed by that weight, in order
+        of first occurrence."""
         if self._blocks is None:
             blocks: dict = {}
             for j, w in enumerate(self.weights):
-                key = (w, self.zdegs[j], self.parities[j])
-                blocks.setdefault(key, []).append(j)
+                blocks.setdefault(w, []).append(j)
             self._blocks = blocks
         return self._blocks
 
@@ -239,19 +234,23 @@ def dual_module(m: FiniteWModule) -> FiniteWModule:
     """Contragredient module: (x.f)(v) = -(-1)^(p(x)p(f)) f(x.v)."""
     dim = m.dim
     weights = [-w for w in m.weights]
-    # parity of a dual vector equals the parity of its partner
+    # parity of a dual vector equals the parity of its partner; each term's
+    # matrix is transposed once, on its first column
+    mats: dict = {}
 
-    def term_matrix(term: Term) -> dict:
-        out: dict = {}
-        tp = term_parity(term)
-        for c in range(dim):
-            for r, x in m.column(term, c).items():
-                # entry c of dual column r is -(-1)^(p(t)p(e^r)) * x
-                out.setdefault(r, {})[c] = x if (tp and m.parities[r]) else -x
-        return out
+    def col(term: Term, j: int) -> Vec:
+        mat = mats.get(term)
+        if mat is None:
+            mat = mats[term] = {}
+            tp = term_parity(term)
+            for c in range(dim):
+                for r, x in m.column(term, c).items():
+                    # entry c of dual column r is -(-1)^(p(t)p(e^r)) * x
+                    mat.setdefault(r, {})[c] = x if (tp and m.parities[r]) else -x
+        return mat.get(j, {})
 
     name = f"({m.name})*" if m.name else ""
-    return type(m)(m.rank, weights, term_fn=term_matrix, name=name)
+    return type(m)(m.rank, weights, col_fn=col, name=name)
 
 
 # ---------------------------------------------------------------- spans and quotients
@@ -338,7 +337,7 @@ def quotient_module(m: FiniteWModule, sub: Submodule, name: str = "") -> FiniteW
 
 def singular_vectors(m: FiniteWModule, b: BorelOrder,
                      zdegs: Iterable[int] | None = None) -> dict:
-    """Joint kernels of the raising operators of b, one entry per block.
+    """Joint kernels of the raising operators of b, keyed by block weight.
 
     Only the raising set of ``triangular_terms(b)``, which generates them,
     is applied: operators that kill a vector also kill their brackets, so
@@ -346,7 +345,7 @@ def singular_vectors(m: FiniteWModule, b: BorelOrder,
     if b.rank != m.rank:
         raise RankMismatchError("order rank differs from module rank")
     zset = set(zdegs) if zdegs is not None else None
-    flt = None if zset is None else (lambda key: key[1] in zset)
+    flt = None if zset is None else (lambda w: w.total() in zset)
     return singular_blocks(m, triangular_terms(b)[0], block_filter=flt)
 
 
@@ -381,21 +380,21 @@ def is_simple(m: FiniteWModule, seed: int = 0) -> SimplicityVerdict:
     if m.dim == 1:
         return SimplicityVerdict(True, "dimension", "one-dimensional")
     b = BorelOrder("natural", m.rank, extension="max")
-    cands = [(key, v) for key, vecs in singular_vectors(m, b).items() for v in vecs]
+    cands = [(w, v) for w, vecs in singular_vectors(m, b).items() for v in vecs]
     if not cands:
         raise NonBasisElementError("no highest-weight vector found; "
                                    "module is not weight-finite")
     _, lowering = triangular_terms(b)
-    for key, v in cands:
+    for w, v in cands:
         dim = module_closure(m, lowering, [v]).dim
         if dim < m.dim:
             return SimplicityVerdict(False, "witness",
-                                     f"singular vector at {key[0]} generates "
+                                     f"singular vector at {w} generates "
                                      f"dim {dim} < {m.dim}",
-                                     witness=v, witness_weight=key[0])
+                                     witness=v, witness_weight=w)
     if len(cands) == 1:
         return SimplicityVerdict(True, "highest-weight",
-                                 f"unique singular line at {cands[0][0][0]} generates")
+                                 f"unique singular line at {cands[0][0]} generates")
     return SimplicityVerdict(False, "highest-weight",
                              f"{len(cands)} independent singular lines")
 

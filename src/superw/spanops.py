@@ -6,7 +6,7 @@ over the degree-zero terms x_i d_j only.  A module exposes
     dim             -> int
     rank            -> int
     weights         -> list[Weight], one per basis vector
-    weight_blocks() -> dict[block_key, list[int]]   (a partition of 0..dim-1)
+    weight_blocks() -> dict[Weight, list[int]]   (a partition of 0..dim-1)
     column(gen, j)  -> sparse dict row -> coeff
     gen_keys()      -> keys of operators that, with the Cartan, generate
                        the acting algebra
@@ -20,12 +20,12 @@ isomorphism check live here, with the operator span as the tests' oracle;
 the builder files keep only their builders.
 
 Closures and joint kernels predict each generator's target block from the
-weights alone: the first nonzero image of a generator shows its shift, and
-from then on the target of any block is a dict lookup, so no generator is
-applied into a weight the module lacks.  Closures take weight vectors as
-seeds: every span they build is then a sum of its weight-block pieces, so
-they also count the free dimensions of each block and apply no generator
-into a block the span already fills.
+weights alone: a generator's shift is its own weight, so the target of any
+block is a dict lookup, and no generator is applied into a weight the
+module lacks.  Closures take weight vectors as seeds: every span they
+build is then a sum of its weight-block pieces, so they also count the
+free dimensions of each block and apply no generator into a block the
+span already fills.
 
 The isomorphism check is exact and draws no random number: two modules
 are isomorphic when some basis map of their hom space is invertible on
@@ -48,6 +48,7 @@ from .linalg import (
     vec_axpy,
     vec_mod,
 )
+from .walgebra import term_weight
 
 
 def apply_gen(m, gen, vec: Vec) -> Vec:
@@ -72,41 +73,30 @@ class _Targets:
 
     Each block's weight is packed into one int, sum_i w_i << k(i-1): the
     code is additive, and one-to-one while every coordinate stays below
-    2^(k-1) in size, which k leaves room for on a weight plus the
-    difference of two weights.  A generator's shift is the code of its
-    first nonzero image's block less that of the source block; the target
-    of block b is then the block coded codes[b] + shift, or -1 when the
-    module has no vector of that weight, so the image is zero."""
+    2^(k-1) in size, which k leaves room for on a block weight plus a term
+    weight, whose coordinates lie in -1..1.  ``row(b)`` lists, per
+    generator, the index of the block at weight(b) + weight(gen), or -1
+    when the module has no vector of that weight, so the image is zero."""
 
-    def __init__(self, m):
-        ws = [m.weights[cols[0]] for cols in m.weight_blocks().values()]
+    def __init__(self, m, gen_keys):
+        ws = list(m.weight_blocks())
         top = max((abs(c) for w in ws for _, c in w.items()), default=0)
-        self.k = (3 * top).bit_length() + 1
-        self.codes = [self.code(w) for w in ws]
+        k = (top + 1).bit_length() + 1
+
+        def code(w) -> int:
+            return sum(c << k * (i - 1) for i, c in w.items())
+
+        self.codes = [code(w) for w in ws]
         self.index = {c: b for b, c in enumerate(self.codes)}
-        self.shift: dict = {}  # gen -> code difference
-        self.memo: list[dict] = [{} for _ in ws]  # block -> gen -> target
+        self.shifts = [code(term_weight(g)) for g in gen_keys]
+        self.rows: list = [None] * len(ws)
 
-    def code(self, w) -> int:
-        k = self.k
-        return sum(c << k * (i - 1) for i, c in w.items())
-
-    def target(self, b: int, g) -> Optional[int]:
-        """g's target from block b: its index, -1 when that weight is
-        absent, None while g's shift is unknown."""
-        to = self.memo[b]
-        t = to.get(g)
-        if t is None:
-            s = self.shift.get(g)
-            if s is not None:
-                t = to[g] = self.index.get(self.codes[b] + s, -1)
-        return t
-
-    def learn(self, b: int, g, w) -> int:
-        """Record g's shift from a nonzero image of block b at weight w;
-        returns the target block."""
-        self.shift[g] = self.code(w) - self.codes[b]
-        return self.target(b, g)
+    def row(self, b: int) -> list[int]:
+        r = self.rows[b]
+        if r is None:
+            c, index = self.codes[b], self.index
+            r = self.rows[b] = [index.get(c + s, -1) for s in self.shifts]
+        return r
 
 
 def module_closure(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
@@ -118,18 +108,17 @@ def module_closure(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
     weight by one fixed weight, so every echelon row stays inside one
     block, and once a block holds as many rows as its dimension every
     image landing in it reduces to zero.  The closure predicts the target
-    block of each (block, generator) pair from the weights (``_Targets``),
-    once the generator's first nonzero image has shown its shift.  It
-    applies no generator into a weight the module lacks or into a full
-    block, inserts no image into a full block, and stops once the span is
-    everything.  Only images that are zero or could change nothing are
-    skipped, so the rows, their order and their items are those of
-    applying every generator to every row."""
+    block of each (block, generator) pair from the weights (``_Targets``):
+    a generator's shift is its own weight.  It applies no generator into a
+    weight the module lacks or into a full block, inserts no image into a
+    full block, and stops once the span is everything.  Only images that
+    are zero or could change nothing are skipped, so the rows, their order
+    and their items are those of applying every generator to every row."""
     block_of = block_index(m)
     # the free dimensions of each block; the last 0 is that of target -1,
     # a weight the module lacks
     free = [len(cols) for cols in m.weight_blocks().values()] + [0]
-    pred = _Targets(m)
+    pred = _Targets(m, gen_keys)
     ech = RationalEchelon()
     queue: list = []  # pivots of rows still to apply the generators to
     for s in seeds:
@@ -139,24 +128,15 @@ def module_closure(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
         if piv is not None:
             free[block_of[piv]] -= 1
             queue.append(piv)
-    weights = m.weights
     while queue and ech.dim < m.dim:
         p = queue.pop()
-        b = block_of[p]
-        v, to = ech.rows[p], pred.memo[b]
-        for g in gen_keys:
-            t = to.get(g)  # target's own memo lookup, without the call
-            if t is None:
-                t = pred.target(b, g)
-            if t is not None and not free[t]:
+        v = ech.rows[p]
+        for g, t in zip(gen_keys, pred.row(block_of[p])):
+            if not free[t]:
                 continue
             w = apply_gen(m, g, v)
             if not w:
                 continue
-            if t is None:
-                t = pred.learn(b, g, weights[next(iter(w))])
-                if not free[t]:
-                    continue
             piv = ech.insert(w)
             if piv is not None:
                 free[t] -= 1
@@ -193,31 +173,28 @@ def restricted_action(m, ech: RationalEchelon) -> tuple[list, Callable]:
 
 
 def singular_blocks(m, gen_keys, block_filter: Callable | None = None) -> dict:
-    """Joint kernel of the generator operators, one entry per block that
-    carries a nonzero kernel.  Each block is solved exactly by
-    ``kernel_basis``, which stops reading equations once they pin every
-    coordinate, so a block with a zero kernel costs no more than its rank.
-    A generator whose target weight the module lacks (``_Targets``) adds
-    no equation, so its columns on that block are not built."""
+    """Joint kernel of the generator operators, keyed by the weight of each
+    block that carries a nonzero kernel; ``block_filter`` takes that
+    weight.  Each block is solved exactly by ``kernel_basis``, which stops
+    reading equations once they pin every coordinate, so a block with a
+    zero kernel costs no more than its rank.  A generator whose target
+    weight the module lacks (``_Targets``) adds no equation, so its
+    columns on that block are not built."""
     out: dict = {}
-    pred = _Targets(m)
-    weights = m.weights
-    for b, (key, cols) in enumerate(m.weight_blocks().items()):
-        if block_filter is not None and not block_filter(key):
+    pred = _Targets(m, gen_keys)
+    for b, (w, cols) in enumerate(m.weight_blocks().items()):
+        if block_filter is not None and not block_filter(w):
             continue
         rows_map: dict = {}
-        for g in gen_keys:
-            known = pred.target(b, g)
-            if known == -1:
+        for g, t in zip(gen_keys, pred.row(b)):
+            if t == -1:
                 continue
-            for t, c in enumerate(cols):
+            for k, c in enumerate(cols):
                 for r, x in m.column(g, c).items():
-                    rows_map.setdefault((g, r), {})[t] = x
-                    if known is None:
-                        known = pred.learn(b, g, weights[r])
+                    rows_map.setdefault((g, r), {})[k] = x
         local = kernel_basis(rows_map.values(), len(cols))
         if local:
-            out[key] = [{cols[t]: c for t, c in v.items()} for v in local]
+            out[w] = [{cols[k]: c for k, c in v.items()} for v in local]
     return out
 
 

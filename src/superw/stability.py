@@ -38,13 +38,6 @@ from .tensorfields import extract_L_minus, tensor_field
 from .walgebra import generating_terms, term_weight
 
 
-def _window_blocks(m: FiniteWModule, window: int):
-    for key, cols in m.weight_blocks().items():
-        w = key[0]
-        if w.max_index() <= window:
-            yield key, cols
-
-
 def restricted_character(m: FiniteWModule, window: int,
                          mode: str = "annihilator") -> Character:
     """Graded character of the window part of m that the tail algebra
@@ -57,20 +50,21 @@ def restricted_character(m: FiniteWModule, window: int,
     entries: dict = {}
     if mode == "annihilator":
         sing = singular_blocks(m, tail,
-                               block_filter=lambda key: key[0].max_index() <= window)
-        for (w, z, _), vecs in sing.items():
-            key = (w.dense(window), z)
+                               block_filter=lambda w: w.max_index() <= window)
+        for w, vecs in sing.items():
+            key = (w.dense(window), w.total())
             entries[key] = entries.get(key, 0) + len(vecs)
         return Character(window, entries)
     if mode != "coinvariants":
         raise ValueError(f"unknown restriction mode {mode!r}")
     blocks = m.weight_blocks()
-    for (w, z, _), cols in _window_blocks(m, window):
+    for w, cols in blocks.items():
+        if w.max_index() > window:
+            continue
         local = {c: t for t, c in enumerate(cols)}
         rows = []
         for g in tail:
-            shift = term_weight(g)
-            src = blocks.get((w - shift, z - shift.total(), (z - shift.total()) % 2))
+            src = blocks.get(w - term_weight(g))
             if not src:
                 continue
             for c in src:
@@ -84,7 +78,7 @@ def restricted_character(m: FiniteWModule, window: int,
                 break
         dim = len(cols) - ech.dim
         if dim:
-            key = (w.dense(window), z)
+            key = (w.dense(window), w.total())
             entries[key] = entries.get(key, 0) + dim
     return Character(window, entries)
 

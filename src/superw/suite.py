@@ -183,10 +183,10 @@ def criterion_3() -> Criterion:
             b = BorelOrder("natural", 4, "max")
             target = -(kk + 1) * Weight.eps(4)
             prim = find_primitive(m, b, degrees=[1])
-            hits = [vs for (w, _z, _p), vs in prim.items() if w == target]
-            if not hits or not hits[0]:
+            hits = prim.get(target)
+            if not hits:
                 return False, f"no primitive at weight {target} for mu=({kk})"
-            sub = submodule_generated(m, hits[0][:1])
+            sub = submodule_generated(m, hits[:1])
             if not 0 < sub.dim < m.dim:
                 return False, f"primitive span not proper for mu=({kk})"
         n_simple = sum(verdicts)

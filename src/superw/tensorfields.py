@@ -113,10 +113,9 @@ def interleaved_min_borel(n: int) -> BorelOrder:
 
 
 def _singular_line(t: FiniteWModule, hw: Weight, b: BorelOrder) -> Vec:
-    key = (hw, hw.total(), hw.total() % 2)
     sing = singular_blocks(t, triangular_terms(b)[0],
-                           block_filter=lambda k: k == key)
-    vecs = sing.get(key)
+                           block_filter=lambda w: w == hw)
+    vecs = sing.get(hw)
     if not vecs:
         raise NonBasisElementError(f"no singular vector of weight {hw}")
     return vecs[0]

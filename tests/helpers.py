@@ -254,10 +254,10 @@ def decompose(m: GlModule, order: str = "natural") -> dict[Weight, int]:
     highest-weight vectors."""
     sing = singular_blocks(m, raising_terms(BorelOrder(order, m.rank)))
     seq = order_sequence(order, m.rank)
-    return {key[0]: len(vs)
-            for key, vs in sorted(sing.items(),
-                                  key=lambda kv: tuple(kv[0][0][i] for i in seq),
-                                  reverse=True)}
+    return {w: len(vs)
+            for w, vs in sorted(sing.items(),
+                                key=lambda kv: tuple(kv[0][i] for i in seq),
+                                reverse=True)}
 
 
 # ------------------------------------------------------------ induction

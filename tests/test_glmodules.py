@@ -167,7 +167,7 @@ def test_cartan_free_spans_and_homs_match_all_n_squared_terms(n):
         lam, mu = Partition(lam), Partition(mu)
         amb = mixed_tensor(lam.size, mu.size, n)
         (vecs,) = singular_blocks(amb, raising_terms(BorelOrder("natural", n)),
-                                  block_filter=lambda key: key[0] == hw).values()
+                                  block_filter=lambda w: w == hw).values()
         for seeds in ([vecs[0]], [{j: 1} for j in range(amb.dim)]):
             _same_rows(module_closure(amb, amb.gen_keys(), seeds),
                        module_closure(amb, amb.check_keys(), seeds))
@@ -303,12 +303,18 @@ def test_mixed_tensor_rank_guard():
 # ---------------------------------------------------------------- eager oracle
 #
 # An independent build of gl(n) modules from the matrix rules alone: every
-# E_ij column computed up front and keyed (i, j).  Each lazily built
-# gl_simple must match it column for column under E_ij = x_i d_j.
+# E_ij column computed up front and keyed by the term of E_ij = x_i d_j,
+# (1 << (i - 1), j).  Each lazily built gl_simple must match it column for
+# column.
+
+
+def eij(i: int, j: int) -> tuple:
+    """The term x_i d_j of E_ij."""
+    return (1 << (i - 1), j)
 
 
 class EagerGl:
-    """A gl(rank) module given by weights and eager (i, j)-keyed columns."""
+    """A gl(rank) module given by weights and eager term-keyed columns."""
 
     def __init__(self, rank: int, weights: list, cols: dict):
         self.rank = rank
@@ -317,7 +323,7 @@ class EagerGl:
         self.dim = len(weights)
 
     def gen_keys(self) -> list:
-        return [(i, j) for i in range(1, self.rank + 1)
+        return [eij(i, j) for i in range(1, self.rank + 1)
                 for j in range(1, self.rank + 1)]
 
     def column(self, gen, j: int) -> dict:
@@ -332,14 +338,14 @@ class EagerGl:
 
 def eager_natural(n: int) -> EagerGl:
     # E_ij e_k = delta_jk e_i
-    cols = {(i, j): {j - 1: {i - 1: 1}}
+    cols = {eij(i, j): {j - 1: {i - 1: 1}}
             for i in range(1, n + 1) for j in range(1, n + 1)}
     return EagerGl(n, [Weight.eps(i) for i in range(1, n + 1)], cols)
 
 
 def eager_conatural(n: int) -> EagerGl:
     # E_ij f_k = -delta_ik f_j
-    cols = {(i, j): {i - 1: {j - 1: -1}}
+    cols = {eij(i, j): {i - 1: {j - 1: -1}}
             for i in range(1, n + 1) for j in range(1, n + 1)}
     return EagerGl(n, [-Weight.eps(i) for i in range(1, n + 1)], cols)
 
@@ -396,18 +402,16 @@ def eager_gl_simple(lam, mu, n: int, order: str) -> EagerGl:
     amb = reduce(eager_tensor, factors)
     hw = stable_highest_weight(lam, mu, order, n)
     seq = order_sequence(order, n)
-    raising = [(seq[s], seq[t]) for s in range(n) for t in range(s + 1, n)]
+    raising = [eij(seq[s], seq[t]) for s in range(n) for t in range(s + 1, n)]
     (vecs,) = singular_blocks(amb, raising, block_filter=lambda w: w == hw).values()
     return eager_restrict_to_span(amb, module_closure(amb, amb.gen_keys(), [vecs[0]]))
 
 
 def assert_same_columns(m, oracle: EagerGl) -> None:
-    n = oracle.rank
     assert m.weights == oracle.weights
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for c in range(oracle.dim):
-                assert m.column((1 << (i - 1), j), c) == oracle.column((i, j), c)
+    for g in oracle.gen_keys():
+        for c in range(oracle.dim):
+            assert m.column(g, c) == oracle.column(g, c)
 
 
 SHAPES_LE2 = [(), (1,), (2,), (1, 1)]

@@ -25,7 +25,8 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # options that no caller set; the library fixes their values instead
-RETIRED_PARAMS = {"prime", "max_steps", "burnside_threshold", "generating_only"}
+RETIRED_PARAMS = {"prime", "max_steps", "burnside_threshold", "generating_only",
+                  "term_fn"}
 
 # oracles the tests compare against; the library decides without them
 ORACLES = {"burnside_full", "rank_mod_p"}

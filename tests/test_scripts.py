@@ -38,3 +38,33 @@ def test_stabilization_sweep(tmp_path):
     assert report["object"] == "L-"
     assert report["stabilized"] is True
     assert [c["n"] for c in report["characters"]] == [2, 3]
+
+
+def test_simplicity_survey_skips_pairs_the_rank_cannot_hold(tmp_path):
+    # at n = 3 a shape pair with two rows needs rank 4 in the interleaved
+    # order; the survey lists it instead of dying, and two runs write the
+    # same bytes
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        proc = run_script("simplicity_survey.py", "--n", "3", "--max-size", "2",
+                          "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    payload = json.loads(outs[0].read_text())
+    assert len(payload["rows"]) == 9 and len(payload["skipped"]) == 7
+    assert {"lambda": [1, 1], "mu": []} in payload["skipped"]
+    assert proc.stdout.count("skipped (") == 7
+
+
+def test_simplicity_survey_rejects_bad_arguments():
+    for args in (["--n", "0"], ["--max-size", "-1"]):
+        proc = run_script("simplicity_survey.py", *args)
+        assert proc.returncode == 2, args
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_stabilization_sweep_rejects_bad_arguments():
+    for args in (["--n-from", "4", "--n-to", "3"], ["--family", "X:1:"]):
+        proc = run_script("stabilization_sweep.py", *args)
+        assert proc.returncode == 2, args
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
