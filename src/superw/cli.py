@@ -164,6 +164,8 @@ def cmd_socle(args) -> int:
 def cmd_kac(args) -> int:
     lam, mu, n, kind = args.lam, args.mu, args.n, args.kind
     _require_rank(n)
+    if kind == "plus" and args.degree_cutoff is not None:
+        raise ValueError("--degree-cutoff applies to --kind minus only")
     if kind == "plus":
         order, ext = "natural", "max"
         x = gl_simple(lam, mu, n, order=order)

@@ -25,7 +25,7 @@ from .partitions import (
     weight_to_partition_pair,
 )
 from .spanops import module_closure, singular_blocks
-from .walgebra import BorelOrder, Term, raising_terms
+from .walgebra import BorelOrder, Term, triangular_terms
 from .weights import Weight
 
 
@@ -69,10 +69,11 @@ def mixed_tensor(p: int, q: int, n: int) -> GlModule:
 
 def cyclic_simple(m: GlModule, hw: Weight, order: str = "natural") -> GlModule:
     """Simple submodule generated by a vector of weight hw that the raising
-    operators of the given order kill."""
+    operators of the given order kill: the n-1 simple root vectors, which
+    generate them, so their joint kernel is the same."""
     if hw not in m.weights:
         raise NonBasisElementError(f"weight {hw} does not occur")
-    sing = singular_blocks(m, raising_terms(BorelOrder(order, m.rank)),
+    sing = singular_blocks(m, triangular_terms(BorelOrder(order, m.rank))[0],
                            block_filter=lambda w: w == hw)
     if not sing:
         raise NonBasisElementError(f"no highest-weight vector of weight {hw}")

@@ -3,18 +3,18 @@
 Two constructions:
 
 * kac_plus: U(g) (x)_{U(g^{>=0})} X with the positive part acting by zero
-  on X.  As a vector space this is Lambda(d_1..d_n) (x) X, so the result
-  is finite-dimensional of dimension 2^n dim X.
+  on X.  As a vector space this is Lambda(d_1..d_n) (x) X, of dimension
+  2^n dim X; it is the tensor fields T(X (x) det^-1) re-indexed, and its
+  columns are those of the kernel ``modules.field_columns``.
 
 * kac_minus_truncated: the induction from the opposite parabolic is
   infinite-dimensional, so we realize its degree window <= cutoff.  The
   basis is PBW monomials in the positive-degree terms (odd generators at
   most once) applied to X; raising action that leaves the window is
-  dropped, and the module records that it is lossy.
+  dropped, and the module records that it is lossy.  Its columns come
+  from a straightening recursion through the module's own column cache.
 
-Basis vectors are indexed mono * dim X + v, and every column is computed
-by a straightening recursion that routes through the module's own column
-cache, so repeated subproblems are materialized once.
+Basis vectors are indexed mono * dim X + v.
 """
 from __future__ import annotations
 
@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InhomogeneousError, RankMismatchError
-from .grassmann import indices_of, removal_sign
+from .grassmann import indices_of
 from .linalg import Vec, vec_axpy
-from .modules import FiniteWModule, GlModule, singular_vectors
+from .modules import (FiniteWModule, GlModule, field_columns, singular_vectors,
+                      tensor_module)
 from .walgebra import (
     BorelOrder,
     Term,
@@ -66,7 +67,18 @@ def _base_labels(x: GlModule) -> list[str]:
 
 
 def kac_plus(x: GlModule, n: int) -> FiniteWModule:
-    """Induced module on Lambda(d) (x) X, positive part acting by zero."""
+    """Induced module on Lambda(d) (x) X, positive part acting by zero.
+
+    It is the tensor fields T(X (x) det^-1) re-indexed: an induced module
+    is a coinduced one twisted by the Berezinian of g/g^{>=0} = W_{-1},
+    which is purely odd with weights -e_i, so the twist is det^-1.  In
+    T(X (x) det^-1), x^[n] (x) X is a copy of X that g^{>=1} kills, so
+    1 (x) v -> x^[n] (x) v extends to a module map.  It sends d_S (x) v =
+    d_(s_1)...d_(s_k) (1 (x) v), s_1 < ... < s_k, to eps(S) x^(S^c) (x) v,
+    eps(S) = (-1)^(sum_{i in S} (i - 1)), as each d_s removes x_s past the
+    s - 1 factors before it, the largest first.  So the column on
+    d_S (x) v is the tensor-field column on x^(S^c) (x) v, each row
+    f (x) w read back as d_(f^c) (x) w, times eps(S) eps(f^c)."""
     if x.rank != n:
         raise RankMismatchError(f"base rank {x.rank} vs algebra rank {n}")
     dx = x.dim
@@ -81,44 +93,27 @@ def kac_plus(x: GlModule, n: int) -> FiniteWModule:
             weights.append(x.weights[v] + drop)
             labels.append(tag + xl[v])
 
-    mod: FiniteWModule
+    full = (1 << n) - 1
+    det_inv = GlModule(
+        n, [Weight(tuple((i, -1) for i in range(1, n + 1)))],
+        col_fn=lambda term, j: {0: -1} if term[0] == 1 << (term[1] - 1) else {})
+    field_col = field_columns(tensor_module(x, det_inv), n)
+    eps = [(-1) ** sum(i - 1 for i in indices_of(s)) for s in range(1 << n)]
 
     def col(term: Term, j: int) -> Vec:
         mask, v = divmod(j, dx)
-        tm, tj = term
-        if mask == 0:
-            d = tm.bit_count() - 1
-            if d > 0:
-                return {}
-            if d == 0:
-                return dict(x.column(term, v))
-            return {(1 << (tj - 1)) * dx + v: 1}
-        bit = mask & -mask
-        i = bit.bit_length()
-        rj = (mask ^ bit) * dx + v
+        sgn = eps[mask]
         out: Vec = {}
-        # w d_i = [w, d_i] + (-1)^p(w) d_i w on the remaining factors
-        for bt, bc in _bracket_terms(n, term, (0, i)):
-            vec_axpy(out, bc, mod.column(bt, rj))
-        sgn = -1 if term_parity(term) else 1
-        for jj, c in mod.column(term, rj).items():
-            m2, v2 = divmod(jj, dx)
-            if m2 & bit:
-                continue
-            key = (m2 | bit) * dx + v2
-            nv = out.get(key, 0) + sgn * removal_sign(i, m2 | bit) * c
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
+        for k, c in field_col(term, (full ^ mask) * dx + v).items():
+            f, w = divmod(k, dx)
+            out[(full ^ f) * dx + w] = c if eps[full ^ f] == sgn else -c
         return out
 
-    mod = FiniteWModule(
+    return FiniteWModule(
         n, weights, col_fn=col, name=f"K+({x.name or 'X'})", labels=labels,
         meta={"kind": "kac_plus", "base_total": t0, "base_dim": dx,
               "layer_sign": -1, "base_name": x.name},
     )
-    return mod
 
 
 def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
@@ -186,30 +181,15 @@ def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
         if t == h and term_degree(t) % 2:
             # odd square: t t = (1/2)[t, t]
             for bt, bc in _bracket_terms(n, t, t):
-                for m2, c2 in pbw_insert(bt, rest).items():
-                    nv = out.get(m2, 0) + Fraction(bc, 2) * c2
-                    if nv:
-                        out[m2] = nv
-                    else:
-                        out.pop(m2, None)
+                vec_axpy(out, Fraction(bc, 2), pbw_insert(bt, rest))
         elif term_key(t) <= term_key(h):
             out = {(t,) + mono: 1}
         else:
             for bt, bc in _bracket_terms(n, t, h):
-                for m2, c2 in pbw_insert(bt, rest).items():
-                    nv = out.get(m2, 0) + bc * c2
-                    if nv:
-                        out[m2] = nv
-                    else:
-                        out.pop(m2, None)
+                vec_axpy(out, bc, pbw_insert(bt, rest))
             sgn = -1 if term_parity(t) and term_parity(h) else 1
             for m2, c2 in pbw_insert(t, rest).items():
-                for m3, c3 in pbw_insert(h, m2).items():
-                    nv = out.get(m3, 0) + sgn * c2 * c3
-                    if nv:
-                        out[m3] = nv
-                    else:
-                        out.pop(m3, None)
+                vec_axpy(out, sgn * c2, pbw_insert(h, m2))
         memo[key] = out
         return out
 

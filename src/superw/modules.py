@@ -26,6 +26,7 @@ from .grassmann import (
     basis as grassmann_basis,
     format_monomial,
     indices_of,
+    inversion_mask,
 )
 from .linalg import RationalEchelon, Vec, vec_axpy
 from .spanops import (apply_gen, block_index, module_closure, restricted_action,
@@ -251,6 +252,51 @@ def dual_module(m: FiniteWModule) -> FiniteWModule:
 
     name = f"({m.name})*" if m.name else ""
     return type(m)(m.rank, weights, col_fn=col, name=name)
+
+
+def field_columns(x: GlModule, n: int) -> Callable:
+    """Column function of the tensor fields Lambda(n) (x) X on f (x) v,
+    indexed f * dim X + v: a derivation part on the coefficient plus a gl
+    correction contracted through X,
+
+        (xi^a d_j).(f (x) v) = (xi^a d_j f) (x) v
+                               + (-1)^{p(a,j) p(f)} sum_i d_i(xi^a) f (x) E_ij v."""
+    dx = x.dim
+
+    def col(term: Term, j: int) -> Vec:
+        f, v = divmod(j, dx)
+        a, tj = term
+        out: Vec = {}
+        bitj = 1 << (tj - 1)
+        # a hit's removal and merge signs are one popcount, as in bracket
+        if f & bitj:
+            rem = f ^ bitj
+            if not a & rem:
+                odd = ((inversion_mask(a) & rem) ^ (f & (bitj - 1))).bit_count() & 1
+                out[(a | rem) * dx + v] = -1 if odd else 1
+        # the parity sign on the contraction term is what makes the bracket
+        # relation close; the representation check pins it uniquely
+        sgn = -1 if term_parity(term) else 1
+        rest_bits = a
+        while rest_bits:
+            bit = rest_bits & -rest_bits
+            rest_bits ^= bit
+            rest = a ^ bit
+            if rest & f:
+                continue
+            odd = ((inversion_mask(rest) & f) ^ (a & (bit - 1))).bit_count() & 1
+            c0 = -sgn if odd else sgn
+            base = (rest | f) * dx
+            for r, c in x.column((bit, tj), v).items():
+                key = base + r
+                nv = out.get(key, 0) + c0 * c
+                if nv:
+                    out[key] = nv
+                else:
+                    out.pop(key, None)
+        return out
+
+    return col
 
 
 # ---------------------------------------------------------------- spans and quotients

@@ -296,32 +296,21 @@ class BorelOrder:
     def sequence(self) -> list[int]:
         return order_sequence(self.kind, self.rank)
 
-    def positive_pairs(self) -> list[tuple[int, int]]:
-        """(i, j) with i strictly before j in the order; the root is e_i - e_j."""
-        seq = self.sequence()
-        return [(seq[s], seq[t]) for s in range(len(seq)) for t in range(s + 1, len(seq))]
-
     def simple_pairs(self) -> list[tuple[int, int]]:
         seq = self.sequence()
         return list(zip(seq, seq[1:]))
 
 
-def raising_terms(b: BorelOrder) -> list[Term]:
-    n = b.rank
-    out: list[Term] = [(1 << (i - 1), j) for i, j in b.positive_pairs()]
-    if b.extension == "min":
-        out += [(0, j) for j in range(1, n + 1)]
-    elif b.extension == "max":
-        out += [t for t in basis_terms(n) if term_degree(t) >= 1]
-    return out
-
-
 def triangular_terms(b: BorelOrder) -> tuple[list[Term], list[Term]]:
     """Lie generators (raising, lowering) of W(n) = n- + h + n+ for b, with
-    s = b.sequence().  raising generates ``raising_terms(b)``: the simple
-    root vectors x_{s_k} d_{s_(k+1)}, plus d_{s1} for "min", or for "max"
-    the lowest weight vectors x_{s1}x_{sn} d_{s1}, x_{s(n-1)}x_{sn} d_{s1} of
-    W_1 (all of W_1 below rank 3).  lowering, the n terms d_{sn} and
+    s = b.sequence().  raising generates every raising basis term of b:
+    the positive root vectors x_i d_j with i before j in s, plus every d_j
+    for "min", or every term of positive degree for "max".  It is the
+    simple root vectors x_{s_k} d_{s_(k+1)}, plus d_{s1} for "min", or for
+    "max" the lowest weight vectors x_{s1}x_{sn} d_{s1},
+    x_{s(n-1)}x_{sn} d_{s1} of W_1 (all of W_1 below rank 3).  A joint
+    kernel of the generators is one of everything they generate, so the
+    library needs no other raising set.  lowering, the n terms d_{sn} and
     x_{s_(k+1)} d_{s_k} for k = n-1 down to 1, generates the negative roots
     plus W_{-1}.  The test suite verifies each claim by span up to rank 7."""
     s = b.sequence()

@@ -17,12 +17,12 @@ from superw.errors import (InhomogeneousError, NonBasisElementError,
 from superw.glmodules import cyclic_simple, gl_trivial, mixed_tensor
 from superw.grassmann import (Coeff, GrassmannElement, Monomial, indices_of,
                               merge_sign, removal_sign)
-from superw.linalg import RationalEchelon, Vec, kernel_basis
+from superw.linalg import RationalEchelon, Vec, kernel_basis, vec_axpy
 from superw.modules import Character, FiniteWModule, GlModule
 from superw.partitions import aspartition
 from superw.spanops import apply_gen, singular_blocks
-from superw.walgebra import (BorelOrder, Term, WElement, raising_terms,
-                             term_degree, term_parity)
+from superw.walgebra import (BorelOrder, Term, WElement, basis_terms,
+                             bracket, term_degree, term_parity)
 from superw.weights import Weight, order_sequence
 
 
@@ -87,6 +87,25 @@ def grading_element(n: int) -> WElement:
     """The diagonal element sum_i x_i d_i; its eigenvalue on a weight
     vector is the sum of its weight coordinates."""
     return WElement(n, {((1 << (i - 1)), i): 1 for i in range(1, n + 1)})
+
+
+def positive_pairs(b: BorelOrder) -> list[tuple[int, int]]:
+    """(i, j) with i strictly before j in the order; the root is e_i - e_j."""
+    seq = b.sequence()
+    return [(seq[s], seq[t]) for s in range(len(seq)) for t in range(s + 1, len(seq))]
+
+
+def raising_terms(b: BorelOrder) -> list[Term]:
+    """Every raising basis term of b: the positive root vectors, plus the
+    d_j for "min" or every term of positive degree for "max".  The library
+    uses the generators of ``triangular_terms`` in their place."""
+    n = b.rank
+    out: list[Term] = [(1 << (i - 1), j) for i, j in positive_pairs(b)]
+    if b.extension == "min":
+        out += [(0, j) for j in range(1, n + 1)]
+    elif b.extension == "max":
+        out += [t for t in basis_terms(n) if term_degree(t) >= 1]
+    return out
 
 
 _TERM_RE = re.compile(
@@ -271,6 +290,58 @@ def layer_dims(m: FiniteWModule) -> dict[int, int]:
         layer = s * (z - t0)
         out[layer] = out.get(layer, 0) + 1
     return dict(sorted(out.items()))
+
+
+def kac_plus_oracle(x: GlModule, n: int) -> FiniteWModule:
+    """``kac_plus`` as it stood before its columns came from the tensor-field
+    kernel: d_S (x) v is straightened by w d_i = [w, d_i] + (-1)^p(w) d_i w,
+    with i the least index of S, through the module's own column cache.
+    It keeps its own bracket table."""
+    dx = x.dim
+    weights = [x.weights[v] + Weight(tuple((i, -1) for i in indices_of(mask)))
+               for mask in range(1 << n) for v in range(dx)]
+    brackets: dict = {}
+
+    def bracket_terms(a: Term, b: Term) -> list:
+        hit = brackets.get((a, b))
+        if hit is None:
+            br = bracket(WElement.basis_term(n, *a), WElement.basis_term(n, *b))
+            hit = brackets[(a, b)] = list(br.terms.items())
+        return hit
+
+    mod: FiniteWModule
+
+    def col(term: Term, j: int) -> Vec:
+        mask, v = divmod(j, dx)
+        tm, tj = term
+        if mask == 0:
+            d = tm.bit_count() - 1
+            if d > 0:
+                return {}
+            if d == 0:
+                return dict(x.column(term, v))
+            return {(1 << (tj - 1)) * dx + v: 1}
+        bit = mask & -mask
+        i = bit.bit_length()
+        rj = (mask ^ bit) * dx + v
+        out: Vec = {}
+        for bt, bc in bracket_terms(term, (0, i)):
+            vec_axpy(out, bc, mod.column(bt, rj))
+        sgn = -1 if term_parity(term) else 1
+        for jj, c in mod.column(term, rj).items():
+            m2, v2 = divmod(jj, dx)
+            if m2 & bit:
+                continue
+            key = (m2 | bit) * dx + v2
+            nv = out.get(key, 0) + sgn * removal_sign(i, m2 | bit) * c
+            if nv:
+                out[key] = nv
+            else:
+                out.pop(key, None)
+        return out
+
+    mod = FiniteWModule(n, weights, col_fn=col)
+    return mod
 
 
 # --------------------------------------------------------- tensorfields

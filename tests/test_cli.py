@@ -32,6 +32,21 @@ def test_rank_below_one_exits_two_before_any_output(argv, capsys):
     assert "error: rank must be positive" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["kac", "-l", "1", "--n", "3", "-D", "3"],
+    ["kac", "-l", "1", "--n", "3", "--kind", "plus", "--degree-cutoff", "0"],
+], ids=["default-kind", "explicit-plus"])
+def test_kac_plus_rejects_a_degree_cutoff(argv, capsys, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("kac built a module despite the usage error")
+
+    monkeypatch.setattr("superw.cli.gl_simple", built)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --degree-cutoff applies to --kind minus only\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_check_rank_below_one_exits_two_before_any_output(n, capsys):
     assert main(["check", "--n", n, "--samples", "5"]) == 2

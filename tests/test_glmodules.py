@@ -17,10 +17,10 @@ from superw.partitions import (Partition, partitions_of, schur_dim,
                                stable_highest_weight)
 from superw.spanops import (hom_basis, hom_space, iso_check, module_closure,
                             restricted_action, singular_blocks)
-from superw.walgebra import BorelOrder, basis_terms, raising_terms
+from superw.walgebra import BorelOrder, basis_terms
 from superw.weights import Weight, order_sequence
 
-from helpers import decompose, restrict, schur_module
+from helpers import decompose, raising_terms, restrict, schur_module
 
 
 # ---------------------------------------------------------------- peeling oracle

@@ -7,17 +7,24 @@ remains below the cutoff.
 
 from fractions import Fraction
 
+import pytest
+
+import superw.induction as induction
 from superw.glmodules import gl_natural, gl_simple, gl_trivial
+from superw.grassmann import indices_of
 from superw.induction import (find_primitive, kac_minus_truncated, kac_plus,
                               typicality)
-from superw.modules import (check_representation, is_simple, local_terms,
-                            submodule_generated)
+from superw.modules import (FiniteWModule, GlModule, check_representation,
+                            field_columns, is_simple, local_terms,
+                            submodule_generated, tensor_module)
+from superw.partitions import Partition
 from superw.spanops import hom_space
 from superw.suite import PAIRS_LE2
-from superw.walgebra import BorelOrder, term_degree
+from superw.walgebra import (BorelOrder, basis_terms, generating_terms,
+                             term_degree)
 from superw.weights import Weight
 
-from helpers import grading_element, hom_value, layer_dims
+from helpers import grading_element, hom_value, kac_plus_oracle, layer_dims
 
 
 def test_kac_plus_of_trivial_base():
@@ -132,3 +139,91 @@ def test_rank_five_dichotomy():
         verdict = is_simple(kac_plus(gl_simple(lam, mu, 5), 5))
         assert verdict.simple == (not (lam.size == 0 and mu.length <= 1)), (lam, mu)
         assert verdict.method in ("highest-weight", "witness")
+
+
+# ------------------------------------------ closed-form columns vs straightening
+
+
+def column_mismatches(m, oracle, terms) -> list:
+    """(term, j) where the two modules' columns differ in a value, or in
+    the type of an entry."""
+    bad = []
+    for t in terms:
+        for j in range(m.dim):
+            got, want = m.column(t, j), oracle.column(t, j)
+            if got != want or any(type(c) is not type(want[k]) for k, c in got.items()):
+                bad.append((t, j))
+    return bad
+
+
+def pair_id(pair) -> str:
+    lam, mu = pair
+    return f"({','.join(map(str, lam.parts))}|{','.join(map(str, mu.parts))})"
+
+
+def fitting(n: int) -> list:
+    return [(lam, mu) for lam, mu in PAIRS_LE2 if lam.length + mu.length <= n]
+
+
+@pytest.mark.parametrize("n,pair", [(n, p) for n in (1, 2, 3) for p in fitting(n)],
+                         ids=lambda v: pair_id(v) if isinstance(v, tuple) else f"n={v}")
+def test_kac_plus_matches_straightening_on_every_term(n, pair):
+    x = gl_simple(*pair, n)
+    m, oracle = kac_plus(x, n), kac_plus_oracle(x, n)
+    assert m.weights == oracle.weights
+    assert column_mismatches(m, oracle, basis_terms(n)) == []
+
+
+RANK_FIVE_PAIRS = [(Partition((1,)), Partition()), (Partition(), Partition((1,))),
+                   (Partition((1,)), Partition((1,))), (Partition((2,)), Partition((1,)))]
+
+
+@pytest.mark.parametrize("n,pair", [(4, p) for p in fitting(4)]
+                         + [(5, p) for p in RANK_FIVE_PAIRS],
+                         ids=lambda v: pair_id(v) if isinstance(v, tuple) else f"n={v}")
+def test_kac_plus_matches_straightening_on_generators(n, pair):
+    # the generators and the Cartan determine the whole action
+    x = gl_simple(*pair, n)
+    m, oracle = kac_plus(x, n), kac_plus_oracle(x, n)
+    terms = generating_terms(n) + basis_terms(n, 0)
+    assert column_mismatches(m, oracle, terms) == []
+
+
+def twisted_kac_plus(x: GlModule, n: int, twist: int, eps) -> FiniteWModule:
+    """``kac_plus``'s construction with the twist det^twist and the sign
+    table eps as parameters, for the negative control."""
+    full = (1 << n) - 1
+    dx = x.dim
+    det = GlModule(n, [Weight(tuple((i, twist) for i in range(1, n + 1)))],
+                   col_fn=lambda t, j: {0: twist} if t[0] == 1 << (t[1] - 1) else {})
+    field_col = field_columns(tensor_module(x, det), n)
+
+    def col(term, j):
+        mask, v = divmod(j, dx)
+        out = {}
+        for k, c in field_col(term, (full ^ mask) * dx + v).items():
+            f, w = divmod(k, dx)
+            out[(full ^ f) * dx + w] = eps[mask] * eps[full ^ f] * c
+        return out
+
+    return FiniteWModule(n, kac_plus(x, n).weights, col_fn=col)
+
+
+def test_negative_control_flipped_sign_or_det_fails_the_comparison():
+    n = 3
+    x = gl_simple((1,), (1,), n)
+    oracle = kac_plus_oracle(x, n)
+    terms = basis_terms(n)
+    eps = [(-1) ** sum(i - 1 for i in indices_of(s)) for s in range(1 << n)]
+    assert column_mismatches(twisted_kac_plus(x, n, -1, eps), oracle, terms) == []
+    flipped = [(-1) ** sum(indices_of(s)) for s in range(1 << n)]
+    unsigned = [1] * (1 << n)
+    for twist, signs in ((-1, flipped), (-1, unsigned), (1, eps)):
+        assert column_mismatches(twisted_kac_plus(x, n, twist, signs), oracle, terms)
+
+
+def test_kac_plus_leaves_the_bracket_cache_alone():
+    before = dict(induction._BRACKETS)
+    m = kac_plus(gl_simple((1,), (1,), 3), 3)
+    assert is_simple(m).simple
+    assert induction._BRACKETS == before

@@ -24,12 +24,12 @@ from superw.partitions import stable_highest_weight
 from superw.errors import RankTooSmallError
 from superw.suite import PAIRS_LE2
 from superw.tensorfields import extract_L_minus_submodule, tensor_field
-from superw.walgebra import (BorelOrder, generating_terms, raising_terms,
-                             term_weight, triangular_terms)
+from superw.walgebra import (BorelOrder, generating_terms, term_weight,
+                             triangular_terms)
 from superw.weights import Weight
 import helpers
-from helpers import (closure_oracle, hom_value, singular_blocks_oracle,
-                     trivial_module)
+from helpers import (closure_oracle, hom_value, raising_terms,
+                     singular_blocks_oracle, trivial_module)
 from test_linalg import dense_kernel
 
 
