@@ -12,7 +12,7 @@ Two constructions:
   basis is PBW monomials in the positive-degree terms (odd generators at
   most once) applied to X; raising action that leaves the window is
   dropped, and the module records that it is lossy.  Its columns come
-  from a straightening recursion through the module's own column cache.
+  from a straightening recursion, memoized column by column.
 
 Basis vectors are indexed mono * dim X + v.
 """
@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import InhomogeneousError, RankMismatchError
 from .grassmann import indices_of
 from .linalg import Vec, vec_axpy
-from .modules import (FiniteWModule, GlModule, field_columns, singular_vectors,
-                      tensor_module)
+from .modules import FiniteWModule, GlModule, field_columns, singular_vectors
 from .walgebra import (
     BorelOrder,
     Term,
@@ -93,11 +93,13 @@ def kac_plus(x: GlModule, n: int) -> FiniteWModule:
             weights.append(x.weights[v] + drop)
             labels.append(tag + xl[v])
 
+    def twisted_col(term: Term, v: int) -> Vec:
+        # X (x) det^-1: E_ii acts by one less (a zero adds no key), E_ij as on X
+        c = x.column(term, v)
+        return {v: c.get(v, 0) - 1} if term[0] == 1 << (term[1] - 1) else c
+
     full = (1 << n) - 1
-    det_inv = GlModule(
-        n, [Weight(tuple((i, -1) for i in range(1, n + 1)))],
-        col_fn=lambda term, j: {0: -1} if term[0] == 1 << (term[1] - 1) else {})
-    field_col = field_columns(tensor_module(x, det_inv), n)
+    field_col = field_columns(twisted_col, dx)
     eps = [(-1) ** sum(i - 1 for i in indices_of(s)) for s in range(1 << n)]
 
     def col(term: Term, j: int) -> Vec:
@@ -159,22 +161,14 @@ def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
             weights.append(x.weights[v] + w)
             labels.append((tag + "|" if tag else "") + xl[v])
 
-    memo: dict = {}
-
+    @cache
     def pbw_insert(t: Term, mono: tuple) -> dict:
         """Straighten t * mono into canonical monomials, dropping anything
         beyond the degree window."""
-        key = (t, mono)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         if term_degree(t) + sum(term_degree(u) for u in mono) > cutoff:
-            memo[key] = {}
             return {}
         if not mono:
-            out = {(t,): 1}
-            memo[key] = out
-            return out
+            return {(t,): 1}
         h = mono[0]
         rest = mono[1:]
         out = {}
@@ -190,11 +184,9 @@ def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
             sgn = -1 if term_parity(t) and term_parity(h) else 1
             for m2, c2 in pbw_insert(t, rest).items():
                 vec_axpy(out, sgn * c2, pbw_insert(h, m2))
-        memo[key] = out
         return out
 
-    mod: FiniteWModule
-
+    @cache
     def col(term: Term, j: int) -> Vec:
         mi, v = divmod(j, dx)
         mono = monos[mi]
@@ -210,9 +202,9 @@ def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
         rj = idx[mono[1:]] * dx + v
         out = {}
         for bt, bc in _bracket_terms(n, term, h):
-            vec_axpy(out, bc, mod.column(bt, rj))
+            vec_axpy(out, bc, col(bt, rj))
         sgn = -1 if term_parity(term) and term_parity(h) else 1
-        for jj, c in mod.column(term, rj).items():
+        for jj, c in col(term, rj).items():
             mi2, v2 = divmod(jj, dx)
             for m3, c3 in pbw_insert(h, monos[mi2]).items():
                 key = idx[m3] * dx + v2
@@ -223,14 +215,13 @@ def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
                     out.pop(key, None)
         return out
 
-    mod = FiniteWModule(
+    return FiniteWModule(
         n, weights, col_fn=col, name=f"K-({x.name or 'X'},<={cutoff})",
         labels=labels,
         meta={"kind": "kac_minus", "base_total": t0, "base_dim": dx,
               "layer_sign": 1, "cutoff": cutoff, "lossy": True,
               "base_name": x.name},
     )
-    return mod
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Finite-dimensional weight modules over the superderivation algebra.
 
 A module is a weight-graded basis plus a rule producing the sparse action
-column of any algebra basis term on any basis vector.  Columns are cached
-as they are computed, so large modules only pay for the operators a
-computation actually touches.
+column of any algebra basis term on any basis vector, evaluated when it
+is read, so large modules only pay for the operators a computation
+actually touches.  The module stores no column: closed-form sources are
+recomputed, and echelon-derived and recursive ones memoize themselves.
 
 A gl(n) module is a ``GlModule``: the same class, acted on by the
 degree-zero terms x_i d_j = E_ij alone.  Duals, tensor products and
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Optional
 
 from .errors import NonBasisElementError, RankMismatchError
@@ -54,10 +56,11 @@ def local_terms(n: int) -> list[Term]:
 
 
 class FiniteWModule:
-    """Weight module with lazily materialized action columns.
+    """Weight module whose action columns are evaluated as they are read.
 
     ``col_fn(term, j)``, the one column source, gives the sparse column of
-    a term on basis vector j; each column is cached as it is first read.
+    a term on basis vector j; ``column`` calls it on every read, so a
+    source whose columns are costly memoizes them itself.
     Weight blocks are keyed by their weight, which also fixes their
     z-degree and parity.
     """
@@ -73,7 +76,6 @@ class FiniteWModule:
         self.labels = labels
         self.meta = meta or {}
         self._col_fn = col_fn
-        self._cols: dict[Term, dict[int, Vec]] = {}
         self._blocks = None
 
     @property
@@ -91,13 +93,7 @@ class FiniteWModule:
         return self.labels[j] if self.labels else f"e{j}"
 
     def column(self, term: Term, j: int) -> Vec:
-        cols = self._cols.get(term)
-        if cols is None:
-            cols = self._cols[term] = {}
-        elif j in cols:
-            return cols[j]
-        v = cols[j] = self._col_fn(term, j) or {}
-        return v
+        return self._col_fn(term, j)
 
     def act_term(self, term: Term, vec: Vec) -> Vec:
         return apply_gen(self, term, vec)
@@ -254,14 +250,14 @@ def dual_module(m: FiniteWModule) -> FiniteWModule:
     return type(m)(m.rank, weights, col_fn=col, name=name)
 
 
-def field_columns(x: GlModule, n: int) -> Callable:
+def field_columns(x_col: Callable, dx: int) -> Callable:
     """Column function of the tensor fields Lambda(n) (x) X on f (x) v,
-    indexed f * dim X + v: a derivation part on the coefficient plus a gl
-    correction contracted through X,
+    indexed f * dx + v, where X has dimension dx and ``x_col(E_ij, v)``
+    gives the column of E_ij on v: a derivation part on the coefficient
+    plus a gl correction contracted through X,
 
         (xi^a d_j).(f (x) v) = (xi^a d_j f) (x) v
                                + (-1)^{p(a,j) p(f)} sum_i d_i(xi^a) f (x) E_ij v."""
-    dx = x.dim
 
     def col(term: Term, j: int) -> Vec:
         f, v = divmod(j, dx)
@@ -287,7 +283,7 @@ def field_columns(x: GlModule, n: int) -> Callable:
             odd = ((inversion_mask(rest) & f) ^ (a & (bit - 1))).bit_count() & 1
             c0 = -sgn if odd else sgn
             base = (rest | f) * dx
-            for r, c in x.column((bit, tj), v).items():
+            for r, c in x_col((bit, tj), v).items():
                 key = base + r
                 nv = out.get(key, 0) + c0 * c
                 if nv:
@@ -356,7 +352,8 @@ def restrict_module(m: FiniteWModule, ech: RationalEchelon, name: str = "") -> F
 
 
 def quotient_module(m: FiniteWModule, sub: Submodule, name: str = "") -> FiniteWModule:
-    """Quotient by an invariant span, on the basis of non-pivot coordinates."""
+    """Quotient by an invariant span, on the basis of non-pivot coordinates;
+    each column is an echelon reduction, so it is memoized."""
     if sub.parent is not m:
         raise ValueError("submodule belongs to a different parent")
     if sub.full:
@@ -366,6 +363,7 @@ def quotient_module(m: FiniteWModule, sub: Submodule, name: str = "") -> FiniteW
     index = {j: t for t, j in enumerate(free)}
     weights = [m.weights[j] for j in free]
 
+    @cache
     def col(term: Term, t: int) -> Vec:
         img = m.act_term(term, {free[t]: 1})
         if not img:

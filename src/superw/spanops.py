@@ -14,7 +14,9 @@ over the degree-zero terms x_i d_j only.  A module exposes
 
 where every operator ``gen`` moves every weight by one fixed weight, its
 own: it maps the block of weight mu into the block of weight mu + wt(gen),
-and to zero when the module has no vector of that weight.  Closure,
+and to zero when the module has no vector of that weight.  ``column``
+stores nothing: closed-form column sources are recomputed on every read,
+and echelon-derived and recursive ones memoize themselves.  Closure,
 restriction to an invariant span, the joint kernel, the hom space and the
 isomorphism check live here, with the operator span as the tests' oracle;
 the builder files keep only their builders.
@@ -35,6 +37,7 @@ raises IsomorphismUndecidedError rather than guess.
 """
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable, Optional
 
 from .errors import (IsomorphismUndecidedError, NonBasisElementError,
@@ -149,8 +152,9 @@ def restricted_action(m, ech: RationalEchelon) -> tuple[list, Callable]:
 
     Returns the weight of each row, in insertion order, and a function
     ``col(gen, t)`` giving the image of row t under ``gen`` in coordinates
-    over the rows.  Raises NonBasisElementError when a row mixes weights,
-    or, from ``col``, when the span is not invariant."""
+    over the rows, memoized since each is an echelon ``express``.  Raises
+    NonBasisElementError when a row mixes weights, or, from ``col``, when
+    the span is not invariant."""
     rows = [ech.rows[p] for p in ech.order]
     index = {p: t for t, p in enumerate(ech.order)}
     weights = []
@@ -160,6 +164,7 @@ def restricted_action(m, ech: RationalEchelon) -> tuple[list, Callable]:
             raise NonBasisElementError("span basis vector mixes weights")
         weights.append(ws.pop())
 
+    @cache
     def col(gen, t: int) -> Vec:
         img = apply_gen(m, gen, rows[t])
         if not img:

@@ -48,7 +48,7 @@ def tensor_field(x: GlModule, n: int) -> FiniteWModule:
             labels.append(tag + f"x{v}")
 
     return FiniteWModule(
-        n, weights, col_fn=field_columns(x, n), name=f"T({x.name or 'X'})",
+        n, weights, col_fn=field_columns(x.column, dx), name=f"T({x.name or 'X'})",
         labels=labels,
         meta={"kind": "tensor_field", "base_dim": dx, "base_name": x.name},
     )

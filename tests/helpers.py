@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from typing import Iterable
 
 from superw.errors import (InhomogeneousError, NonBasisElementError,
@@ -295,8 +296,8 @@ def layer_dims(m: FiniteWModule) -> dict[int, int]:
 def kac_plus_oracle(x: GlModule, n: int) -> FiniteWModule:
     """``kac_plus`` as it stood before its columns came from the tensor-field
     kernel: d_S (x) v is straightened by w d_i = [w, d_i] + (-1)^p(w) d_i w,
-    with i the least index of S, through the module's own column cache.
-    It keeps its own bracket table."""
+    with i the least index of S, memoized column by column.  It keeps its
+    own bracket table."""
     dx = x.dim
     weights = [x.weights[v] + Weight(tuple((i, -1) for i in indices_of(mask)))
                for mask in range(1 << n) for v in range(dx)]
@@ -309,8 +310,7 @@ def kac_plus_oracle(x: GlModule, n: int) -> FiniteWModule:
             hit = brackets[(a, b)] = list(br.terms.items())
         return hit
 
-    mod: FiniteWModule
-
+    @cache
     def col(term: Term, j: int) -> Vec:
         mask, v = divmod(j, dx)
         tm, tj = term
@@ -326,9 +326,9 @@ def kac_plus_oracle(x: GlModule, n: int) -> FiniteWModule:
         rj = (mask ^ bit) * dx + v
         out: Vec = {}
         for bt, bc in bracket_terms(term, (0, i)):
-            vec_axpy(out, bc, mod.column(bt, rj))
+            vec_axpy(out, bc, col(bt, rj))
         sgn = -1 if term_parity(term) else 1
-        for jj, c in mod.column(term, rj).items():
+        for jj, c in col(term, rj).items():
             m2, v2 = divmod(jj, dx)
             if m2 & bit:
                 continue
@@ -340,8 +340,7 @@ def kac_plus_oracle(x: GlModule, n: int) -> FiniteWModule:
                 out.pop(key, None)
         return out
 
-    mod = FiniteWModule(n, weights, col_fn=col)
-    return mod
+    return FiniteWModule(n, weights, col_fn=col)
 
 
 # --------------------------------------------------------- tensorfields

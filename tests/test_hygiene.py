@@ -4,8 +4,8 @@ echelon stay inside the two oracles built on them, no library function
 calls a test oracle, only the bracket check reads the three lowest
 degrees, no sign outside ``grassmann`` but the negative control's comes
 from ``merge_sign``, only the two seeded property samplers draw random numbers,
-only ``modules.py`` defines a class with action columns, and every
-library function has a caller outside the tests.
+only ``modules.py`` defines a class with action columns, which stores
+none of them, and every library function has a caller outside the tests.
 
 Stdlib ``ast`` scans, so the checks need no linter.  The package's
 ``__init__.py`` is exempt from the import scan, since its imports are its
@@ -154,6 +154,20 @@ def invertible_combination(m1, m2, homs, seed=0):
         if combo and is_invertible(combo):
             return combo
     return None
+"""
+
+# FiniteWModule.column as it stood in the library, storing every column it
+# read; the scan below must flag both stores
+CACHED_COLUMN = """
+class FiniteWModule:
+    def column(self, term, j):
+        cols = self._cols.get(term)
+        if cols is None:
+            cols = self._cols[term] = {}
+        elif j in cols:
+            return cols[j]
+        v = cols[j] = self._col_fn(term, j) or {}
+        return v
 """
 
 
@@ -416,6 +430,38 @@ def test_scan_flags_the_eager_gl_module():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_module_class_builds_columns(path):
     assert column_classes(path.read_text()) == COLUMN_CLASSES.get(path.name, [])
+
+
+def column_stores(source: str) -> list[str] | None:
+    """The attributes and subscripts that ``FiniteWModule.column`` assigns
+    to, in source order, or None when there is no such method."""
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "FiniteWModule"):
+            continue
+        for f in cls.body:
+            if isinstance(f, ast.FunctionDef) and f.name == "column":
+                stores = [node for node in ast.walk(f)
+                          if isinstance(node, (ast.Attribute, ast.Subscript))
+                          and isinstance(node.ctx, ast.Store)]
+                stores.sort(key=lambda node: (node.lineno, node.col_offset))
+                return [ast.unparse(node) for node in stores]
+    return None
+
+
+def test_scan_flags_the_cached_column():
+    assert column_stores(CACHED_COLUMN) == ["self._cols[term]", "cols[j]"]
+    stash = ("class FiniteWModule:\n    def column(self, term, j):\n"
+             "        self.last, n = self._col_fn(term, j), 1\n"
+             "        self.hits += n\n        return self.last\n")
+    assert column_stores(stash) == ["self.last", "self.hits"]
+    assert column_stores("class FiniteWModule:\n    def column(self, term, j):\n"
+                         "        return self._col_fn(term, j)\n") == []
+    assert column_stores("class GlModule:\n    pass\n") is None
+
+
+def test_the_module_stores_no_column():
+    # closed-form sources are recomputed; costly ones memoize themselves
+    assert column_stores((SRC / "modules.py").read_text()) == []
 
 
 def library_functions(source: str) -> list[str]:

@@ -97,6 +97,21 @@ def test_kac_minus_interior_relations_hold():
     assert check_representation(m, terms=low, vectors=layer1) == []
 
 
+def test_kac_minus_straightens_each_column_once():
+    # the straightening recursion memoizes its own columns: across two reads
+    # of every column, it reads each base column once
+    x = gl_natural(3)
+    reads = []
+    col_fn = x._col_fn
+    x._col_fn = lambda term, v: reads.append((term, v)) or col_fn(term, v)
+    m = kac_minus_truncated(x, 3, 2)
+    keys = [(t, j) for t in local_terms(3) for j in range(m.dim)]
+    first = [m.column(t, j) for t, j in keys]
+    n_reads = len(reads)
+    assert [m.column(t, j) for t, j in keys] == first
+    assert len(reads) == n_reads == len(set(reads)) > 0
+
+
 def test_kac_minus_truncation_has_degree_one_primitives():
     m = kac_minus_truncated(gl_trivial(3), 3, 2)
     b = BorelOrder("interleaved", 3, "min")
@@ -196,7 +211,7 @@ def twisted_kac_plus(x: GlModule, n: int, twist: int, eps) -> FiniteWModule:
     dx = x.dim
     det = GlModule(n, [Weight(tuple((i, twist) for i in range(1, n + 1)))],
                    col_fn=lambda t, j: {0: twist} if t[0] == 1 << (t[1] - 1) else {})
-    field_col = field_columns(tensor_module(x, det), n)
+    field_col = field_columns(tensor_module(x, det).column, dx)
 
     def col(term, j):
         mask, v = divmod(j, dx)

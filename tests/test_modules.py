@@ -1,17 +1,19 @@
 """Finite weight modules: constructions, characters, submodule
 machinery and simplicity verdicts."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from superw import spanops
 from superw.modules import (Character, adjoint_module, check_representation,
                             dual_module, is_simple, lambda_module,
                             psi_invariants, quotient_module, singular_vectors,
                             submodule_generated, tensor_module)
 from superw.glmodules import gl_trivial
 from superw.spanops import iso_check
-from superw.tensorfields import tensor_field
+from superw.tensorfields import extract_L_minus_submodule, tensor_field
 from superw.walgebra import BorelOrder, basis_terms
 from superw.weights import Weight
 
@@ -149,6 +151,39 @@ def test_quotient_of_an_integer_module_keeps_int_columns():
     cols = [q.column(t, j) for t in q.gen_keys() for j in range(q.dim)]
     assert any(cols)
     assert all(type(x) is int for col in cols for x in col.values())
+
+
+def test_restricted_and_quotient_columns_are_solved_once(monkeypatch):
+    # each column is an echelon solve, so the source memoizes it: a second
+    # read of every column solves nothing and gives the same columns
+    sub = extract_L_minus_submodule((1,), (), 3)
+    t = sub.parent
+    assert 0 < sub.dim < t.dim
+    solves = []
+    apply_gen, act_term = spanops.apply_gen, t.act_term
+    monkeypatch.setattr(spanops, "apply_gen",
+                        lambda m, g, v: solves.append(g) or apply_gen(m, g, v))
+    monkeypatch.setattr(t, "act_term",
+                        lambda g, v: solves.append(g) or act_term(g, v))
+    for m in (sub.module(), quotient_module(t, sub)):
+        keys = [(g, j) for g in m.gen_keys() for j in range(m.dim)]
+        solves.clear()
+        first = [m.column(g, j) for g, j in keys]
+        assert len(solves) == len(keys) and any(first)
+        assert [m.column(g, j) for g, j in keys] == first
+        assert len(solves) == len(keys)
+
+
+def test_dual_transposes_each_term_once():
+    m = lambda_module(3)
+    reads = Counter()
+    col_fn = m._col_fn
+    m._col_fn = lambda term, j: reads.update([term]) or col_fn(term, j)
+    d = dual_module(m)
+    keys = [(t, j) for t in m.check_keys() for j in range(d.dim)]
+    first = [d.column(t, j) for t, j in keys]
+    assert [d.column(t, j) for t, j in keys] == first
+    assert reads == {t: m.dim for t in m.check_keys()}
 
 
 def test_quotient_of_full_submodule_raises():

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKER = ROOT / "perfbench" / "worker.py"
 
 # a counter each traced workload must move: algebra builds no module, so
-# it reaches the bracket kernel and not the column cache
+# it reaches the bracket kernel and no module columns
 MOVED = {"algebra": ["walgebra.bracket.calls"],
          "simplicity": ["modules.column.calls"],
          "fields": ["modules.column.calls", "tensorfields.column.misses"],
