@@ -12,9 +12,9 @@ import json
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .errors import NonBasisElementError, RankTooSmallError
+from .errors import RankTooSmallError
 from .linalg import Vec
-from .modules import GlModule, restrict_module, tensor_module
+from .modules import GlModule, restrict_module, singular_line, tensor_module
 from .partitions import (
     Partition,
     aspartition,
@@ -24,8 +24,8 @@ from .partitions import (
     stable_highest_weight,
     weight_to_partition_pair,
 )
-from .spanops import module_closure, singular_blocks
-from .walgebra import BorelOrder, Term, triangular_terms
+from .spanops import module_closure
+from .walgebra import BorelOrder, Term
 from .weights import Weight
 
 
@@ -69,17 +69,9 @@ def mixed_tensor(p: int, q: int, n: int) -> GlModule:
 
 def cyclic_simple(m: GlModule, hw: Weight, order: str = "natural") -> GlModule:
     """Simple submodule generated by a vector of weight hw that the raising
-    operators of the given order kill: the n-1 simple root vectors, which
-    generate them, so their joint kernel is the same."""
-    if hw not in m.weights:
-        raise NonBasisElementError(f"weight {hw} does not occur")
-    sing = singular_blocks(m, triangular_terms(BorelOrder(order, m.rank))[0],
-                           block_filter=lambda w: w == hw)
-    if not sing:
-        raise NonBasisElementError(f"no highest-weight vector of weight {hw}")
-    (vecs,) = sing.values()
-    ech = module_closure(m, m.gen_keys(), [vecs[0]])
-    return restrict_module(m, ech, name=f"V({hw})")
+    operators of the given order kill (``singular_line``)."""
+    v = singular_line(m, BorelOrder(order, m.rank), hw)
+    return restrict_module(m, module_closure(m, m.gen_keys(), [v]), name=f"V({hw})")
 
 
 def gl_simple(lam, mu, n: int, order: str = "natural") -> GlModule:

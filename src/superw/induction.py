@@ -11,8 +11,8 @@ Two constructions:
   infinite-dimensional, so we realize its degree window <= cutoff.  The
   basis is PBW monomials in the positive-degree terms (odd generators at
   most once) applied to X; raising action that leaves the window is
-  dropped, and the module records that it is lossy.  Its columns come
-  from a straightening recursion, memoized column by column.
+  dropped.  Its columns come from a straightening recursion, memoized
+  column by column.
 
 Basis vectors are indexed mono * dim X + v.
 """
@@ -32,7 +32,6 @@ from .walgebra import (
     WElement,
     basis_terms,
     bracket,
-    format_term,
     term_degree,
     term_key,
     term_parity,
@@ -62,10 +61,6 @@ def _base_total(x: GlModule) -> int:
     return totals.pop() if totals else 0
 
 
-def _base_labels(x: GlModule) -> list[str]:
-    return [f"x{v}" for v in range(x.dim)]
-
-
 def kac_plus(x: GlModule, n: int) -> FiniteWModule:
     """Induced module on Lambda(d) (x) X, positive part acting by zero.
 
@@ -84,14 +79,9 @@ def kac_plus(x: GlModule, n: int) -> FiniteWModule:
     dx = x.dim
     t0 = _base_total(x)
     weights: list[Weight] = []
-    labels: list[str] = []
-    xl = _base_labels(x)
     for mask in range(1 << n):
         drop = Weight(tuple((i, -1) for i in indices_of(mask)))
-        tag = "d" + "".join(str(i) for i in indices_of(mask)) + "|" if mask else ""
-        for v in range(dx):
-            weights.append(x.weights[v] + drop)
-            labels.append(tag + xl[v])
+        weights.extend(w + drop for w in x.weights)
 
     def twisted_col(term: Term, v: int) -> Vec:
         # X (x) det^-1: E_ii acts by one less (a zero adds no key), E_ij as on X
@@ -111,11 +101,8 @@ def kac_plus(x: GlModule, n: int) -> FiniteWModule:
             out[(full ^ f) * dx + w] = c if eps[full ^ f] == sgn else -c
         return out
 
-    return FiniteWModule(
-        n, weights, col_fn=col, name=f"K+({x.name or 'X'})", labels=labels,
-        meta={"kind": "kac_plus", "base_total": t0, "base_dim": dx,
-              "layer_sign": -1, "base_name": x.name},
-    )
+    return FiniteWModule(n, weights, col_fn=col, name=f"K+({x.name or 'X'})",
+                         meta={"base_total": t0, "layer_sign": -1})
 
 
 def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
@@ -150,16 +137,11 @@ def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
     idx = {m: s for s, m in enumerate(monos)}
 
     weights: list[Weight] = []
-    labels: list[str] = []
-    xl = _base_labels(x)
     for m in monos:
         w = Weight.zero()
         for t in m:
             w = w + term_weight(t)
-        tag = "".join(f"({format_term(t)})" for t in m)
-        for v in range(dx):
-            weights.append(x.weights[v] + w)
-            labels.append((tag + "|" if tag else "") + xl[v])
+        weights.extend(xw + w for xw in x.weights)
 
     @cache
     def pbw_insert(t: Term, mono: tuple) -> dict:
@@ -215,13 +197,8 @@ def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:
                     out.pop(key, None)
         return out
 
-    return FiniteWModule(
-        n, weights, col_fn=col, name=f"K-({x.name or 'X'},<={cutoff})",
-        labels=labels,
-        meta={"kind": "kac_minus", "base_total": t0, "base_dim": dx,
-              "layer_sign": 1, "cutoff": cutoff, "lossy": True,
-              "base_name": x.name},
-    )
+    return FiniteWModule(n, weights, col_fn=col, name=f"K-({x.name or 'X'},<={cutoff})",
+                         meta={"base_total": t0, "layer_sign": 1, "cutoff": cutoff})
 
 
 @dataclass(frozen=True)

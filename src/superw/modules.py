@@ -7,8 +7,8 @@ actually touches.  The module stores no column: closed-form sources are
 recomputed, and echelon-derived and recursive ones memoize themselves.
 
 A gl(n) module is a ``GlModule``: the same class, acted on by the
-degree-zero terms x_i d_j = E_ij alone.  Duals, tensor products and
-restrictions keep the class of their input.
+degree-zero terms x_i d_j = E_ij alone.  Duals, tensor products,
+restrictions and quotients keep the class of their input.
 
 The z-degree of a basis vector always equals the coordinate sum of its
 weight, and the parity is that number mod 2; constructions below all
@@ -16,7 +16,6 @@ preserve this, so both gradings are derived from the weight.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -26,20 +25,18 @@ from .errors import NonBasisElementError, RankMismatchError
 from .grassmann import (
     GrassmannElement,
     basis as grassmann_basis,
-    format_monomial,
     indices_of,
     inversion_mask,
 )
 from .linalg import RationalEchelon, Vec, vec_axpy
-from .spanops import (apply_gen, block_index, module_closure, restricted_action,
-                      singular_blocks)
+from .spanops import (apply_gen, block_index, block_kernel, module_closure,
+                      restricted_action, singular_blocks)
 from .walgebra import (
     BorelOrder,
     Term,
     WElement,
     basis_terms,
     bracket,
-    format_term,
     generating_terms,
     term_parity,
     term_weight,
@@ -66,14 +63,12 @@ class FiniteWModule:
     """
 
     def __init__(self, rank: int, weights: list[Weight], col_fn: Callable,
-                 name: str = "", labels: list[str] | None = None,
-                 meta: dict | None = None):
+                 name: str = "", meta: dict | None = None):
         self.rank = rank
         self.weights = list(weights)
         self.zdegs = [w.total() for w in self.weights]
         self.parities = [z % 2 for z in self.zdegs]
         self.name = name
-        self.labels = labels
         self.meta = meta or {}
         self._col_fn = col_fn
         self._blocks = None
@@ -88,9 +83,6 @@ class FiniteWModule:
     def check_keys(self) -> list[Term]:
         """The terms whose brackets ``check_representation`` checks by default."""
         return local_terms(self.rank)
-
-    def label(self, j: int) -> str:
-        return self.labels[j] if self.labels else f"e{j}"
 
     def column(self, term: Term, j: int) -> Vec:
         return self._col_fn(term, j)
@@ -154,13 +146,6 @@ class Character:
     def total_dim(self) -> int:
         return sum(self.entries.values())
 
-    def to_json(self) -> str:
-        rows = [
-            {"weight": list(w), "zdeg": z, "mult": m}
-            for (w, z), m in sorted(self.entries.items())
-        ]
-        return json.dumps({"rank": self.rank, "entries": rows}, sort_keys=True)
-
     def __eq__(self, other):
         return (isinstance(other, Character) and self.rank == other.rank
                 and self.entries == other.entries)
@@ -180,8 +165,7 @@ def lambda_module(n: int) -> FiniteWModule:
         out = w_apply(x, GrassmannElement({masks[j]: Fraction(1)}))
         return {index[m]: c for m, c in out.terms.items()}
 
-    labels = [format_monomial(m) for m in masks]
-    return FiniteWModule(n, weights, col_fn=col, name="Lambda", labels=labels)
+    return FiniteWModule(n, weights, col_fn=col, name="Lambda")
 
 
 def adjoint_module(n: int) -> FiniteWModule:
@@ -196,8 +180,7 @@ def adjoint_module(n: int) -> FiniteWModule:
         out = bracket(x, y)
         return {index[t]: c for t, c in out.terms.items()}
 
-    labels = [format_term(t) for t in terms]
-    return FiniteWModule(n, weights, col_fn=col, name="adjoint", labels=labels)
+    return FiniteWModule(n, weights, col_fn=col, name="adjoint")
 
 
 def tensor_module(a: FiniteWModule, b: FiniteWModule) -> FiniteWModule:
@@ -313,9 +296,6 @@ class Submodule:
     def dim(self) -> int:
         return self.echelon.dim
 
-    def contains(self, vec: Vec) -> bool:
-        return self.echelon.contains(vec)
-
     def module(self) -> FiniteWModule:
         """The span as a module: the parent itself when the span is
         everything, else the action on the echelon basis."""
@@ -371,9 +351,7 @@ def quotient_module(m: FiniteWModule, sub: Submodule, name: str = "") -> FiniteW
         red = ech.reduce(dict(img))
         return {index[j]: c for j, c in red.items()}
 
-    labels = [m.label(j) for j in free] if m.labels else None
-    return FiniteWModule(m.rank, weights, col_fn=col,
-                         name=name or f"{m.name}/sub", labels=labels)
+    return type(m)(m.rank, weights, col_fn=col, name=name or f"{m.name}/sub")
 
 
 # ---------------------------------------------------------------- structure analysis
@@ -391,6 +369,26 @@ def singular_vectors(m: FiniteWModule, b: BorelOrder,
     zset = set(zdegs) if zdegs is not None else None
     flt = None if zset is None else (lambda w: w.total() in zset)
     return singular_blocks(m, triangular_terms(b)[0], block_filter=flt)
+
+
+def singular_line(m: FiniteWModule, b: BorelOrder, hw: Weight) -> Vec:
+    """A vector of weight hw that the raising terms of b kill, the first of
+    their joint kernel on that one block: the generator of both cyclic
+    simple modules, a gl(n) simple in a mixed tensor (``cyclic_simple``)
+    and L- in the tensor fields (``extract_L_minus``).
+
+    Only that block is solved, and a raising term whose target weight the
+    module lacks adds no equation.  Raises NonBasisElementError when hw
+    does not occur or carries no singular vector."""
+    blocks = m.weight_blocks()
+    cols = blocks.get(hw)
+    if cols is None:
+        raise NonBasisElementError(f"weight {hw} does not occur")
+    raising = [g for g in triangular_terms(b)[0] if hw + term_weight(g) in blocks]
+    vecs = block_kernel(m, cols, raising)
+    if not vecs:
+        raise NonBasisElementError(f"no singular vector of weight {hw}")
+    return vecs[0]
 
 
 @dataclass

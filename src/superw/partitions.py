@@ -276,13 +276,13 @@ def stable_highest_weight(lam: PartitionLike, mu: PartitionLike, borel, n: int) 
     for either index order.
 
     For the interleaved order the weight places lam on odd and -mu on even
-    indices; the natural order places lam at the start and -mu reversed at the
-    end of 1..n.
+    indices, so it needs rank max(2 len(lam) - 1, 2 len(mu)); the natural
+    order places lam at the start and -mu reversed at the end of 1..n.
     """
     lam, mu = aspartition(lam), aspartition(mu)
     kind = getattr(borel, "kind", borel)
     if kind == INTERLEAVED:
-        need = 2 * max(lam.length, mu.length)
+        need = max(2 * lam.length - 1, 2 * mu.length)
         if n < need:
             raise RankTooSmallError(
                 f"rank {n} too small for interleaved weight of {lam}/{mu}, need {need}"

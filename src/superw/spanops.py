@@ -177,29 +177,35 @@ def restricted_action(m, ech: RationalEchelon) -> tuple[list, Callable]:
     return weights, col
 
 
+def block_kernel(m, cols: list[int], gen_keys) -> list[Vec]:
+    """Joint kernel of the generator operators on the weight block spanned
+    by the basis vectors ``cols``, in module coordinates: one exact
+    ``kernel_basis`` solve, which stops reading equations once they pin
+    every coordinate, so a zero kernel costs no more than the rank."""
+    rows_map: dict = {}
+    for g in gen_keys:
+        for k, c in enumerate(cols):
+            for r, x in m.column(g, c).items():
+                rows_map.setdefault((g, r), {})[k] = x
+    return [{cols[k]: c for k, c in v.items()}
+            for v in kernel_basis(rows_map.values(), len(cols))]
+
+
 def singular_blocks(m, gen_keys, block_filter: Callable | None = None) -> dict:
     """Joint kernel of the generator operators, keyed by the weight of each
     block that carries a nonzero kernel; ``block_filter`` takes that
-    weight.  Each block is solved exactly by ``kernel_basis``, which stops
-    reading equations once they pin every coordinate, so a block with a
-    zero kernel costs no more than its rank.  A generator whose target
-    weight the module lacks (``_Targets``) adds no equation, so its
+    weight.  Each block is one ``block_kernel`` solve.  A generator whose
+    target weight the module lacks (``_Targets``) adds no equation, so its
     columns on that block are not built."""
     out: dict = {}
     pred = _Targets(m, gen_keys)
     for b, (w, cols) in enumerate(m.weight_blocks().items()):
         if block_filter is not None and not block_filter(w):
             continue
-        rows_map: dict = {}
-        for g, t in zip(gen_keys, pred.row(b)):
-            if t == -1:
-                continue
-            for k, c in enumerate(cols):
-                for r, x in m.column(g, c).items():
-                    rows_map.setdefault((g, r), {})[k] = x
-        local = kernel_basis(rows_map.values(), len(cols))
-        if local:
-            out[w] = [{cols[k]: c for k, c in v.items()} for v in local]
+        vecs = block_kernel(m, cols, [g for g, t in zip(gen_keys, pred.row(b))
+                                      if t != -1])
+        if vecs:
+            out[w] = vecs
     return out
 
 

@@ -6,17 +6,17 @@ correction contracted through the base module, is the column kernel
 induction ``kac_plus``.  Duality with the downward induction is checked
 by an explicit invertible intertwiner, and the simple module attached to
 a partition pair is cut out as the cyclic submodule on the
-interleaved-order singular vector.
+interleaved-order singular vector (``modules.singular_line``, the search
+that also cuts the gl(n) simples out of mixed tensors).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonBasisElementError, RankMismatchError
+from .errors import RankMismatchError
 from .glmodules import gl_simple
 from .grassmann import indices_of
 from .induction import kac_plus
-from .linalg import Vec
 from .modules import (
     FiniteWModule,
     GlModule,
@@ -25,40 +25,31 @@ from .modules import (
     dual_module,
     field_columns,
     is_simple,
+    singular_line,
     submodule_generated,
 )
 from .partitions import aspartition, stable_highest_weight
-from .spanops import iso_check, singular_blocks
-from .walgebra import BorelOrder, triangular_terms
+from .spanops import iso_check
+from .walgebra import BorelOrder
 from .weights import Weight
 
 
 def tensor_field(x: GlModule, n: int) -> FiniteWModule:
-    """Lambda(n) (x) X with the coefficient-plus-contraction action."""
+    """Lambda(n) (x) X with the coefficient-plus-contraction action, on the
+    basis f (x) v indexed f * dim X + v."""
     if x.rank != n:
         raise RankMismatchError(f"base rank {x.rank} vs algebra rank {n}")
-    dx = x.dim
     weights: list[Weight] = []
-    labels: list[str] = []
     for f in range(1 << n):
         lift = Weight(tuple((i, 1) for i in indices_of(f)))
-        tag = "x" + "".join(str(i) for i in indices_of(f)) + "|" if f else ""
-        for v in range(dx):
-            weights.append(x.weights[v] + lift)
-            labels.append(tag + f"x{v}")
-
-    return FiniteWModule(
-        n, weights, col_fn=field_columns(x.column, dx), name=f"T({x.name or 'X'})",
-        labels=labels,
-        meta={"kind": "tensor_field", "base_dim": dx, "base_name": x.name},
-    )
+        weights.extend(w + lift for w in x.weights)
+    return FiniteWModule(n, weights, col_fn=field_columns(x.column, x.dim),
+                         name=f"T({x.name or 'X'})")
 
 
 @dataclass
 class DualityReport:
     """Outcome of matching a tensor-field module with a dual induction."""
-    rank: int
-    base_name: str
     passes: bool
     dim: int
     intertwiner: dict | None = None
@@ -71,47 +62,25 @@ def coinduction_duality_check(x: GlModule, n: int, seed: int = 0) -> DualityRepo
     t = tensor_field(x, n)
     k = dual_module(kac_plus(dual_module(x), n))
     phi = iso_check(t, k)
-    return DualityReport(rank=n, base_name=x.name or "X", passes=phi is not None,
-                         dim=t.dim, intertwiner=phi)
-
-
-def interleaved_min_borel(n: int) -> BorelOrder:
-    return BorelOrder("interleaved", n, "min")
-
-
-def _singular_line(t: FiniteWModule, hw: Weight, b: BorelOrder) -> Vec:
-    sing = singular_blocks(t, triangular_terms(b)[0],
-                           block_filter=lambda w: w == hw)
-    vecs = sing.get(hw)
-    if not vecs:
-        raise NonBasisElementError(f"no singular vector of weight {hw}")
-    return vecs[0]
+    return DualityReport(passes=phi is not None, dim=t.dim, intertwiner=phi)
 
 
 def extract_L_minus_submodule(lam, mu, n: int) -> Submodule:
     """The cyclic submodule of T(V(lam|mu)) on the interleaved singular
     vector, kept as a span inside its parent."""
-    lam, mu = aspartition(lam), aspartition(mu)
     hw = stable_highest_weight(lam, mu, "interleaved", n)
-    x = gl_simple(lam, mu, n, order="interleaved")
-    t = tensor_field(x, n)
-    v = _singular_line(t, hw, interleaved_min_borel(n))
-    sub = submodule_generated(t, [v])
-    t.meta["highest_weight"] = hw
-    return sub
+    t = tensor_field(gl_simple(lam, mu, n, order="interleaved"), n)
+    v = singular_line(t, BorelOrder("interleaved", n, "min"), hw)
+    return submodule_generated(t, [v])
 
 
 def extract_L_minus(lam, mu, n: int) -> FiniteWModule:
     """The simple module attached to a partition pair, realized inside the
     tensor-field module over the interleaved-order simple base."""
     lam, mu = aspartition(lam), aspartition(mu)
-    sub = extract_L_minus_submodule(lam, mu, n)
-    hw = sub.parent.meta["highest_weight"]
-    out = sub.module()
+    out = extract_L_minus_submodule(lam, mu, n).module()
     out.name = f"L-({lam}|{mu},n={n})"
-    out.meta["highest_weight"] = hw
-    out.meta["ambient_dim"] = sub.parent.dim
-    out.meta["proper"] = sub.dim < sub.parent.dim
+    out.meta["highest_weight"] = stable_highest_weight(lam, mu, "interleaved", n)
     return out
 
 

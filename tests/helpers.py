@@ -164,7 +164,7 @@ def vec_scaled(v: Vec, c) -> Vec:
 
 def trivial_module(n: int) -> FiniteWModule:
     return FiniteWModule(n, [Weight.zero()], col_fn=lambda term, j: {},
-                         name="C", labels=["1"])
+                         name="C")
 
 
 def weight_of(m: FiniteWModule, vec: Vec) -> Weight:

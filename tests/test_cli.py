@@ -47,6 +47,15 @@ def test_kac_plus_rejects_a_degree_cutoff(argv, capsys, monkeypatch):
     assert captured.err == "error: --degree-cutoff applies to --kind minus only\n"
 
 
+@pytest.mark.parametrize("lam,n", [("1", "1"), ("1,1", "3")])
+def test_tensorfield_at_the_least_interleaved_rank(lam, n, capsys):
+    # lam on odd indices needs rank 2 len(lam) - 1, not 2 len(lam); exit 0
+    # means the simplicity verdict, the extracted dimension and the
+    # invariants round trip agree
+    assert main(["tensorfield", "-l", lam, "-m", "", "--n", n]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_check_rank_below_one_exits_two_before_any_output(n, capsys):
     assert main(["check", "--n", n, "--samples", "5"]) == 2

@@ -26,7 +26,7 @@ PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # options that no caller set; the library fixes their values instead
 RETIRED_PARAMS = {"prime", "max_steps", "burnside_threshold", "generating_only",
-                  "term_fn"}
+                  "term_fn", "labels"}
 
 # oracles the tests compare against; the library decides without them
 ORACLES = {"burnside_full", "rank_mod_p"}

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from superw import spanops
+from superw.errors import NonBasisElementError
 from superw.modules import (Character, adjoint_module, check_representation,
                             dual_module, is_simple, lambda_module,
-                            psi_invariants, quotient_module, singular_vectors,
-                            submodule_generated, tensor_module)
-from superw.glmodules import gl_trivial
+                            psi_invariants, quotient_module, singular_line,
+                            singular_vectors, submodule_generated,
+                            tensor_module)
+from superw.glmodules import gl_natural, gl_trivial, mixed_tensor
 from superw.spanops import iso_check
 from superw.tensorfields import extract_L_minus_submodule, tensor_field
 from superw.walgebra import BorelOrder, basis_terms
@@ -140,7 +142,7 @@ def test_full_submodule_is_its_parent():
     m = lambda_module(2)
     sub = submodule_generated(m, [{1: Fraction(1)}])
     assert sub.full and sub.module() is m
-    assert sub.contains({3: Fraction(5)})
+    assert sub.echelon.contains({3: Fraction(5)})
 
 
 def test_quotient_of_an_integer_module_keeps_int_columns():
@@ -184,6 +186,35 @@ def test_dual_transposes_each_term_once():
     first = [d.column(t, j) for t, j in keys]
     assert [d.column(t, j) for t, j in keys] == first
     assert reads == {t: m.dim for t in m.check_keys()}
+
+
+@pytest.mark.parametrize("case", ["gl", "tensor-field"])
+def test_singular_line_is_the_first_vector_of_its_block(case):
+    # at every weight that carries one: the first vector of the block's
+    # joint kernel, as singular_vectors has it, from that block's columns
+    if case == "gl":
+        m, b = mixed_tensor(2, 1, 3), BorelOrder("natural", 3)
+    else:
+        m = tensor_field(gl_natural(3), 3)
+        b = BorelOrder("natural", 3, "max")
+    sing = singular_vectors(m, b)
+    col, reads = m._col_fn, set()
+    m._col_fn = lambda term, j: reads.add(j) or col(term, j)
+    solved = 0
+    for hw, vecs in sing.items():
+        reads.clear()
+        assert singular_line(m, b, hw) == vecs[0]
+        assert reads <= set(m.weight_blocks()[hw])
+        solved += bool(reads)
+    assert len(sing) > 1 and solved
+
+
+def test_singular_line_rejects_a_weight_without_one():
+    m, b = gl_natural(3), BorelOrder("natural", 3)
+    with pytest.raises(NonBasisElementError, match="does not occur"):
+        singular_line(m, b, 2 * Weight.eps(1))
+    with pytest.raises(NonBasisElementError, match="no singular vector"):
+        singular_line(m, b, Weight.eps(2))
 
 
 def test_quotient_of_full_submodule_raises():

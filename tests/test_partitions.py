@@ -15,7 +15,7 @@ from superw.partitions import (Partition, aspartition, lr_coefficient,
                                partitions_of, schur_dim, schur_weights,
                                socle_layer_mults, stable_highest_weight,
                                weight_to_partition_pair)
-from superw.weights import Weight
+from superw.weights import Weight, order_sequence
 
 
 def ssyt_weights(parts: tuple, n: int) -> dict:
@@ -149,6 +149,22 @@ def test_stable_highest_weight_rank_guard():
         stable_highest_weight((1, 1, 1), (1, 1, 1), "interleaved", 4)
     with pytest.raises(RankTooSmallError):
         stable_highest_weight((1, 1), (1, 1), "natural", 3)
+
+
+@pytest.mark.parametrize("lam,mu", [
+    ((1,), ()), ((1, 1), ()), ((2, 1, 1), (1,)), ((1,), (1,)), ((), (1, 1)),
+    ((1, 1), (2, 1)), ((1, 1, 1), (1, 1)),
+])
+def test_interleaved_rank_bound_is_tight(lam, mu):
+    # lam sits on the odd indices 1, 3, .., 2 len(lam) - 1 and -mu on the
+    # even ones 2, 4, .., 2 len(mu): the least rank holds both, and there
+    # the weight is dominant for the interleaved order
+    need = max(2 * len(lam) - 1, 2 * len(mu))
+    w = stable_highest_weight(lam, mu, "interleaved", need)
+    along = [w[i] for i in order_sequence("interleaved", need)]
+    assert along == sorted(along, reverse=True)
+    with pytest.raises(RankTooSmallError, match=f"need {need}"):
+        stable_highest_weight(lam, mu, "interleaved", need - 1)
 
 
 def test_weight_to_partition_pair_splits_tail():

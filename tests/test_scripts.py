@@ -41,9 +41,9 @@ def test_stabilization_sweep(tmp_path):
 
 
 def test_simplicity_survey_skips_pairs_the_rank_cannot_hold(tmp_path):
-    # at n = 3 a shape pair with two rows needs rank 4 in the interleaved
-    # order; the survey lists it instead of dying, and two runs write the
-    # same bytes
+    # at n = 3 a pair with two rows in mu needs rank 4 in the interleaved
+    # order (two rows in lam need only 3); the survey lists it instead of
+    # dying, and two runs write the same bytes
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     for out in outs:
         proc = run_script("simplicity_survey.py", "--n", "3", "--max-size", "2",
@@ -51,9 +51,9 @@ def test_simplicity_survey_skips_pairs_the_rank_cannot_hold(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert outs[0].read_bytes() == outs[1].read_bytes()
     payload = json.loads(outs[0].read_text())
-    assert len(payload["rows"]) == 9 and len(payload["skipped"]) == 7
-    assert {"lambda": [1, 1], "mu": []} in payload["skipped"]
-    assert proc.stdout.count("skipped (") == 7
+    assert len(payload["rows"]) == 12 and len(payload["skipped"]) == 4
+    assert all(s["mu"] == [1, 1] for s in payload["skipped"])
+    assert proc.stdout.count("skipped (") == 4
 
 
 def test_simplicity_survey_rejects_bad_arguments():

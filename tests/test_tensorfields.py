@@ -21,9 +21,12 @@ def test_tensor_field_satisfies_the_bracket_relation():
 
 def test_action_splits_into_coefficient_and_contraction():
     t = tensor_field(gl_conatural(2), 2)
-    assert t.labels == ["x0", "x1", "x1|x0", "x1|x1",
-                        "x2|x0", "x2|x1", "x12|x0", "x12|x1"]
-    # coefficient part moves x2|x0 to x1|x0, contraction rotates the base
+    # basis f (x) v at f * 2 + v, coefficients 1, x1, x2, x1x2 over f_1, f_2
+    e1, e2 = Weight.eps(1), Weight.eps(2)
+    assert t.weights == [-e1, -e2, Weight.zero(), e1 - e2,
+                         e2 - e1, Weight.zero(), e2, e1]
+    # coefficient part moves x2 (x) f_1 to x1 (x) f_1, contraction rotates
+    # the base
     assert t.column((1, 2), 4) == {2: 1, 5: -1}
     assert t.column((1, 2), 0) == {1: -1}
     assert t.column((2, 1), 1) == {0: -1}
@@ -65,7 +68,7 @@ def test_extracted_scalars_mod_constants():
         m = extract_L_minus((1,), (), n)
         assert m.dim == (1 << n) - 1
         assert m.meta["highest_weight"] == Weight.eps(1)
-        assert m.meta["proper"]
+        assert m.dim < tensor_field(gl_natural(n), n).dim
 
 
 def test_extracted_adjoint_fills_the_ambient_module():
@@ -73,7 +76,7 @@ def test_extracted_adjoint_fills_the_ambient_module():
         m = extract_L_minus((), (1,), n)
         assert m.dim == n * (1 << n)
         assert m.meta["highest_weight"] == -Weight.eps(2)
-        assert not m.meta["proper"]
+        assert m.dim == tensor_field(gl_conatural(n), n).dim
         assert iso_check(m, adjoint_module(n)) is not None
 
 
