@@ -23,15 +23,8 @@ from superw.glmodules import gl_simple
 from superw.induction import kac_plus, typicality
 from superw.modules import is_simple
 from superw.partitions import Partition, partitions_of, stable_highest_weight
-from superw.tensorfields import tensor_field_simplicity
+from superw.tensorfields import tensor_field
 from superw.weights import ORDER_KINDS
-
-
-@dataclass
-class SurveyConfig:
-    n: int = 4
-    max_size: int = 2
-    out: str | None = None
 
 
 @dataclass
@@ -73,22 +66,21 @@ def fits(lam: Partition, mu: Partition, n: int) -> bool:
     return True
 
 
-def survey(cfg: SurveyConfig) -> tuple[list[Row], list[tuple[Partition, Partition]]]:
+def survey(n: int, max_size: int) -> tuple[list[Row], list[tuple[Partition, Partition]]]:
     """The rows of every pair that fits the rank, and the skipped pairs."""
-    if cfg.n < 1:
-        raise ValueError(f"rank must be positive, got {cfg.n}")
-    if cfg.max_size < 0:
-        raise ValueError(f"max size must be non-negative, got {cfg.max_size}")
+    if n < 1:
+        raise ValueError(f"rank must be positive, got {n}")
+    if max_size < 0:
+        raise ValueError(f"max size must be non-negative, got {max_size}")
     rows, skipped = [], []
-    for lam, mu in pairs_up_to(cfg.max_size):
-        if not fits(lam, mu, cfg.n):
+    for lam, mu in pairs_up_to(max_size):
+        if not fits(lam, mu, n):
             skipped.append((lam, mu))
             continue
-        base = gl_simple(lam, mu, cfg.n, order="natural")
-        kv = is_simple(kac_plus(base, cfg.n))
-        fv = tensor_field_simplicity(lam, mu, cfg.n)
-        hw = stable_highest_weight(lam, mu, "natural", cfg.n)
-        ty = typicality(hw, cfg.n)
+        kv = is_simple(kac_plus(gl_simple(lam, mu, n, order="natural"), n))
+        fv = is_simple(tensor_field(gl_simple(lam, mu, n, order="interleaved"), n))
+        hw = stable_highest_weight(lam, mu, "natural", n)
+        ty = typicality(hw, n)
         row = Row(lam=lam, mu=mu, kac_simple=kv.simple, field_simple=fv.simple,
                   typical=ty.typical)
         if kv.simple != ty.typical:
@@ -113,24 +105,23 @@ def main() -> int:
     ap.add_argument("--max-size", type=int, default=2)
     ap.add_argument("--out", default=None)
     a = ap.parse_args()
-    cfg = SurveyConfig(n=a.n, max_size=a.max_size, out=a.out)
     try:
-        rows, skipped = survey(cfg)
+        rows, skipped = survey(a.n, a.max_size)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     print_table(rows)
     for lam, mu in skipped:
-        print(f"skipped ({lam}|{mu}): highest weight does not fit rank {cfg.n}")
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            json.dump({"n": cfg.n, "max_size": cfg.max_size,
+        print(f"skipped ({lam}|{mu}): highest weight does not fit rank {a.n}")
+    if a.out:
+        with open(a.out, "w") as fh:
+            json.dump({"n": a.n, "max_size": a.max_size,
                        "rows": [r.to_json() for r in rows],
                        "skipped": [{"lambda": list(lam.parts), "mu": list(mu.parts)}
                                    for lam, mu in skipped]},
                       fh, sort_keys=True, indent=2)
             fh.write("\n")
-        print(f"wrote {cfg.out}")
+        print(f"wrote {a.out}")
     return 0
 
 

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from superw.stability import stabilization_sweep
 
@@ -30,33 +29,25 @@ DEFAULT_FAMILIES = [
 ]
 
 
-@dataclass
-class SweepConfig:
-    n_from: int = 4
-    n_to: int = 6
-    window: int | None = None
-    out: str | None = None
-
-
 def parse_family(text: str):
     kind, lam, mu = (text.split(":") + ["", ""])[:3]
     to_parts = lambda s: tuple(int(p) for p in s.split(",") if p)
     return kind, to_parts(lam), to_parts(mu)
 
 
-def run(cfg: SweepConfig, families) -> list[dict]:
+def run(args, families) -> list[dict]:
     out = []
     for kind, lam, mu in families:
         t0 = time.perf_counter()
-        rep = stabilization_sweep(lam, mu, cfg.n_from, cfg.n_to, obj=kind,
-                                  window=cfg.window)
+        rep = stabilization_sweep(lam, mu, args.n_from, args.n_to, obj=kind,
+                                  window=args.window)
         dt = time.perf_counter() - t0
         trace = [(n, ch.total_dim()) for n, ch in rep.characters]
         flag = "stable" if rep.stabilized else f"mismatch at {rep.first_mismatch}"
         print(f"{kind:>3} ({lam}|{mu}) window {rep.window}: "
               + " -> ".join(f"{d}@n={n}" for n, d in trace)
               + f"  [{flag}, {dt:.1f}s]")
-        out.append(json.loads(rep.to_json()))
+        out.append(rep.to_json())
     return out
 
 
@@ -70,19 +61,18 @@ def main() -> int:
                     help="e.g. L-:1:1 or K+::1; repeatable")
     ap.add_argument("--out", default=None)
     a = ap.parse_args()
-    cfg = SweepConfig(n_from=a.n_from, n_to=a.n_to, window=a.window, out=a.out)
     try:
         families = ([parse_family(f) for f in a.family]
                     if a.family else DEFAULT_FAMILIES)
-        reports = run(cfg, families)
+        reports = run(a, families)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if a.out:
+        with open(a.out, "w") as fh:
             json.dump(reports, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        print(f"wrote {cfg.out}")
+        print(f"wrote {a.out}")
     return 0
 
 

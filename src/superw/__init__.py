@@ -30,8 +30,7 @@ from .spanops import hom_space, iso_check
 from .induction import (Typicality, find_primitive, kac_minus_truncated,
                         kac_plus, typicality)
 from .tensorfields import (DualityReport, coinduction_duality_check,
-                           extract_L_minus, tensor_field,
-                           tensor_field_simplicity)
+                           extract_L_minus, tensor_field)
 from .stability import (StabilizationReport, restricted_character,
                         stabilization_sweep)
 from .suite import Criterion, run_suite
@@ -58,7 +57,7 @@ __all__ = [
     "quotient_module", "removal_sign", "restricted_character", "run_suite",
     "schur_dim", "socle_layer_mults",
     "stabilization_sweep", "stable_highest_weight", "submodule_generated",
-    "tensor_field", "tensor_field_simplicity",
+    "tensor_field",
     "tensor_module", "typicality", "verify_socle_identity",
     "w_apply", "weyl_dim",
 ]

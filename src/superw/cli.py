@@ -26,7 +26,7 @@ from .partitions import Partition, stable_highest_weight
 from .spanops import iso_check
 from .stability import stabilization_sweep
 from .suite import (jacobi_failures, random_homogeneous, run_suite,
-                    sign_bugged_bracket, suite_to_json)
+                    sign_bugged_bracket)
 from .tensorfields import coinduction_duality_check, extract_L_minus, tensor_field
 from .walgebra import (BorelOrder, basis_terms, bracket, component_dim,
                        format_term, format_welement, parity, w_apply)
@@ -153,8 +153,7 @@ def cmd_socle(args) -> int:
             print(f"  layer {k}: ({lp}|{mp}) expected {want} observed {got}{mark}")
     for lp, mp, got in rep.extras:
         print(f"  unexpected constituent ({lp}|{mp}) x{got}")
-    if getattr(args, "out", None):
-        Path(args.out).write_text(rep.to_json() + "\n")
+    _dump(args, rep.to_json())
     return 0 if rep.holds else 1
 
 
@@ -275,8 +274,7 @@ def cmd_stabilize(args) -> int:
     if rep.first_mismatch:
         print(f"  first disagreement between n={rep.first_mismatch[0]} "
               f"and n={rep.first_mismatch[1]}")
-    if getattr(args, "out", None):
-        Path(args.out).write_text(rep.to_json() + "\n")
+    _dump(args, rep.to_json())
     return 0 if rep.stabilized else 1
 
 
@@ -289,8 +287,7 @@ def cmd_suite(args) -> int:
         print(c.line())
     ok = all(c.passed for c in results)
     print("all criteria passed" if ok else "SUITE FAILED")
-    if getattr(args, "out", None):
-        Path(args.out).write_text(suite_to_json(results) + "\n")
+    _dump(args, {"criteria": [c.to_json() for c in results], "all_passed": ok})
     return 0 if ok else 1
 
 

@@ -8,7 +8,6 @@ layer-multiplicity identity.  Everything is exact.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -167,8 +166,8 @@ class SocleReport:
     # observed constituents no layer predicts
     extras: list = field(default_factory=list)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json(self) -> dict:
+        return {
             "lambda": list(self.lam.parts),
             "mu": list(self.mu.parts),
             "n": self.rank,
@@ -191,7 +190,6 @@ class SocleReport:
             "lhs_dim": self.lhs_dim,
             "rhs_dim": self.rhs_dim,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def verify_socle_identity(lam, mu, n: int) -> SocleReport:

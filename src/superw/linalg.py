@@ -5,9 +5,14 @@ state keeps each stored row normalized so its minimal coordinate is the
 pivot with coefficient one; reduction therefore terminates by always
 eliminating the least pivoted coordinate present.
 
-Exact kernels come from the same sparse echelon: ``kernel_basis`` inserts
-the constraint rows and back-substitutes one basis vector per free column,
-so no dense matrix is ever formed.
+``RationalEchelon.reduce`` is the one exact reduction loop: insertion,
+membership (an empty residual) and coordinates over the stored rows
+(``express``, which passes it a dict to record the eliminated rows'
+coefficients in) all go through it.  ``kernel_basis`` is the one rank
+solve: it inserts the constraint rows and back-substitutes one basis
+vector per free column, so no dense matrix is ever formed.  Joint kernels,
+hom spaces and the coinvariant dimensions of ``stability`` (a nullity)
+all come from it.
 
 Every library answer is exact.  The mod-p echelon (``ModPEchelon``,
 ``vec_mod``, modulo ``DEFAULT_PRIME`` = 2^61 - 1) survives only for the
@@ -71,7 +76,13 @@ class RationalEchelon:
     def dim(self) -> int:
         return len(self.order)
 
-    def reduce(self, v: Vec) -> Vec:
+    def reduce(self, v: Vec, coeffs: Optional[dict] = None) -> Vec:
+        """Residual of v against the stored rows; v itself is not touched.
+
+        With a ``coeffs`` dict, the coefficient of each eliminated row is
+        recorded there under its pivot, so v = sum c*row + residual.  Each
+        pivot is hit at most once: a row only reaches coordinates above
+        its pivot."""
         # drop explicit zeros first: one at a stored pivot would never be
         # eliminated, and one at the new pivot could not be normalized
         v = {k: x for k, x in v.items() if x}
@@ -81,22 +92,10 @@ class RationalEchelon:
                 break
             piv = min(hits)
             c = v[piv]
+            if coeffs is not None:
+                coeffs[piv] = c
             vec_axpy(v, -c, self.rows[piv])
         return v
-
-    def reduce_tracked(self, v: Vec) -> tuple[Vec, dict]:
-        """Residual plus coefficients over stored pivots with v = sum c*row + residual."""
-        v = {k: x for k, x in v.items() if x}
-        coeffs: dict = {}
-        while True:
-            hits = [k for k in v if k in self.rows]
-            if not hits:
-                break
-            piv = min(hits)
-            c = v[piv]
-            coeffs[piv] = coeffs.get(piv, 0) + c
-            vec_axpy(v, -c, self.rows[piv])
-        return v, coeffs
 
     def insert(self, v: Vec):
         """Reduce and, if independent, store; returns the new pivot or None."""
@@ -117,13 +116,8 @@ class RationalEchelon:
 
     def express(self, v: Vec) -> Optional[dict]:
         """Coefficients of v over the stored rows (keyed by pivot), or None."""
-        residual, coeffs = self.reduce_tracked(v)
-        if residual:
-            return None
-        return coeffs
-
-    def contains(self, v: Vec) -> bool:
-        return not self.reduce(v)
+        coeffs: dict = {}
+        return None if self.reduce(v, coeffs) else coeffs
 
 
 class ModPEchelon:

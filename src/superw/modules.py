@@ -146,10 +146,6 @@ class Character:
     def total_dim(self) -> int:
         return sum(self.entries.values())
 
-    def __eq__(self, other):
-        return (isinstance(other, Character) and self.rank == other.rank
-                and self.entries == other.entries)
-
 
 # ---------------------------------------------------------------- standard modules
 
@@ -345,10 +341,7 @@ def quotient_module(m: FiniteWModule, sub: Submodule, name: str = "") -> FiniteW
 
     @cache
     def col(term: Term, t: int) -> Vec:
-        img = m.act_term(term, {free[t]: 1})
-        if not img:
-            return {}
-        red = ech.reduce(dict(img))
+        red = ech.reduce(m.column(term, free[t]))
         return {index[j]: c for j, c in red.items()}
 
     return type(m)(m.rank, weights, col_fn=col, name=name or f"{m.name}/sub")

@@ -271,7 +271,7 @@ def socle_layer_mults(
     return out
 
 
-def stable_highest_weight(lam: PartitionLike, mu: PartitionLike, borel, n: int) -> Weight:
+def stable_highest_weight(lam: PartitionLike, mu: PartitionLike, order: str, n: int) -> Weight:
     """Highest weight of the simple gl(n) module attached to a partition pair,
     for either index order.
 
@@ -280,8 +280,7 @@ def stable_highest_weight(lam: PartitionLike, mu: PartitionLike, borel, n: int) 
     order places lam at the start and -mu reversed at the end of 1..n.
     """
     lam, mu = aspartition(lam), aspartition(mu)
-    kind = getattr(borel, "kind", borel)
-    if kind == INTERLEAVED:
+    if order == INTERLEAVED:
         need = max(2 * lam.length - 1, 2 * mu.length)
         if n < need:
             raise RankTooSmallError(
@@ -290,7 +289,7 @@ def stable_highest_weight(lam: PartitionLike, mu: PartitionLike, borel, n: int) 
         coords = [(2 * i - 1, lam.part(i)) for i in range(1, lam.length + 1)]
         coords += [(2 * j, -mu.part(j)) for j in range(1, mu.length + 1)]
         return Weight(coords)
-    if kind == NATURAL:
+    if order == NATURAL:
         if n < lam.length + mu.length:
             raise RankTooSmallError(
                 f"rank {n} too small for natural weight of {lam}/{mu}"
@@ -298,7 +297,7 @@ def stable_highest_weight(lam: PartitionLike, mu: PartitionLike, borel, n: int) 
         coords = [(i, lam.part(i)) for i in range(1, lam.length + 1)]
         coords += [(n - j + 1, -mu.part(j)) for j in range(1, mu.length + 1)]
         return Weight(coords)
-    raise ValueError(f"unknown order kind {kind!r}")
+    raise ValueError(f"unknown order kind {order!r}")
 
 
 def weight_to_partition_pair(nu: Weight, n: int) -> tuple[Partition, Partition]:

@@ -13,8 +13,10 @@ does not see:
   submodules).
 
 * coinvariants mode: the quotient by the image of the tail algebra.
-  Downward inductions have no tail-killed vectors at all (the d_i act
-  freely), but their coinvariants on the window stabilize.
+  Upward inductions have no tail-killed vectors at all (the d_i act
+  freely), but their coinvariants on the window stabilize.  A block's
+  coinvariant dimension is the nullity of the tail's image rows in it,
+  the size of their ``kernel_basis``.
 
 Both modes apply only the tail's own generating set, the rank n-w
 ``generating_terms`` shifted past the window: a joint kernel under a
@@ -25,12 +27,11 @@ per-rank characters plus the first disagreement, if any.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .glmodules import gl_simple
 from .induction import kac_plus
-from .linalg import RationalEchelon
+from .linalg import kernel_basis
 from .modules import Character, FiniteWModule
 from .partitions import Partition, aspartition
 from .spanops import singular_blocks
@@ -71,12 +72,7 @@ def restricted_character(m: FiniteWModule, window: int,
                 img = m.column(g, c)
                 if img:
                     rows.append({local[r]: x for r, x in img.items()})
-        ech = RationalEchelon()
-        for r in rows:
-            ech.insert(r)
-            if ech.dim == len(cols):
-                break
-        dim = len(cols) - ech.dim
+        dim = len(kernel_basis(rows, len(cols)))
         if dim:
             key = (w.dense(window), w.total())
             entries[key] = entries.get(key, 0) + dim
@@ -110,7 +106,7 @@ class StabilizationReport:
     characters: list = field(default_factory=list)  # (n, Character)
     first_mismatch: tuple | None = None  # (n, n+1) ranks that disagree
 
-    def to_json(self) -> str:
+    def to_json(self) -> dict:
         payload = {
             "object": self.obj,
             "lambda": list(self.lam.parts),
@@ -129,7 +125,7 @@ class StabilizationReport:
         }
         if self.first_mismatch is not None:
             payload["first_mismatch"] = list(self.first_mismatch)
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return payload
 
 
 def stabilization_sweep(lam, mu, n_from: int, n_to: int, obj: str = "L-",

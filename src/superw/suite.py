@@ -11,7 +11,6 @@ intertwiners for the advertised realizations.
 """
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass
@@ -322,8 +321,3 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 def run_suite() -> list[Criterion]:
     return [fn() for fn in CRITERIA]
 
-
-def suite_to_json(results: list[Criterion]) -> str:
-    return json.dumps({"criteria": [c.to_json() for c in results],
-                       "all_passed": all(c.passed for c in results)},
-                      sort_keys=True, indent=2)

@@ -20,11 +20,9 @@ from .induction import kac_plus
 from .modules import (
     FiniteWModule,
     GlModule,
-    SimplicityVerdict,
     Submodule,
     dual_module,
     field_columns,
-    is_simple,
     singular_line,
     submodule_generated,
 )
@@ -82,10 +80,3 @@ def extract_L_minus(lam, mu, n: int) -> FiniteWModule:
     out.name = f"L-({lam}|{mu},n={n})"
     out.meta["highest_weight"] = stable_highest_weight(lam, mu, "interleaved", n)
     return out
-
-
-def tensor_field_simplicity(lam, mu, n: int) -> SimplicityVerdict:
-    """Simplicity of the full tensor-field module over V(lam|mu)."""
-    lam, mu = aspartition(lam), aspartition(mu)
-    x = gl_simple(lam, mu, n, order="interleaved")
-    return is_simple(tensor_field(x, n))

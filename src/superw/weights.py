@@ -10,7 +10,7 @@ ascending followed by even indices descending (1, 3, 5, ..., 6, 4, 2).
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Iterable
 
 NATURAL = "natural"
 INTERLEAVED = "interleaved"
@@ -35,16 +35,9 @@ class Weight:
 
     __slots__ = ("_items",)
 
-    def __init__(self, coords: Union[Mapping[int, int], Iterable[tuple[int, int]], None] = None):
-        if coords is None:
-            self._items: tuple[tuple[int, int], ...] = ()
-            return
-        if isinstance(coords, Weight):
-            self._items = coords._items
-            return
+    def __init__(self, coords: Iterable[tuple[int, int]] = ()):
         acc: dict[int, int] = {}
-        items = coords.items() if isinstance(coords, Mapping) else coords
-        for i, c in items:
+        for i, c in coords:
             i = int(i)
             c = int(c)
             if i < 1:

@@ -299,9 +299,7 @@ def test_every_layer_fits_once_the_top_pair_does():
 
 
 def test_socle_report_json_shape():
-    import json
-    rep = verify_socle_identity((1,), (1,), 4)
-    data = json.loads(rep.to_json())
+    data = verify_socle_identity((1,), (1,), 4).to_json()
     assert data["pass"] is True
     assert data["lambda"] == [1] and data["mu"] == [1] and data["n"] == 4
     ks = [layer["k"] for layer in data["layers"]]

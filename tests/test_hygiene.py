@@ -14,6 +14,7 @@ public surface.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -501,11 +502,78 @@ def references(source: str, strings: bool = False) -> set[str]:
     return out
 
 
-def uncalled(library: list[str], callers: set[str]) -> list[str]:
-    """Library functions and methods whose name no caller reads.  Methods
-    match by name alone, so one that shares its name with a called function
-    passes: the scan is a floor, not a proof."""
-    return [f for f in library if f.rsplit(".", 1)[-1] not in callers]
+# methods whose name another library definition also defines, so a read
+# of the name may mean the other one: each names the definition outside
+# the tests that calls it, as "file stem.definition"
+SHARED_NAME_CALLERS = {
+    "glmodules.SocleReport.to_json": "cli.cmd_socle",
+    "grassmann.GrassmannElement._of": "grassmann.gmul",
+    "grassmann.GrassmannElement.degree": "grassmann.GrassmannElement.parity",
+    "grassmann.GrassmannElement.parity": "cli._leibniz_failures",
+    "induction.Typicality.to_json": "cli.cmd_kac",
+    "linalg.ModPEchelon.dim": "linalg.rank_mod_p",
+    "linalg.ModPEchelon.insert": "linalg.rank_mod_p",
+    "linalg.ModPEchelon.reduce": "linalg.ModPEchelon.insert",
+    "linalg.RationalEchelon.dim": "linalg.kernel_basis",
+    "linalg.RationalEchelon.insert": "linalg.kernel_basis",
+    "linalg.RationalEchelon.reduce": "linalg.RationalEchelon.insert",
+    "modules.FiniteWModule.check_keys": "modules.check_representation",
+    "modules.FiniteWModule.dim": "modules.is_simple",
+    "modules.FiniteWModule.gen_keys": "modules.submodule_generated",
+    "modules.GlModule.check_keys": "modules.check_representation",
+    "modules.GlModule.gen_keys": "glmodules.cyclic_simple",
+    "modules.Submodule.dim": "cli.cmd_tensorfield",
+    "stability.StabilizationReport.to_json": "cli.cmd_stabilize",
+    "suite.Criterion.to_json": "cli.cmd_suite",
+    "walgebra.WElement._of": "walgebra.bracket",
+    "weights.Weight.to_json": "induction.Typicality.to_json",
+}
+
+
+def definitions(stem: str, source: str) -> dict[str, ast.AST]:
+    """Module-level functions and the methods of module-level classes,
+    dunders included, keyed ``stem.f`` or ``stem.Class.method``."""
+    out = {}
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out[f"{stem}.{top.name}"] = top
+        elif isinstance(top, ast.ClassDef):
+            out.update({f"{stem}.{top.name}.{f.name}": f for f in top.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))})
+    return out
+
+
+def shared_methods(library: list[str]) -> list[str]:
+    """The methods among ``stem.f`` and ``stem.Class.method`` entries whose
+    name another entry also defines."""
+    count = Counter(f.rsplit(".", 1)[-1] for f in library)
+    return [f for f in library
+            if f.count(".") == 2 and count[f.rsplit(".", 1)[-1]] > 1]
+
+
+def uncalled(library: list[str], callers: set[str],
+             defs: dict[str, ast.AST] = {},
+             shared_callers: dict[str, str] = {}) -> list[str]:
+    """Library functions and methods with no caller.  A name read by some
+    caller counts, unless it is a method whose name another library entry
+    also defines: such a method counts only when ``shared_callers`` names
+    another definition in ``defs`` that reads it.  Outside that table the
+    match is by name, so the scan is a floor, not a proof."""
+    shared = set(shared_methods(library))
+    out = []
+    for f in library:
+        name = f.rsplit(".", 1)[-1]
+        if f in shared:
+            caller = shared_callers.get(f)
+            if caller == f or caller not in defs or name not in {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(defs[caller])
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                    and isinstance(n.ctx, ast.Load)}:
+                out.append(f)
+        elif name not in callers:
+            out.append(f)
+    return out
 
 
 def exported_names() -> set[str]:
@@ -560,6 +628,11 @@ def test_scan_flags_a_test_only_function():
         "grading_element", "Counter.restrict"]
     assert "grading_element" in references(
         "def f():\n    return grading_element(3)\n")
+    # a called method name shared by another definition is no caller of
+    # it: each such method needs its caller in the table
+    library += ["Echelon.restrict"]
+    assert uncalled(library, callers) == [
+        "public_entry", "grading_element", "Counter.restrict", "Echelon.restrict"]
     traced = 'TRACED = [("modules", "restrict")]\n'
     assert "restrict" not in references(traced)
     assert "restrict" in references(traced, strings=True)
@@ -568,13 +641,63 @@ def test_scan_flags_a_test_only_function():
         "kac_plus", "x", "superw", "check"}
 
 
+# the echelon membership test as it stood in the library, which only tests
+# called, beside the partition containment that the library calls
+ECHELON_CONTAINS = {
+    "linalg": """
+class RationalEchelon:
+    def reduce(self, v):
+        return v
+
+    def contains(self, v):
+        return not self.reduce(v)
+""",
+    "partitions": """
+class Partition:
+    def contains(self, other):
+        return True
+
+def lr_coefficient(lam, mu, nu):
+    return nu.contains(lam)
+""",
+}
+
+
+def test_scan_flags_a_method_that_shares_a_called_name():
+    library = [f"{stem}.{f}" for stem, text in ECHELON_CONTAINS.items()
+               for f in library_functions(text)]
+    callers = set().union(*map(references, ECHELON_CONTAINS.values()))
+    defs = {k: v for stem, text in ECHELON_CONTAINS.items()
+            for k, v in definitions(stem, text).items()}
+    callers.add("lr_coefficient")  # as if exported and shown
+    assert shared_methods(library) == ["linalg.RationalEchelon.contains",
+                                       "partitions.Partition.contains"]
+    # by name alone, the partition's caller covers the echelon's method
+    assert {f.rsplit(".", 1)[-1] for f in library} <= callers
+    table = {"partitions.Partition.contains": "partitions.lr_coefficient"}
+    assert uncalled(library, callers, defs, table) == [
+        "linalg.RationalEchelon.contains"]
+    # a caller that is gone, does not read the name, or is the method
+    # itself counts for nothing
+    for caller in ("partitions.gone", "linalg.RationalEchelon.reduce",
+                   "linalg.RationalEchelon.contains"):
+        table["linalg.RationalEchelon.contains"] = caller
+        assert uncalled(library, callers, defs, table) == [
+            "linalg.RationalEchelon.contains"], caller
+
+
 def test_every_library_function_has_a_caller_outside_the_tests():
     """A library function or method needs a caller in the library, the
     scripts or the benchmark, or an ``__all__`` entry that the README
-    shows; one that only tests call belongs in ``tests/helpers.py``."""
+    shows; one that only tests call belongs in ``tests/helpers.py``.  A
+    method whose name another library definition shares needs the caller
+    that ``SHARED_NAME_CALLERS`` names."""
     callers = set().union(
         *(references(p.read_text()) for p in MODULES + SCRIPTS),
         *(references(p.read_text(), strings=True) for p in PERFBENCH))
     callers |= exported_names() & readme_code_names((ROOT / "README.md").read_text())
     library = [f"{p.stem}.{f}" for p in MODULES for f in library_functions(p.read_text())]
-    assert uncalled(library, callers) == []
+    defs = {k: v for p in MODULES + SCRIPTS + PERFBENCH
+            for k, v in definitions(p.stem, p.read_text()).items()}
+    assert sorted(SHARED_NAME_CALLERS) == sorted(shared_methods(library))
+    assert uncalled(library, callers, defs, SHARED_NAME_CALLERS) == []

@@ -85,14 +85,32 @@ def test_contains_and_express():
     ech.insert({0: Fraction(1), 1: Fraction(2)})
     ech.insert({1: Fraction(1), 2: Fraction(1)})
     v = {0: Fraction(2), 1: Fraction(5), 2: Fraction(1)}
-    assert ech.contains(dict(v))
+    assert not ech.reduce(v)
     coeffs = ech.express(dict(v))
     assert coeffs is not None
     rebuilt = {}
     for piv, c in coeffs.items():
         vec_axpy(rebuilt, c, ech.rows[piv])
     assert rebuilt == v
-    assert not ech.contains({2: Fraction(1), 3: Fraction(1)})
+    assert ech.reduce({2: Fraction(1), 3: Fraction(1)})
+
+
+def test_reduce_records_coefficients_without_changing_the_residual():
+    # v = sum c*row + residual, and the coeffs dict only receives output
+    rng = random.Random(19)
+    for _ in range(40):
+        ech = RationalEchelon()
+        for r in random_rows(rng, rng.randint(1, 5), 6):
+            ech.insert(r)
+        (v,) = random_rows(rng, 1, 6)
+        coeffs = {}
+        residual = ech.reduce(v, coeffs)
+        assert residual == ech.reduce(v)
+        assert set(coeffs) <= set(ech.rows)
+        rebuilt = dict(residual)
+        for piv, c in coeffs.items():
+            vec_axpy(rebuilt, c, ech.rows[piv])
+        assert rebuilt == {k: x for k, x in v.items() if x}
 
 
 def test_insert_reports_new_pivot_only():

@@ -4,10 +4,11 @@ import pytest
 
 from superw.errors import RankMismatchError
 from superw.glmodules import gl_conatural, gl_natural, gl_simple, gl_trivial
-from superw.modules import adjoint_module, check_representation, lambda_module
+from superw.modules import (adjoint_module, check_representation, is_simple,
+                            lambda_module)
 from superw.spanops import iso_check
 from superw.tensorfields import (coinduction_duality_check, extract_L_minus,
-                                 tensor_field, tensor_field_simplicity)
+                                 tensor_field)
 from superw.walgebra import basis_terms
 from superw.weights import Weight
 
@@ -81,9 +82,12 @@ def test_extracted_adjoint_fills_the_ambient_module():
 
 
 def test_simplicity_of_full_tensor_fields():
-    assert tensor_field_simplicity((1,), (1,), 4).simple
-    assert not tensor_field_simplicity((2,), (), 4).simple
-    assert tensor_field_simplicity((), (1,), 3).simple
+    def simple(lam, mu, n):
+        return is_simple(tensor_field(gl_simple(lam, mu, n, order="interleaved"), n)).simple
+
+    assert simple((1,), (1,), 4)
+    assert not simple((2,), (), 4)
+    assert simple((), (1,), 3)
 
 
 @pytest.mark.parametrize("n", [3, 4])
