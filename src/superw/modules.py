@@ -48,7 +48,9 @@ from .weights import Weight
 
 def local_terms(n: int) -> list[Term]:
     """Basis terms of the three lowest z-degrees, the default pairs of
-    ``check_representation``; spans use the smaller ``generating_terms``."""
+    ``check_representation``.  Spans and hom spaces use the n + 3 terms
+    of ``generating_terms`` instead: they generate the algebra, while the
+    bracket check needs the brackets of these lowest degrees themselves."""
     return basis_terms(n, -1) + basis_terms(n, 0) + basis_terms(n, 1)
 
 

@@ -276,9 +276,13 @@ def hom_basis(m1, m2, gen_keys) -> list[dict]:
     the algebra that gen_keys and the Cartan generate: an even map
     commuting with x and y commutes with [x, y].
 
-    The commutation equations go straight to ``kernel_basis``: one exact
-    sparse echelon, which stops reading equations once they pin every
-    unknown to zero.  No mod-p pass is needed in either direction."""
+    The commutation equations go to ``kernel_basis``: one exact sparse
+    echelon, which stops reading equations once they pin every unknown to
+    zero.  No mod-p pass is needed in either direction.  Their order is
+    free, since the reduced-row-echelon kernel basis is unique for a
+    given solution space and order of unknowns; they are fed by
+    descending leading unknown, so most become a pivot with no reduction
+    and the fill stays low."""
     blocks1 = m1.weight_blocks()
     blocks2 = m2.weight_blocks()
     uidx: dict[tuple[int, int], int] = {}
@@ -315,6 +319,7 @@ def hom_basis(m1, m2, gen_keys) -> list[dict]:
                     else:
                         row.pop(ui, None)
             rows.extend(r for r in eq.values() if r)
+    rows.sort(key=min, reverse=True)
     local = kernel_basis(rows, len(uidx))
     rev = {ui: key for key, ui in uidx.items()}
     return [{rev[ui]: c for ui, c in v.items()} for v in local]

@@ -18,12 +18,13 @@ does not see:
   coinvariant dimension is the nullity of the tail's image rows in it,
   the size of their ``kernel_basis``.
 
-Both modes apply only the tail's own generating set, the rank n-w
-``generating_terms`` shifted past the window: a joint kernel under a
-generating set is the kernel under the algebra, and the algebra's image
-is the span of the generators' images.  Both restricted characters live
-on weights supported inside the window, and the sweep report records the
-per-rank characters plus the first disagreement, if any.
+Both modes apply only the tail's own minimal generating set, the rank
+n-w ``generating_terms`` (n-w+3 terms from rank 3 on, the whole basis
+below) shifted past the window: a joint kernel under a generating set is
+the kernel under the algebra, and the algebra's image is the span of the
+generators' images.  Both restricted characters live on weights
+supported inside the window, and the sweep report records the per-rank
+characters plus the first disagreement, if any.
 """
 from __future__ import annotations
 

@@ -235,6 +235,58 @@ def closure_oracle(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
     return ech
 
 
+def hom_basis_oracle(m1, m2) -> list[dict]:
+    """``spanops.hom_basis`` as it stood before it sorted its equations,
+    over every basis term of the algebra instead of a generating set: the
+    commutation equations go to ``kernel_basis`` in generator order.
+    Both modules must be modules over the whole algebra."""
+    blocks2 = m2.weight_blocks()
+    uidx: dict[tuple[int, int], int] = {}
+    for key, cols1 in m1.weight_blocks().items():
+        for c1 in cols1:
+            for r2 in blocks2.get(key, ()):
+                uidx[(r2, c1)] = len(uidx)
+    if not uidx:
+        return []
+    partners: dict[int, list[int]] = {}
+    for (r2, c1) in uidx:
+        partners.setdefault(c1, []).append(r2)
+    rows: list[Vec] = []
+    for g in basis_terms(m1.rank):
+        for c1 in range(m1.dim):
+            # phi(g.e_c1) - g.phi(e_c1), grouped by output row of m2
+            eq: dict[int, Vec] = {}
+            for r1, x in m1.column(g, c1).items():
+                for r2 in partners.get(r1, ()):
+                    row = eq.setdefault(r2, {})
+                    ui = uidx[(r2, r1)]
+                    row[ui] = row.get(ui, 0) + x
+            for r2p in partners.get(c1, ()):
+                ui = uidx[(r2p, c1)]
+                for rr, y in m2.column(g, r2p).items():
+                    row = eq.setdefault(rr, {})
+                    nv = row.get(ui, 0) - y
+                    if nv:
+                        row[ui] = nv
+                    else:
+                        row.pop(ui, None)
+            rows.extend(r for r in eq.values() if r)
+    rev = {ui: key for key, ui in uidx.items()}
+    return [{rev[ui]: c for ui, c in v.items()}
+            for v in kernel_basis(rows, len(uidx))]
+
+
+def direct_sum(a, b) -> FiniteWModule:
+    """a (+) b on the basis of a followed by that of b: each action column
+    of b is shifted past a's and stacked below a's columns."""
+    def col(term, j):
+        if j < a.dim:
+            return a.column(term, j)
+        return {a.dim + r: x for r, x in b.column(term, j - a.dim).items()}
+
+    return FiniteWModule(a.rank, a.weights + b.weights, col_fn=col)
+
+
 def singular_blocks_oracle(m, gen_keys, block_filter=None) -> dict:
     """``singular_blocks`` as it stood before it predicted target weights:
     every generator's columns on every block feed the kernel equations."""

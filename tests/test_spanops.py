@@ -10,11 +10,11 @@ from superw.glmodules import (gl_conatural, gl_natural, gl_simple, gl_trivial,
                               mixed_weight, weyl_dim)
 from superw.induction import kac_minus_truncated, kac_plus
 from superw.linalg import RationalEchelon
-from superw.modules import (FiniteWModule, adjoint_module,
-                            check_representation, dual_module, is_simple,
-                            lambda_module, local_terms, psi_invariants,
-                            quotient_module, singular_vectors,
-                            submodule_generated, tensor_module)
+from superw.modules import (adjoint_module, check_representation,
+                            dual_module, is_simple, lambda_module,
+                            local_terms, psi_invariants, quotient_module,
+                            singular_vectors, submodule_generated,
+                            tensor_module)
 import superw.glmodules as glm
 import superw.spanops as spanops
 from superw.spanops import (apply_gen, block_index, burnside_full, hom_basis,
@@ -28,8 +28,8 @@ from superw.walgebra import (BorelOrder, generating_terms, term_weight,
                              triangular_terms)
 from superw.weights import Weight
 import helpers
-from helpers import (closure_oracle, hom_value, raising_terms,
-                     singular_blocks_oracle, trivial_module)
+from helpers import (closure_oracle, direct_sum, hom_basis_oracle, hom_value,
+                     raising_terms, singular_blocks_oracle, trivial_module)
 from test_linalg import dense_kernel
 
 
@@ -509,6 +509,41 @@ def test_duality_homs_agree_with_the_lowest_degrees(base, n):
     assert homs == hom_basis(t, k, local_terms(n))
 
 
+def _duality_pair(base):
+    def make(n):
+        x = base(n)
+        return tensor_field(x, n), dual_module(kac_plus(dual_module(x), n))
+    return make
+
+
+HOM_PAIRS = {
+    "T(C)->K+(C*)*": _duality_pair(gl_trivial),
+    "T(V)->K+(V*)*": _duality_pair(gl_natural),
+    "T(V*)->K+(V)*": _duality_pair(gl_conatural),
+    "T(V(1|1))->K+(V(1|1)*)*": _duality_pair(lambda n: gl_simple((1,), (1,), n)),
+    "Lambda->Lambda*": lambda n: (lambda_module(n), dual_module(lambda_module(n))),
+    "End(Lambda+Lambda)": lambda n: (direct_sum(lambda_module(n), lambda_module(n)),) * 2,
+    "T(C)->Lambda": lambda n: (tensor_field(gl_trivial(n), n), lambda_module(n)),
+    "End(adjoint)": lambda n: (adjoint_module(n),) * 2,
+    "End(L-(1|1))": lambda n: (extract_L_minus_submodule((1,), (1,), n).module(),) * 2,
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("pair", sorted(HOM_PAIRS))
+def test_hom_space_matches_the_oracle(pair, n):
+    # the minimal generating set and the sorted equations against every
+    # basis term in generator order: the reduced-row-echelon basis of one
+    # solution space, so the maps are equal, not just equally many
+    a, b = HOM_PAIRS[pair](n)
+    homs = hom_space(a, b)
+    assert homs == hom_basis_oracle(a, b)
+    expected = {"Lambda->Lambda*": 0, "End(Lambda+Lambda)": 4}.get(pair, 1)
+    assert len(homs) == expected
+    # every pair shares a weight, so even the empty hom space is solved
+    assert set(a.weight_blocks()) & set(b.weight_blocks())
+
+
 @pytest.mark.parametrize("lam,dim", [((1,), 15), ((2,), 49)],
                          ids=["(1|)", "(2|)"])
 def test_proper_simple_passes_the_full_bracket_check(lam, dim):
@@ -538,17 +573,6 @@ def test_hom_space_rejects_rank_mismatch():
         hom_space(gl_natural(2), gl_natural(3))
     with pytest.raises(RankMismatchError):
         hom_space(lambda_module(2), lambda_module(3))
-
-
-def direct_sum(a, b) -> FiniteWModule:
-    """a (+) b on the basis of a followed by that of b: each action column
-    of b is shifted past a's and stacked below a's columns."""
-    def col(term, j):
-        if j < a.dim:
-            return a.column(term, j)
-        return {a.dim + r: x for r, x in b.column(term, j - a.dim).items()}
-
-    return FiniteWModule(a.rank, a.weights + b.weights, col_fn=col)
 
 
 @pytest.mark.parametrize("n", [2, 3])

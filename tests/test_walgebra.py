@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from superw.errors import RankMismatchError
+from superw.errors import InhomogeneousError, RankMismatchError
 from superw.grassmann import GrassmannElement, merge_sign, removal_sign
 from superw.linalg import RationalEchelon
 from superw.suite import jacobi_failures, random_homogeneous, sign_bugged_bracket
@@ -174,6 +174,27 @@ def test_rank_mismatch_still_raises():
     for op in (bracket, WElement.__add__, WElement.__sub__):
         with pytest.raises(RankMismatchError):
             op(x, y)
+
+
+def test_jacobi_defect_with_a_zero_argument_is_zero():
+    # trilinear, so zero although zero has no parity; the ranks still count
+    rng = random.Random(20)
+    zero = WElement(3)
+    with pytest.raises(InhomogeneousError):
+        parity(zero)
+    for _ in range(20):
+        y, z = random_homogeneous(rng, 3), random_homogeneous(rng, 3)
+        for args in ((zero, y, z), (y, zero, z), (y, z, zero), (zero, zero, y)):
+            out = graded_jacobi_defect(*args)
+            assert out == zero and out.rank == 3
+    mixed = WElement(3, {(0, 1): 1, (0b1, 1): 1})
+    assert graded_jacobi_defect(zero, mixed, y) == zero
+    with pytest.raises(InhomogeneousError):
+        graded_jacobi_defect(mixed, y, z)
+    for args in ((WElement(4), y, z), (zero, WElement(4, {(0, 1): 1}), z),
+                 (zero, y, WElement(4))):
+        with pytest.raises(RankMismatchError):
+            graded_jacobi_defect(*args)
 
 
 def test_sign_bug_is_still_caught():
@@ -358,12 +379,21 @@ def test_triangular_terms_fail_without_any_one_term(n, kind):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_generating_terms_generate_the_algebra(n):
     """The bracket span of the set is all n 2^n terms; from rank 3 on the
-    set is both triangular sets of the natural max order, lowering first."""
-    assert len(generating_terms(n)) == (2 * n + 1 if n >= 3 else n << n)
-    assert bracket_span(generating_terms(n), n)[0].dim == n << n
-    if n >= 3:
-        raising, lowering = triangular_terms(BorelOrder("natural", n, "max"))
-        assert generating_terms(n) == lowering + raising
+    set is d_n, x_n d_(n-1) and the raising terms of the natural max
+    order, and it is minimal: without any one term it generates less."""
+    gens = generating_terms(n)
+    assert bracket_span(gens, n)[0].dim == n << n
+    if n < 3:
+        assert gens == basis_terms(n)
+        return
+    top, last = 1 << (n - 1), 1 << (n - 2)
+    assert gens == ([(0, n), (top, n - 1)]
+                    + [(1 << (k - 1), k + 1) for k in range(1, n)]
+                    + [(1 | top, 1), (last | top, 1)])
+    raising, _ = triangular_terms(BorelOrder("natural", n, "max"))
+    assert gens[2:] == raising
+    for k in range(len(gens)):
+        assert bracket_span(gens[:k] + gens[k + 1:], n)[0].dim < n << n, k
 
 
 def test_format_parse_roundtrip():
