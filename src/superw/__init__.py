@@ -5,12 +5,12 @@ tensor-field realizations, and cross-rank stabilization checks.
 
 Everything is computed over the rationals, and every verdict is exact;
 arithmetic modulo a prime survives only in oracles the tests compare
-against.
+against.  Simplicity, isomorphism with a simple module and coinduction
+duality are one certificate: a singular vector that generates.
 """
 
-from .errors import (InhomogeneousError, IsomorphismUndecidedError,
-                     NonBasisElementError, RankMismatchError,
-                     RankTooSmallError)
+from .errors import (InhomogeneousError, NonBasisElementError,
+                     RankMismatchError, RankTooSmallError)
 from .weights import Weight, order_sequence
 from .partitions import (Partition, aspartition, lr_coefficient,
                          partitions_of, schur_dim, socle_layer_mults,
@@ -24,9 +24,8 @@ from .glmodules import (SocleReport, gl_conatural, gl_natural, gl_simple,
                         weyl_dim)
 from .modules import (Character, FiniteWModule, GlModule, SimplicityVerdict,
                       adjoint_module, check_representation, dual_module,
-                      is_simple, lambda_module, psi_invariants,
+                      is_simple, iso_check, lambda_module, psi_invariants,
                       quotient_module, submodule_generated, tensor_module)
-from .spanops import hom_space, iso_check
 from .induction import (Typicality, find_primitive, kac_minus_truncated,
                         kac_plus, typicality)
 from .tensorfields import (DualityReport, coinduction_duality_check,
@@ -41,7 +40,6 @@ gl_iso_check = iso_check
 __all__ = [
     "BorelOrder", "Character", "Criterion", "DualityReport", "FiniteWModule",
     "GlModule", "GrassmannElement", "InhomogeneousError",
-    "IsomorphismUndecidedError",
     "NonBasisElementError", "Partition", "RankMismatchError",
     "RankTooSmallError", "SimplicityVerdict", "SocleReport",
     "StabilizationReport", "Typicality", "WElement",
@@ -49,7 +47,7 @@ __all__ = [
     "check_representation", "coinduction_duality_check", "component_dim",
     "dual_module", "extract_L_minus", "find_primitive",
     "format_welement", "gl_conatural", "gl_iso_check", "gl_natural",
-    "gl_simple", "gl_trivial", "gmul", "graded_jacobi_defect", "hom_space",
+    "gl_simple", "gl_trivial", "gmul", "graded_jacobi_defect",
     "is_simple", "iso_check", "kac_minus_truncated", "kac_plus",
     "lambda_module", "lr_coefficient", "merge_sign",
     "mixed_tensor", "order_sequence", "partitions_of",

@@ -19,11 +19,11 @@ import sys
 from pathlib import Path
 
 from .glmodules import gl_simple, verify_socle_identity
-from .induction import find_primitive, kac_minus_truncated, kac_plus, typicality
-from .modules import (check_representation, is_simple, lambda_module,
-                      psi_invariants)
+from .induction import kac_minus_truncated, kac_plus, typicality
+from .modules import (check_representation, highest_weight_verdict,
+                      is_simple, iso_check, lambda_module, psi_invariants,
+                      singular_vectors)
 from .partitions import Partition, stable_highest_weight
-from .spanops import iso_check
 from .stability import stabilization_sweep
 from .suite import (jacobi_failures, random_homogeneous, run_suite,
                     sign_bugged_bracket)
@@ -177,17 +177,16 @@ def cmd_kac(args) -> int:
     hw = stable_highest_weight(lam, mu, order, n)
     typ = typicality(hw, n)
     b = BorelOrder(order, n, ext)
-    prim = find_primitive(m, b)
-    t0 = m.meta["base_total"]
-    s = m.meta["layer_sign"]
-    prims = []
-    for w, vecs in prim.items():
-        d = (w.total() - t0) * s
-        prims.extend({"weight": list(w.dense(n)), "degree": d} for _ in vecs)
+    t0, s = m.meta["base_total"], m.meta["layer_sign"]
+    # one solve gives the primitives, the singular vectors off the base
+    # layer, and for kind plus, whose Borel is is_simple's, the verdict
+    sing = singular_vectors(m, b)
+    prims = [{"weight": list(w.dense(n)), "degree": (w.total() - t0) * s}
+             for w, vecs in sing.items() if w.total() != t0 for _ in vecs]
     prims.sort(key=lambda e: (e["degree"], e["weight"]))
 
     if kind == "plus":
-        verdict = is_simple(m)
+        verdict = highest_weight_verdict(m, sing)
         vjson = {"simple": verdict.simple, "method": verdict.method}
         if verdict.witness_weight is not None:
             vjson["witness_weight"] = list(verdict.witness_weight.dense(n))

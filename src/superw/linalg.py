@@ -10,9 +10,9 @@ membership (an empty residual) and coordinates over the stored rows
 (``express``, which passes it a dict to record the eliminated rows'
 coefficients in) all go through it.  ``kernel_basis`` is the one rank
 solve: it inserts the constraint rows and back-substitutes one basis
-vector per free column, so no dense matrix is ever formed.  Joint kernels,
-hom spaces and the coinvariant dimensions of ``stability`` (a nullity)
-all come from it.
+vector per free column, so no dense matrix is ever formed.  Joint kernels
+and coinvariant dimensions (a nullity, ``spanops.coinvariant_blocks``)
+come from it.
 
 Every library answer is exact.  The mod-p echelon (``ModPEchelon``,
 ``vec_mod``, modulo ``DEFAULT_PRIME`` = 2^61 - 1) survives only for the

@@ -29,8 +29,8 @@ from .grassmann import (
     inversion_mask,
 )
 from .linalg import RationalEchelon, Vec, vec_axpy
-from .spanops import (apply_gen, block_index, block_kernel, module_closure,
-                      restricted_action, singular_blocks)
+from .spanops import (apply_gen, block_index, block_kernel, coinvariant_blocks,
+                      module_closure, restricted_action, singular_blocks)
 from .walgebra import (
     BorelOrder,
     Term,
@@ -366,21 +366,25 @@ def singular_vectors(m: FiniteWModule, b: BorelOrder,
     return singular_blocks(m, triangular_terms(b)[0], block_filter=flt)
 
 
-def singular_line(m: FiniteWModule, b: BorelOrder, hw: Weight) -> Vec:
-    """A vector of weight hw that the raising terms of b kill, the first of
-    their joint kernel on that one block: the generator of both cyclic
-    simple modules, a gl(n) simple in a mixed tensor (``cyclic_simple``)
-    and L- in the tensor fields (``extract_L_minus``).
-
-    Only that block is solved, and a raising term whose target weight the
-    module lacks adds no equation.  Raises NonBasisElementError when hw
-    does not occur or carries no singular vector."""
+def singular_space(m: FiniteWModule, b: BorelOrder, hw: Weight) -> list[Vec]:
+    """Joint kernel of the raising terms of b on the one block of weight hw,
+    empty when hw does not occur; a raising term whose target weight the
+    module lacks adds no equation."""
     blocks = m.weight_blocks()
-    cols = blocks.get(hw)
-    if cols is None:
-        raise NonBasisElementError(f"weight {hw} does not occur")
+    if hw not in blocks:
+        return []
     raising = [g for g in triangular_terms(b)[0] if hw + term_weight(g) in blocks]
-    vecs = block_kernel(m, cols, raising)
+    return block_kernel(m, blocks[hw], raising)
+
+
+def singular_line(m: FiniteWModule, b: BorelOrder, hw: Weight) -> Vec:
+    """The first vector of ``singular_space``, which generates both cyclic
+    simple modules: a gl(n) simple in a mixed tensor (``cyclic_simple``)
+    and L- in the tensor fields (``extract_L_minus``).  Raises
+    NonBasisElementError when hw does not occur or has no such vector."""
+    if hw not in m.weight_blocks():
+        raise NonBasisElementError(f"weight {hw} does not occur")
+    vecs = singular_space(m, b, hw)
     if not vecs:
         raise NonBasisElementError(f"no singular vector of weight {hw}")
     return vecs[0]
@@ -398,42 +402,75 @@ class SimplicityVerdict:
         return self.simple
 
 
-def is_simple(m: FiniteWModule, seed: int = 0) -> SimplicityVerdict:
-    """Decide simplicity by the highest-weight certificate.
+def generates(m: FiniteWModule, w: Weight, v: Vec) -> bool:
+    """Whether v, of weight w and killed by the natural "max" raising
+    terms, generates m.  U(g)v = U(n-)v by PBW, and that is m exactly when
+    m = Cv + n-m (graded Nakayama: n- lowers a grading bounded on m).  The
+    n lowering terms generate n-, so no block may keep a coinvariant once
+    v is added (``coinvariant_blocks``, which stops at the first)."""
+    _, lowering = triangular_terms(BorelOrder("natural", m.rank, "max"))
+    return next(coinvariant_blocks(m, lowering, {w: v}), None) is None
 
-    Every nonzero invariant subspace contains a vector killed by n+ of the
-    degree-supported W(n) = n- + h + n+, so the module is simple exactly
-    when those vectors form one line that generates everything.  Such a
-    v is killed by n+ and is a weight vector, so U(g)v = U(n-)v by PBW: its
-    closure under the n lowering terms, which generate n-, is its whole
-    submodule.  A generating v spans the top weight space of M = U(n-)v,
-    so two or more independent singular lines mean "not simple": one of
-    them generates a proper submodule and is returned as the witness, and
-    the verdict stands even where none is found.  Every step is exact.
 
-    ``seed`` is unused; it is kept for callers that still pass it."""
-    if m.dim == 0:
-        return SimplicityVerdict(False, "dimension", "zero module")
-    if m.dim == 1:
-        return SimplicityVerdict(True, "dimension", "one-dimensional")
-    b = BorelOrder("natural", m.rank, extension="max")
-    cands = [(w, v) for w, vecs in singular_vectors(m, b).items() for v in vecs]
+def top_generator(m: FiniteWModule, lam: Weight) -> Optional[Vec]:
+    """The vector of weight lam that the natural "max" raising terms kill,
+    when they kill one line there and it generates m; else None."""
+    vecs = singular_space(m, BorelOrder("natural", m.rank, "max"), lam)
+    return vecs[0] if len(vecs) == 1 and generates(m, lam, vecs[0]) else None
+
+
+def highest_weight_verdict(m: FiniteWModule, sing: dict) -> SimplicityVerdict:
+    """Simplicity of m from its natural "max" singular vectors, keyed by
+    weight as ``singular_vectors`` gives them.  Every nonzero submodule
+    holds one, so m is simple exactly when they form one line that
+    generates m.  One that does not generate is the witness; a generating
+    v spans the top weight space of m = U(n-)v, so two or more lines mean
+    "not simple" even where no witness is found."""
+    cands = [(w, v) for w, vecs in sing.items() for v in vecs]
     if not cands:
         raise NonBasisElementError("no highest-weight vector found; "
                                    "module is not weight-finite")
-    _, lowering = triangular_terms(b)
     for w, v in cands:
-        dim = module_closure(m, lowering, [v]).dim
-        if dim < m.dim:
-            return SimplicityVerdict(False, "witness",
-                                     f"singular vector at {w} generates "
-                                     f"dim {dim} < {m.dim}",
-                                     witness=v, witness_weight=w)
+        if not generates(m, w, v):
+            return SimplicityVerdict(
+                False, "witness", f"singular vector at {w} generates a proper submodule",
+                witness=v, witness_weight=w)
     if len(cands) == 1:
         return SimplicityVerdict(True, "highest-weight",
                                  f"unique singular line at {cands[0][0]} generates")
     return SimplicityVerdict(False, "highest-weight",
                              f"{len(cands)} independent singular lines")
+
+
+def is_simple(m: FiniteWModule, seed: int = 0) -> SimplicityVerdict:
+    """Decide simplicity exactly by the highest-weight certificate
+    (``highest_weight_verdict``) for W(n) = n- + h + n+ in the natural
+    "max" order.  ``seed`` is unused; it is kept for callers that pass it."""
+    if m.dim == 0:
+        return SimplicityVerdict(False, "dimension", "zero module")
+    if m.dim == 1:
+        return SimplicityVerdict(True, "dimension", "one-dimensional")
+    b = BorelOrder("natural", m.rank, extension="max")
+    return highest_weight_verdict(m, singular_vectors(m, b))
+
+
+def iso_check(a: FiniteWModule, b: FiniteWModule, seed: int = 0) -> Optional[Vec]:
+    """A vector of a certifying that a is isomorphic to the simple module b,
+    or None when they are not.  With b simple of top weight lam, a module
+    generated by a singular vector of weight lam has b as its unique simple
+    quotient, so a is isomorphic to b exactly when they share a character
+    and a has such a vector that generates it (``top_generator``).  When b
+    is not simple, a simple a means None, and an a that is not simple
+    either is outside the contract: ValueError.  ``seed`` is unused."""
+    if a.rank != b.rank or a.character() != b.character():
+        return None
+    sing = singular_vectors(b, BorelOrder("natural", b.rank, "max"))
+    if sing and highest_weight_verdict(b, sing).simple:
+        (lam,) = sing
+        return top_generator(a, lam)
+    if is_simple(a).simple:
+        return None
+    raise ValueError("iso_check needs a simple module b; neither is simple")
 
 
 def psi_invariants(m: FiniteWModule) -> GlModule:

@@ -17,31 +17,20 @@ own: it maps the block of weight mu into the block of weight mu + wt(gen),
 and to zero when the module has no vector of that weight.  ``column``
 stores nothing: closed-form column sources are recomputed on every read,
 and echelon-derived and recursive ones memoize themselves.  Closure,
-restriction to an invariant span, the joint kernel, the hom space and the
-isomorphism check live here, with the operator span as the tests' oracle;
-the builder files keep only their builders.
-
-Closures and joint kernels predict each generator's target block from the
-weights alone: a generator's shift is its own weight, so the target of any
-block is a dict lookup, and no generator is applied into a weight the
-module lacks.  Closures take weight vectors as seeds: every span they
-build is then a sum of its weight-block pieces, so they also count the
-free dimensions of each block and apply no generator into a block the
-span already fills.
-
-The isomorphism check is exact and draws no random number: two modules
-are isomorphic when some basis map of their hom space is invertible on
-every weight block, and are not when none is and the hom space has
-dimension at most 1.  A larger hom space with no invertible basis map
-raises IsomorphismUndecidedError rather than guess.
+restriction to an invariant span, the joint kernel and the coinvariant
+count (``modules.generates``) live here, and predict each generator's
+target block from the weights alone: a generator's shift is its own
+weight, so no generator is applied into a weight the module lacks.
+``hom_basis`` and the operator span ``burnside_full`` have no library
+caller: they are the tests' oracles, kept for the benchmark's tracer,
+which looks them up by name.
 """
 from __future__ import annotations
 
-from functools import cache
-from typing import Callable, Iterable, Optional
+from functools import cache, partial
+from typing import Callable, Iterable, Iterator
 
-from .errors import (IsomorphismUndecidedError, NonBasisElementError,
-                     RankMismatchError)
+from .errors import NonBasisElementError
 from .linalg import (
     DEFAULT_PRIME,
     ModPEchelon,
@@ -209,6 +198,45 @@ def singular_blocks(m, gen_keys, block_filter: Callable | None = None) -> dict:
     return out
 
 
+class _Rows:
+    """Rows made anew on each pass as they are read: a solve stops reading at
+    full rank, and a counting reader (the benchmark's tracer) uses none up."""
+
+    def __init__(self, make: Callable[[], Iterator[Vec]]):
+        self.make = make
+
+    def __iter__(self):
+        return self.make()
+
+
+def coinvariant_blocks(m, gen_keys, tops: dict | None = None,
+                       block_filter: Callable | None = None) -> Iterator:
+    """(w, dim M_w / (sum_g g.M_{w - wt(g)} + C tops[w])) for each weight
+    block, in ``m.weight_blocks()`` order, that passes ``block_filter`` and
+    has a nonzero quotient; ``tops`` maps a weight to one vector of it.
+    Each is the nullity of one ``kernel_basis`` solve, fed the top, then
+    the generators' columns on their source blocks (from ``_Targets``) as
+    it reads them: a full block and a caller that stops at the first yield
+    read no more."""
+    blocks = list(m.weight_blocks().items())
+    pos = {c: t for _, cols in blocks for t, c in enumerate(cols)}  # place in block
+    pred = _Targets(m, gen_keys)
+
+    def rows(b: int, w) -> Iterator[Vec]:
+        if tops and w in tops:
+            yield {pos[j]: x for j, x in tops[w].items()}
+        for g, s in zip(gen_keys, pred.shifts):
+            src = pred.index.get(pred.codes[b] - s)  # the block g maps to b
+            for c in blocks[src][1] if src is not None else ():
+                yield {pos[r]: x for r, x in m.column(g, c).items()}
+
+    for b, (w, cols) in enumerate(blocks):
+        if block_filter is None or block_filter(w):
+            dim = len(kernel_basis(_Rows(partial(rows, b, w)), len(cols)))
+            if dim:
+                yield w, dim
+
+
 def burnside_full(m, gen_keys) -> bool:
     """Whether products of the generator operators span all of End mod p.
 
@@ -268,21 +296,12 @@ def burnside_full(m, gen_keys) -> bool:
 
 
 def hom_basis(m1, m2, gen_keys) -> list[dict]:
-    """Basis of the space of maps m1 -> m2 commuting with the generators.
-
-    Returned maps are sparse dicts (row2, col1) -> coefficient; they are
-    block-diagonal across shared weight blocks by construction, so they
-    commute with the Cartan too.  They are therefore every intertwiner of
-    the algebra that gen_keys and the Cartan generate: an even map
-    commuting with x and y commutes with [x, y].
-
-    The commutation equations go to ``kernel_basis``: one exact sparse
-    echelon, which stops reading equations once they pin every unknown to
-    zero.  No mod-p pass is needed in either direction.  Their order is
-    free, since the reduced-row-echelon kernel basis is unique for a
-    given solution space and order of unknowns; they are fed by
-    descending leading unknown, so most become a pivot with no reduction
-    and the fill stays low."""
+    """Basis of the maps m1 -> m2 commuting with the generators, as sparse
+    dicts (row2, col1) -> coefficient, block-diagonal across shared weight
+    blocks, so every intertwiner of the algebra that gen_keys and the
+    Cartan generate.  The commutation equations go to one ``kernel_basis``
+    by descending leading unknown, which keeps the fill low and leaves the
+    reduced-row-echelon basis unchanged."""
     blocks1 = m1.weight_blocks()
     blocks2 = m2.weight_blocks()
     uidx: dict[tuple[int, int], int] = {}
@@ -323,46 +342,3 @@ def hom_basis(m1, m2, gen_keys) -> list[dict]:
     local = kernel_basis(rows, len(uidx))
     rev = {ui: key for key, ui in uidx.items()}
     return [{rev[ui]: c for ui, c in v.items()} for v in local]
-
-
-def hom_space(a, b) -> list[dict]:
-    """Basis of the intertwiners a -> b of two modules over one algebra.
-
-    It is complete: ``a.gen_keys()`` and the Cartan generate the algebra,
-    and every intertwiner preserves weight blocks, so commutes with the
-    Cartan."""
-    if a.rank != b.rank:
-        raise RankMismatchError("rank mismatch")
-    return hom_basis(a, b, a.gen_keys())
-
-
-def iso_check(a, b, seed: int = 0) -> Optional[dict]:
-    """Invertible intertwiner a -> b between two modules over one algebra,
-    or None when none exists.
-
-    Exact: different ranks or characters mean None.  Otherwise the first
-    basis map of Hom(a, b) that is invertible on every weight block is
-    returned.  With none, a hom space of dimension at most 1 holds no
-    invertible map, and a larger one raises IsomorphismUndecidedError.
-    ``seed`` is unused; it is kept for callers that still pass it."""
-    if a.rank != b.rank or a.character() != b.character():
-        return None
-    homs = hom_space(a, b)
-    blocks = a.weight_blocks().values()
-    for phi in homs:
-        images: dict = {}  # col1 -> its image, row2 -> coeff
-        for (r2, c1), x in phi.items():
-            images.setdefault(c1, {})[r2] = x
-        if all(_full_rank([images.get(c1, {}) for c1 in cols]) for cols in blocks):
-            return phi
-    if len(homs) > 1:
-        raise IsomorphismUndecidedError(
-            f"no basis map of the {len(homs)}-dimensional hom space is invertible")
-    return None
-
-
-def _full_rank(vecs: list[Vec]) -> bool:
-    ech = RationalEchelon()
-    for v in vecs:
-        ech.insert(v)
-    return ech.dim == len(vecs)

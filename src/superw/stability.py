@@ -15,8 +15,8 @@ does not see:
 * coinvariants mode: the quotient by the image of the tail algebra.
   Upward inductions have no tail-killed vectors at all (the d_i act
   freely), but their coinvariants on the window stabilize.  A block's
-  coinvariant dimension is the nullity of the tail's image rows in it,
-  the size of their ``kernel_basis``.
+  coinvariant dimension is the nullity of the tail's image rows in it
+  (``spanops.coinvariant_blocks``, as in ``modules.generates``).
 
 Both modes apply only the tail's own minimal generating set, the rank
 n-w ``generating_terms`` (n-w+3 terms from rank 3 on, the whole basis
@@ -32,12 +32,11 @@ from dataclasses import dataclass, field
 
 from .glmodules import gl_simple
 from .induction import kac_plus
-from .linalg import kernel_basis
 from .modules import Character, FiniteWModule
 from .partitions import Partition, aspartition
-from .spanops import singular_blocks
+from .spanops import coinvariant_blocks, singular_blocks
 from .tensorfields import extract_L_minus, tensor_field
-from .walgebra import generating_terms, term_weight
+from .walgebra import generating_terms
 
 
 def restricted_character(m: FiniteWModule, window: int,
@@ -49,34 +48,18 @@ def restricted_character(m: FiniteWModule, window: int,
         raise ValueError(f"window {window} out of range for rank {n}")
     tail = [(mask << window, j + window)
             for mask, j in generating_terms(n - window)]
-    entries: dict = {}
+    in_window = lambda w: w.max_index() <= window
     if mode == "annihilator":
-        sing = singular_blocks(m, tail,
-                               block_filter=lambda w: w.max_index() <= window)
-        for w, vecs in sing.items():
-            key = (w.dense(window), w.total())
-            entries[key] = entries.get(key, 0) + len(vecs)
-        return Character(window, entries)
-    if mode != "coinvariants":
+        dims = ((w, len(vecs)) for w, vecs in
+                singular_blocks(m, tail, block_filter=in_window).items())
+    elif mode == "coinvariants":
+        dims = coinvariant_blocks(m, tail, block_filter=in_window)
+    else:
         raise ValueError(f"unknown restriction mode {mode!r}")
-    blocks = m.weight_blocks()
-    for w, cols in blocks.items():
-        if w.max_index() > window:
-            continue
-        local = {c: t for t, c in enumerate(cols)}
-        rows = []
-        for g in tail:
-            src = blocks.get(w - term_weight(g))
-            if not src:
-                continue
-            for c in src:
-                img = m.column(g, c)
-                if img:
-                    rows.append({local[r]: x for r, x in img.items()})
-        dim = len(kernel_basis(rows, len(cols)))
-        if dim:
-            key = (w.dense(window), w.total())
-            entries[key] = entries.get(key, 0) + dim
+    entries: dict = {}
+    for w, dim in dims:
+        key = (w.dense(window), w.total())
+        entries[key] = entries.get(key, 0) + dim
     return Character(window, entries)
 
 

@@ -4,10 +4,10 @@ The action, a derivation part on the Grassmann coefficient plus a gl
 correction contracted through the base module, is the column kernel
 ``modules.field_columns``, which also gives every column of the upward
 induction ``kac_plus``.  Duality with the downward induction is checked
-by an explicit invertible intertwiner, and the simple module attached to
-a partition pair is cut out as the cyclic submodule on the
-interleaved-order singular vector (``modules.singular_line``, the search
-that also cuts the gl(n) simples out of mixed tensors).
+by Frobenius reciprocity (``modules.top_generator``), and the simple
+module attached to a partition pair is cut out as the cyclic submodule
+on the interleaved-order singular vector (``modules.singular_line``, the
+search that also cuts the gl(n) simples out of mixed tensors).
 """
 from __future__ import annotations
 
@@ -16,18 +16,20 @@ from dataclasses import dataclass
 from .errors import RankMismatchError
 from .glmodules import gl_simple
 from .grassmann import indices_of
-from .induction import kac_plus
+from .linalg import Vec
 from .modules import (
     FiniteWModule,
     GlModule,
     Submodule,
     dual_module,
     field_columns,
+    is_simple,
     singular_line,
+    singular_vectors,
     submodule_generated,
+    top_generator,
 )
 from .partitions import aspartition, stable_highest_weight
-from .spanops import iso_check
 from .walgebra import BorelOrder
 from .weights import Weight
 
@@ -47,20 +49,26 @@ def tensor_field(x: GlModule, n: int) -> FiniteWModule:
 
 @dataclass
 class DualityReport:
-    """Outcome of matching a tensor-field module with a dual induction."""
+    """Outcome of T(X) against K+(X*)*, with T(X)*'s generator if it passes."""
     passes: bool
     dim: int
-    intertwiner: dict | None = None
+    generator: Vec | None = None
 
 
 def coinduction_duality_check(x: GlModule, n: int, seed: int = 0) -> DualityReport:
-    """T(X) should be the full dual of the downward induction from X*.
-
-    ``seed`` is unused; it is kept for callers that still pass it."""
+    """Whether T(X) is the dual of the upward induction K+(X*), for a simple
+    base X; ValueError otherwise.  By Frobenius reciprocity, as W>=1 kills
+    Y in K+(Y), Hom_W(K+(Y), N) = Hom_gl(Y, N^{W>=1}): for Y = X* of top
+    weight lam, the vectors of N of weight lam that the natural "max"
+    raising terms kill, a line when N is K+(Y).  Both have dimension
+    2^n dim X, so with N = T(X)* they are isomorphic exactly when such a
+    vector generates N (``top_generator``).  ``seed`` is unused."""
     t = tensor_field(x, n)
-    k = dual_module(kac_plus(dual_module(x), n))
-    phi = iso_check(t, k)
-    return DualityReport(passes=phi is not None, dim=t.dim, intertwiner=phi)
+    if not is_simple(x).simple:
+        raise ValueError(f"coinduction duality needs a simple base, not {x!r}")
+    (lam,) = singular_vectors(dual_module(x), BorelOrder("natural", n, "max"))
+    u = top_generator(dual_module(t), lam)
+    return DualityReport(passes=u is not None, dim=t.dim, generator=u)
 
 
 def extract_L_minus_submodule(lam, mu, n: int) -> Submodule:

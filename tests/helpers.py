@@ -18,12 +18,16 @@ from superw.errors import (InhomogeneousError, NonBasisElementError,
 from superw.glmodules import cyclic_simple, gl_trivial, mixed_tensor
 from superw.grassmann import (Coeff, GrassmannElement, Monomial, indices_of,
                               merge_sign, removal_sign)
+from superw.induction import kac_plus
 from superw.linalg import RationalEchelon, Vec, kernel_basis, vec_axpy
-from superw.modules import Character, FiniteWModule, GlModule
+from superw.modules import (Character, FiniteWModule, GlModule,
+                            SimplicityVerdict, dual_module, singular_vectors)
 from superw.partitions import aspartition
-from superw.spanops import apply_gen, singular_blocks
+from superw.spanops import apply_gen, hom_basis, module_closure, singular_blocks
+from superw.tensorfields import tensor_field
 from superw.walgebra import (BorelOrder, Term, WElement, basis_terms,
-                             bracket, term_degree, term_parity)
+                             bracket, term_degree, term_parity,
+                             triangular_terms)
 from superw.weights import Weight, order_sequence
 
 
@@ -197,6 +201,34 @@ def convolve(a: Character, b: Character) -> Character:
     return Character(a.rank, out)
 
 
+def is_simple_oracle(m: FiniteWModule) -> SimplicityVerdict:
+    """``modules.is_simple`` as it stood before the generation test: each
+    singular candidate is closed under the n lowering terms, and
+    generates when its closure is everything."""
+    if m.dim == 0:
+        return SimplicityVerdict(False, "dimension", "zero module")
+    if m.dim == 1:
+        return SimplicityVerdict(True, "dimension", "one-dimensional")
+    b = BorelOrder("natural", m.rank, extension="max")
+    cands = [(w, v) for w, vecs in singular_vectors(m, b).items() for v in vecs]
+    if not cands:
+        raise NonBasisElementError("no highest-weight vector found; "
+                                   "module is not weight-finite")
+    _, lowering = triangular_terms(b)
+    for w, v in cands:
+        dim = module_closure(m, lowering, [v]).dim
+        if dim < m.dim:
+            return SimplicityVerdict(False, "witness",
+                                     f"singular vector at {w} generates "
+                                     f"dim {dim} < {m.dim}",
+                                     witness=v, witness_weight=w)
+    if len(cands) == 1:
+        return SimplicityVerdict(True, "highest-weight",
+                                 f"unique singular line at {cands[0][0]} generates")
+    return SimplicityVerdict(False, "highest-weight",
+                             f"{len(cands)} independent singular lines")
+
+
 # -------------------------------------------------------------- spanops
 
 def hom_value(phi: dict, vec: Vec) -> Vec:
@@ -276,15 +308,60 @@ def hom_basis_oracle(m1, m2) -> list[dict]:
             for v in kernel_basis(rows, len(uidx))]
 
 
+class IsomorphismUndecidedError(ValueError):
+    """No basis map of a hom space of dimension above 1 is invertible, so
+    whether some combination is remains open."""
+
+
+def hom_space(a, b) -> list[dict]:
+    """Basis of the intertwiners a -> b of two modules over one algebra,
+    the hom-space oracle: ``hom_basis`` over ``a.gen_keys()``, which with
+    the Cartan generate the algebra; every intertwiner preserves weight
+    blocks, so commutes with the Cartan."""
+    if a.rank != b.rank:
+        raise RankMismatchError("rank mismatch")
+    return hom_basis(a, b, a.gen_keys())
+
+
+def iso_check_oracle(a, b):
+    """The isomorphism check as it stood before the highest-weight
+    certificate, for any two modules: different ranks or characters mean
+    None; otherwise the first basis map of Hom(a, b) that is invertible on
+    every weight block is returned.  With none, a hom space of dimension
+    at most 1 holds no invertible map, and a larger one raises
+    IsomorphismUndecidedError."""
+    if a.rank != b.rank or a.character() != b.character():
+        return None
+    homs = hom_space(a, b)
+    blocks = a.weight_blocks().values()
+    for phi in homs:
+        images: dict = {}  # col1 -> its image, row2 -> coeff
+        for (r2, c1), x in phi.items():
+            images.setdefault(c1, {})[r2] = x
+        if all(_full_rank([images.get(c1, {}) for c1 in cols]) for cols in blocks):
+            return phi
+    if len(homs) > 1:
+        raise IsomorphismUndecidedError(
+            f"no basis map of the {len(homs)}-dimensional hom space is invertible")
+    return None
+
+
+def _full_rank(vecs: list[Vec]) -> bool:
+    ech = RationalEchelon()
+    for v in vecs:
+        ech.insert(v)
+    return ech.dim == len(vecs)
+
+
 def direct_sum(a, b) -> FiniteWModule:
-    """a (+) b on the basis of a followed by that of b: each action column
-    of b is shifted past a's and stacked below a's columns."""
+    """a (+) b on the basis of a followed by that of b, of the class of a:
+    each action column of b is shifted past a's and stacked below a's."""
     def col(term, j):
         if j < a.dim:
             return a.column(term, j)
         return {a.dim + r: x for r, x in b.column(term, j - a.dim).items()}
 
-    return FiniteWModule(a.rank, a.weights + b.weights, col_fn=col)
+    return type(a)(a.rank, a.weights + b.weights, col_fn=col)
 
 
 def singular_blocks_oracle(m, gen_keys, block_filter=None) -> dict:
@@ -396,6 +473,14 @@ def kac_plus_oracle(x: GlModule, n: int) -> FiniteWModule:
 
 
 # --------------------------------------------------------- tensorfields
+
+def duality_oracle(x: GlModule, n: int):
+    """``coinduction_duality_check`` as it stood before Frobenius
+    reciprocity: the hom-space isomorphism check of T(X) against the dual
+    of K+(X*), an invertible intertwiner or None."""
+    return iso_check_oracle(tensor_field(x, n),
+                            dual_module(kac_plus(dual_module(x), n)))
+
 
 def tensor_field_oracle(x: GlModule, n: int) -> FiniteWModule:
     """``tensor_field`` as it stood before one popcount per sign: each

@@ -5,6 +5,7 @@ pass/fail line, so `pytest -v tests/test_acceptance.py -s` doubles as the
 release checklist.  The same battery backs the `superw suite` command.
 """
 
+from superw.modules import SimplicityVerdict
 from superw.suite import (criterion_1, criterion_2, criterion_3, criterion_4,
                           criterion_5, criterion_6, criterion_7, criterion_8,
                           criterion_9)
@@ -38,6 +39,16 @@ def test_criterion_4_downward_induction_primitives():
 
 def test_criterion_5_tensor_field_realizations():
     _run(criterion_5)
+
+
+def test_criterion_5_certifies_each_L_minus_simple(monkeypatch):
+    # L- is the simple side of each isomorphism check, so its simplicity
+    # is certified first
+    import superw.suite as suite
+    monkeypatch.setattr(suite, "is_simple",
+                        lambda m: SimplicityVerdict(False, "witness"))
+    c = criterion_5()
+    assert not c.passed and c.detail == "scalar-field L- not simple at n=3"
 
 
 def test_criterion_6_coinduction_duality():

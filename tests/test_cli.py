@@ -98,6 +98,23 @@ def test_kac_simple_module_is_decided_by_the_highest_weight(capsys):
     assert "simple: True (via highest-weight)" in capsys.readouterr().out
 
 
+def test_kac_plus_solves_the_singular_vectors_once(monkeypatch, capsys):
+    # the primitives and the simplicity verdict come from one solve on the
+    # induced module; the base's own singular line is solved apart
+    import superw.modules as mods
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return singular_blocks(*args, **kwargs)
+
+    singular_blocks = mods.singular_blocks
+    monkeypatch.setattr(mods, "singular_blocks", counted)
+    assert main(["kac", "-m", "1", "--n", "3"]) == 0
+    assert "simple: False (via witness)" in capsys.readouterr().out
+    assert [m.name for m in calls if m.name.startswith("K+")] == ["K+(V(()|(1)))"]
+
+
 def test_check_passes(capsys):
     assert main(["check", "--n", "2", "--samples", "40", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -11,17 +11,18 @@ from superw.glmodules import (decompose_character, gl_conatural,
                               gl_natural, gl_simple, mixed_tensor,
                               verify_socle_identity, weyl_dim)
 from superw.modules import (GlModule, check_representation, dual_module,
-                            lambda_module, local_terms, quotient_module,
-                            submodule_generated, tensor_module)
+                            iso_check, lambda_module, local_terms,
+                            quotient_module, submodule_generated,
+                            tensor_module)
 from superw.partitions import (Partition, partitions_of, schur_dim,
                                schur_weights, socle_layer_mults,
                                stable_highest_weight)
-from superw.spanops import (hom_basis, hom_space, iso_check, module_closure,
-                            restricted_action, singular_blocks)
+from superw.spanops import (hom_basis, module_closure, restricted_action,
+                            singular_blocks)
 from superw.walgebra import BorelOrder, basis_terms
 from superw.weights import Weight, order_sequence
 
-from helpers import decompose, raising_terms, restrict, schur_module
+from helpers import decompose, hom_space, raising_terms, restrict, schur_module
 
 
 # ---------------------------------------------------------------- peeling oracle

@@ -3,7 +3,7 @@
 Each file under ``tests/golden/`` is the recorded ``--out`` JSON of one
 command.  Optimisations that reorder generators, equations or closure
 rows must not move a byte: a changed witness weight, primitive,
-intertwiner verdict or character shows up here.  To refresh a snapshot
+isomorphism or duality verdict or character shows up here.  To refresh a snapshot
 after an intended output change, run the command with
 ``--out tests/golden/<name>.json``.
 """
@@ -16,6 +16,8 @@ from superw.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
+    "kac_m1_n2": ["kac", "-m", "1", "--n", "2"],
+    "kac_m1_n4": ["kac", "-m", "1", "--n", "4"],
     "kac_m2_n4": ["kac", "-m", "2", "--n", "4"],
     "kac_l1_m1_n4": ["kac", "-l", "1", "-m", "1", "--n", "4"],
     "kac_minus_l1_m1_n4_D2": ["kac", "--kind", "minus", "-l", "1", "-m", "1",
@@ -24,6 +26,8 @@ COMMANDS = {
                                      "--n", "4", "--duality"],
     "tensorfield_l1_n3_duality": ["tensorfield", "-l", "1", "--n", "3",
                                   "--duality"],
+    "tensorfield_l2_m1_n4_duality": ["tensorfield", "-l", "2", "-m", "1",
+                                     "--n", "4", "--duality"],
     "stabilize_L-_l1_m1_n4_5": ["stabilize", "-l", "1", "-m", "1",
                                 "--n-from", "4", "--n-to", "5",
                                 "--object", "L-"],

@@ -30,10 +30,11 @@ RETIRED_PARAMS = {"prime", "max_steps", "burnside_threshold", "generating_only",
                   "term_fn", "labels"}
 
 # oracles the tests compare against; the library decides without them
-ORACLES = {"burnside_full", "rank_mod_p"}
+ORACLES = {"burnside_full", "rank_mod_p", "hom_basis"}
 
-# names of retired paths that must not come back
-RETIRED_NAMES = {"BURNSIDE_MAX_DIM"}
+# names of retired paths that must not come back: the Burnside threshold,
+# and the hom-space isomorphism check's error and rank loop
+RETIRED_NAMES = {"BURNSIDE_MAX_DIM", "IsomorphismUndecidedError", "_full_rank"}
 
 # the only readers of the mod-p modulus
 PRIME_READERS = {"linalg.py": {"rank_mod_p"}, "spanops.py": {"burnside_full"}}
@@ -376,8 +377,13 @@ def test_scans_flag_oracle_calls_and_retired_names():
            "def f(m):\n"
            "    if m.dim <= BURNSIDE_MAX_DIM and burnside_full(m, []):\n"
            "        return linalg.rank_mod_p(m.rows)\n"
-           "    return rank_mod_p\n")
-    assert calls_to(src, ORACLES) == ["line 4: burnside_full", "line 5: rank_mod_p"]
+           "    return rank_mod_p\n"
+           "def iso_check(a, b):\n"
+           "    homs = spanops.hom_basis(a, b, a.gen_keys())\n"
+           "    if not any(_full_rank(phi) for phi in homs):\n"
+           "        raise IsomorphismUndecidedError(len(homs))\n")
+    assert sorted(calls_to(src, ORACLES)) == [
+        "line 4: burnside_full", "line 5: rank_mod_p", "line 8: hom_basis"]
     assert RETIRED_NAMES <= identifiers(src)
     assert calls_to("def rank_mod_p(rows):\n    return len(rows)\n", ORACLES) == []
 

@@ -18,13 +18,13 @@ from superw.modules import (FiniteWModule, GlModule, check_representation,
                             field_columns, is_simple, local_terms,
                             submodule_generated, tensor_module)
 from superw.partitions import Partition
-from superw.spanops import hom_space
 from superw.suite import PAIRS_LE2
 from superw.walgebra import (BorelOrder, basis_terms, generating_terms,
                              term_degree)
 from superw.weights import Weight
 
-from helpers import grading_element, hom_value, kac_plus_oracle, layer_dims
+from helpers import (grading_element, hom_space, hom_value, kac_plus_oracle,
+                     layer_dims)
 
 
 def test_kac_plus_of_trivial_base():

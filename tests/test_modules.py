@@ -8,19 +8,26 @@ import pytest
 
 from superw import spanops
 from superw.errors import NonBasisElementError
-from superw.modules import (Character, adjoint_module, check_representation,
-                            dual_module, is_simple, lambda_module,
+import superw.modules as mods
+from superw.errors import RankTooSmallError
+from superw.glmodules import gl_natural, gl_simple, gl_trivial, mixed_tensor
+from superw.induction import kac_plus
+from superw.modules import (Character, FiniteWModule, adjoint_module,
+                            check_representation, dual_module, generates,
+                            is_simple, iso_check, lambda_module,
                             psi_invariants, quotient_module, singular_line,
                             singular_vectors, submodule_generated,
-                            tensor_module)
-from superw.glmodules import gl_natural, gl_trivial, mixed_tensor
-from superw.spanops import iso_check
-from superw.tensorfields import extract_L_minus_submodule, tensor_field
-from superw.walgebra import BorelOrder, basis_terms
+                            tensor_module, top_generator)
+from superw.suite import PAIRS_LE2
+from superw.tensorfields import (coinduction_duality_check, extract_L_minus,
+                                 extract_L_minus_submodule, tensor_field)
+from superw.walgebra import (BorelOrder, basis_terms, term_weight,
+                             triangular_terms)
 from superw.weights import Weight
 
-from helpers import (convolve, grading_element, restrict, trivial_module,
-                     weight_of)
+from helpers import (closure_oracle, convolve, direct_sum, grading_element,
+                     is_simple_oracle, iso_check_oracle, restrict,
+                     trivial_module, weight_of)
 
 
 def test_builders_satisfy_the_bracket_relation():
@@ -236,3 +243,185 @@ def test_weight_of_rejects_mixed_vectors():
     m = lambda_module(2)
     with pytest.raises(ValueError):
         weight_of(m, {0: Fraction(1), 1: Fraction(1)})
+
+
+# ------------------------------- the generation test against the closures
+
+
+def _build(kind, lam, mu, n):
+    if kind == "K+":
+        return kac_plus(gl_simple(lam, mu, n), n)
+    return tensor_field(gl_simple(lam, mu, n, order="interleaved"), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["K+", "T"])
+def test_is_simple_matches_the_closure_oracle(kind, n):
+    # the same candidates in the same order, so the same verdict, method,
+    # witness and witness weight; only the witness detail drops its "dim k"
+    checked = 0
+    for lam, mu in PAIRS_LE2:
+        try:
+            m = _build(kind, lam, mu, n)
+        except RankTooSmallError:
+            continue
+        new, old = is_simple(m), is_simple_oracle(m)
+        assert (new.simple, new.method, new.witness_weight, new.witness) == (
+            old.simple, old.method, old.witness_weight, old.witness), (lam, mu)
+        checked += 1
+    # the pairs that fit the rank in the base's order
+    assert checked == {"K+": [5, 11, 15, 16, 16], "T": [3, 9, 12, 16, 16]}[kind][n - 1]
+
+
+def test_the_certificates_build_no_closure(monkeypatch):
+    # simplicity, isomorphism with a simple module and the coinduction
+    # duality are generation tests, not closures; the inputs are built
+    # first, since extracting L- closes a span
+    k = kac_plus(gl_simple((1,), (1,), 3), 3)
+    inv, x = _psi_round_trip((1,), (1,), 3)
+    base = gl_simple((1,), (1,), 3)
+
+    def no_closure(*args):
+        raise AssertionError("closure built")
+
+    for namespace in (mods, spanops):
+        monkeypatch.setattr(namespace, "module_closure", no_closure)
+    assert is_simple(k).simple
+    assert iso_check(inv, x) is not None
+    assert coinduction_duality_check(base, 3).passes
+
+
+def _natural_max_candidates(m):
+    b = BorelOrder("natural", m.rank, "max")
+    return [(w, v) for w, vecs in singular_vectors(m, b).items() for v in vecs]
+
+
+@pytest.mark.parametrize("lam,mu", PAIRS_LE2, ids=str)
+def test_generation_test_matches_the_lowering_closure(lam, mu):
+    # v generates exactly when its closure under the lowering terms is
+    # everything, whether or not v generates
+    m = kac_plus(gl_simple(lam, mu, 3), 3) if lam.length + mu.length <= 3 \
+        else kac_plus(gl_simple(lam, mu, 4), 4)
+    _, lowering = triangular_terms(BorelOrder("natural", m.rank, "max"))
+    for w, v in _natural_max_candidates(m):
+        assert generates(m, w, v) == (closure_oracle(m, lowering, [v]).dim == m.dim)
+
+
+def test_generation_test_needs_the_top_row_and_every_lowering_term(monkeypatch):
+    # a simple module's top generates it; without the top vector as a row
+    # the top block keeps a coinvariant, and without a lowering term some
+    # other block does
+    m = kac_plus(gl_simple((1,), (1,), 3), 3)
+    ((w, v),) = _natural_max_candidates(m)
+    assert generates(m, w, v)
+    assert not generates(m, w, {})
+    lowering = triangular_terms(BorelOrder("natural", 3, "max"))[1]
+    for drop in range(len(lowering)):
+        kept = lowering[:drop] + lowering[drop + 1:]
+        monkeypatch.setattr(mods, "triangular_terms", lambda b: ([], kept))
+        assert not generates(m, w, v), lowering[drop]
+
+
+# --------------------------------- iso_check against the hom-space oracle
+
+
+def _exterior_mod_constants(n: int):
+    lam = lambda_module(n)
+    return quotient_module(lam, submodule_generated(lam, [{0: 1}]))
+
+
+def _psi_round_trip(lam, mu, n):
+    return (psi_invariants(extract_L_minus(lam, mu, n)),
+            gl_simple(lam, mu, n, order="interleaved"))
+
+
+def _iso_inputs():
+    """Builders of the (a, b) pairs of suite criteria 5 and 7, and of the
+    invariants round trip of ``superw tensorfield`` at ranks 3 and 4."""
+    out = []
+    for n in (3, 4):
+        out += [pytest.param(lambda n=n: (_exterior_mod_constants(n),
+                                          extract_L_minus((1,), (), n)),
+                             id=f"Lambda/C,L-(1|)@{n}"),
+                pytest.param(lambda n=n: (extract_L_minus((1,), (), n),
+                                          _exterior_mod_constants(n)),
+                             id=f"L-(1|),Lambda/C@{n}")]
+    for n in (2, 3):
+        out += [pytest.param(lambda n=n: (adjoint_module(n),
+                                          extract_L_minus((), (1,), n)),
+                             id=f"adjoint,L-(|1)@{n}"),
+                pytest.param(lambda n=n: (extract_L_minus((), (1,), n),
+                                          adjoint_module(n)),
+                             id=f"L-(|1),adjoint@{n}")]
+    for n in (3, 4):
+        for lam, mu in PAIRS_LE2:
+            if max(2 * lam.length - 1, 2 * mu.length) <= n:
+                out.append(pytest.param(
+                    lambda lam=lam, mu=mu, n=n: _psi_round_trip(lam, mu, n),
+                    id=f"Psi(L-({lam}|{mu})),V@{n}"))
+    return out
+
+
+def _assert_certifies(a, b, u):
+    # u is a singular vector of a at b's top weight, and generates a
+    (lam,) = {w for w, _ in _natural_max_candidates(b)}
+    assert weight_of(a, u) == lam
+    # a raising term into a weight the module lacks acts by zero; a gl
+    # module's invariant span is closed under the gl terms only
+    raising, _ = triangular_terms(BorelOrder("natural", a.rank, "max"))
+    assert not any(a.act_term(g, u) for g in raising
+                   if lam + term_weight(g) in a.weight_blocks())
+    assert submodule_generated(a, [u]).full
+
+
+@pytest.mark.parametrize("build", _iso_inputs())
+def test_iso_check_matches_the_hom_space_oracle(build):
+    a, b = build()
+    u = iso_check(a, b)
+    assert (u is None) == (iso_check_oracle(a, b) is None)
+    assert u is not None
+    _assert_certifies(a, b, u)
+
+
+def _zero_action(m) -> FiniteWModule:
+    """m's weights, hence its character, with every column zero: every
+    vector is singular and none generates more than its own line."""
+    return type(m)(m.rank, m.weights, col_fn=lambda term, j: {})
+
+
+def test_iso_check_refuses_what_the_oracle_refuses():
+    # a simple module against the same character with no action, both ways
+    q = _exterior_mod_constants(3)
+    flat = _zero_action(q)
+    assert iso_check_oracle(q, flat) is None
+    assert iso_check_oracle(flat, q) is None
+    assert not is_simple(flat).simple
+    assert iso_check(q, flat) is None  # b is not simple, a is
+    assert iso_check(flat, q) is None  # a's top does not generate
+
+
+def test_iso_check_raises_when_neither_module_is_simple():
+    # Lambda(n) and C (+) Lambda(n)/C share a character and neither is
+    # simple: outside the contract, which asks b to be simple
+    lam = lambda_module(3)
+    split = direct_sum(trivial_module(3), _exterior_mod_constants(3))
+    assert split.character() == lam.character()
+    with pytest.raises(ValueError, match="needs a simple module b"):
+        iso_check(lam, split)
+    with pytest.raises(ValueError, match="needs a simple module b"):
+        iso_check(split, lam)
+
+
+def test_top_generator_reads_a_top_of_more_than_one_line_as_no(monkeypatch):
+    # two singular lines at the top weight: no module generated by one of
+    # them has that weight space, so no generation test is run
+    q = _exterior_mod_constants(3)
+    ((lam, v),) = _natural_max_candidates(q)
+    assert top_generator(q, lam) == v
+    double = direct_sum(q, q)
+
+    def no_generation_test(*args):
+        raise AssertionError("generation test run")
+
+    monkeypatch.setattr(mods, "generates", no_generation_test)
+    assert top_generator(double, lam) is None

@@ -4,15 +4,16 @@ import pytest
 
 from superw.errors import RankMismatchError
 from superw.glmodules import gl_conatural, gl_natural, gl_simple, gl_trivial
-from superw.modules import (adjoint_module, check_representation, is_simple,
-                            lambda_module)
-from superw.spanops import iso_check
+from superw.modules import (adjoint_module, check_representation, dual_module,
+                            is_simple, iso_check, lambda_module,
+                            submodule_generated)
 from superw.tensorfields import (coinduction_duality_check, extract_L_minus,
                                  tensor_field)
 from superw.walgebra import basis_terms
 from superw.weights import Weight
 
-from helpers import convolve, tensor_field_oracle
+from helpers import (convolve, direct_sum, duality_oracle, iso_check_oracle,
+                     tensor_field_oracle)
 
 
 def test_tensor_field_satisfies_the_bracket_relation():
@@ -49,7 +50,11 @@ def test_columns_match_the_two_call_sign_builder(base, n):
 
 
 def test_trivial_coefficients_recover_scalars():
-    assert iso_check(tensor_field(gl_trivial(3), 3), lambda_module(3)) is not None
+    # neither side is simple, which the highest-weight certificate needs
+    t = tensor_field(gl_trivial(3), 3)
+    assert iso_check_oracle(t, lambda_module(3)) is not None
+    with pytest.raises(ValueError, match="neither is simple"):
+        iso_check(t, lambda_module(3))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -61,7 +66,33 @@ def test_covector_coefficients_recover_the_adjoint(n):
 def test_duality_with_downward_induction():
     rep = coinduction_duality_check(gl_natural(2), 2)
     assert rep.passes and rep.dim == 8
-    assert rep.intertwiner is not None
+    assert rep.generator is not None
+
+
+@pytest.mark.parametrize("base,n", [
+    (gl_trivial, 3), (gl_natural, 3), (gl_conatural, 3),
+    (lambda n: gl_simple((1,), (1,), n), 3),
+    (lambda n: gl_simple((2,), (1,), n), 2),
+    (lambda n: gl_simple((2,), (1,), n), 3),
+    (lambda n: gl_simple((2,), (1,), n), 4)],
+    ids=["C@3", "V@3", "V*@3", "V(1|1)@3", "V(2|1)@2", "V(2|1)@3", "V(2|1)@4"])
+def test_duality_matches_the_hom_space_oracle(base, n):
+    # the criterion-6 bases and V(2|1): Frobenius reciprocity against an
+    # invertible intertwiner T(X) -> K+(X*)*; the generator is a vector of
+    # T(X)* that generates it
+    x = base(n)
+    rep = coinduction_duality_check(x, n)
+    assert rep.passes and duality_oracle(x, n) is not None
+    assert rep.dim == (1 << n) * x.dim
+    assert submodule_generated(dual_module(tensor_field(x, n)), [rep.generator]).full
+
+
+def test_duality_rejects_a_base_that_is_not_simple():
+    # V (+) C is no simple base: its dual has two singular lines
+    x = direct_sum(gl_natural(3), gl_trivial(3))
+    assert not is_simple(x).simple
+    with pytest.raises(ValueError, match="needs a simple base"):
+        coinduction_duality_check(x, 3)
 
 
 def test_extracted_scalars_mod_constants():
