@@ -210,22 +210,24 @@ def tensor_module(a: FiniteWModule, b: FiniteWModule) -> FiniteWModule:
 
 def dual_module(m: FiniteWModule) -> FiniteWModule:
     """Contragredient module: (x.f)(v) = -(-1)^(p(x)p(f)) f(x.v)."""
-    dim = m.dim
     weights = [-w for w in m.weights]
-    # parity of a dual vector equals the parity of its partner; each term's
-    # matrix is transposed once, on its first column
-    mats: dict = {}
+    blocks = m.weight_blocks()
+
+    # parity of a dual vector equals the parity of its partner; dual column
+    # j reads m's columns on the one block the term maps into weight w_j,
+    # each (term, block) once
+    @cache
+    def transpose(term: Term, w: Weight) -> dict:
+        mat: dict = {}
+        tp = term_parity(term)
+        for c in blocks.get(w - term_weight(term), ()):
+            for r, x in m.column(term, c).items():
+                # entry c of dual column r is -(-1)^(p(t)p(e^r)) * x
+                mat.setdefault(r, {})[c] = x if (tp and m.parities[r]) else -x
+        return mat
 
     def col(term: Term, j: int) -> Vec:
-        mat = mats.get(term)
-        if mat is None:
-            mat = mats[term] = {}
-            tp = term_parity(term)
-            for c in range(dim):
-                for r, x in m.column(term, c).items():
-                    # entry c of dual column r is -(-1)^(p(t)p(e^r)) * x
-                    mat.setdefault(r, {})[c] = x if (tp and m.parities[r]) else -x
-        return mat.get(j, {})
+        return transpose(term, m.weights[j]).get(j, {})
 
     name = f"({m.name})*" if m.name else ""
     return type(m)(m.rank, weights, col_fn=col, name=name)
@@ -358,20 +360,24 @@ def singular_vectors(m: FiniteWModule, b: BorelOrder,
 
     Only the raising set of ``triangular_terms(b)``, which generates them,
     is applied: operators that kill a vector also kill their brackets, so
-    the joint kernel is the same, at a fraction of the cost."""
+    the joint kernel is the same, at a fraction of the cost.  It holds the
+    simple root vectors of b, so by the sl2 bound (``BorelOrder``) only
+    the b-dominant blocks are solved."""
     if b.rank != m.rank:
         raise RankMismatchError("order rank differs from module rank")
     zset = set(zdegs) if zdegs is not None else None
-    flt = None if zset is None else (lambda w: w.total() in zset)
+    flt = b.dominant if zset is None else (
+        lambda w: w.total() in zset and b.dominant(w))
     return singular_blocks(m, triangular_terms(b)[0], block_filter=flt)
 
 
 def singular_space(m: FiniteWModule, b: BorelOrder, hw: Weight) -> list[Vec]:
     """Joint kernel of the raising terms of b on the one block of weight hw,
-    empty when hw does not occur; a raising term whose target weight the
+    empty when hw does not occur or is not b-dominant, where the sl2 bound
+    (``BorelOrder``) leaves none; a raising term whose target weight the
     module lacks adds no equation."""
     blocks = m.weight_blocks()
-    if hw not in blocks:
+    if hw not in blocks or not b.dominant(hw):
         return []
     raising = [g for g in triangular_terms(b)[0] if hw + term_weight(g) in blocks]
     return block_kernel(m, blocks[hw], raising)
@@ -407,9 +413,12 @@ def generates(m: FiniteWModule, w: Weight, v: Vec) -> bool:
     terms, generates m.  U(g)v = U(n-)v by PBW, and that is m exactly when
     m = Cv + n-m (graded Nakayama: n- lowers a grading bounded on m).  The
     n lowering terms generate n-, so no block may keep a coinvariant once
-    v is added (``coinvariant_blocks``, which stops at the first)."""
-    _, lowering = triangular_terms(BorelOrder("natural", m.rank, "max"))
-    return next(coinvariant_blocks(m, lowering, {w: v}), None) is None
+    v is added (``coinvariant_blocks``, which stops at the first); by the
+    sl2 bound (``BorelOrder``) only dominant blocks can, so only they are
+    solved."""
+    b = BorelOrder("natural", m.rank, "max")
+    _, lowering = triangular_terms(b)
+    return next(coinvariant_blocks(m, lowering, {w: v}, b.dominant), None) is None
 
 
 def top_generator(m: FiniteWModule, lam: Weight) -> Optional[Vec]:
@@ -421,11 +430,12 @@ def top_generator(m: FiniteWModule, lam: Weight) -> Optional[Vec]:
 
 def highest_weight_verdict(m: FiniteWModule, sing: dict) -> SimplicityVerdict:
     """Simplicity of m from its natural "max" singular vectors, keyed by
-    weight as ``singular_vectors`` gives them.  Every nonzero submodule
-    holds one, so m is simple exactly when they form one line that
-    generates m.  One that does not generate is the witness; a generating
-    v spans the top weight space of m = U(n-)v, so two or more lines mean
-    "not simple" even where no witness is found."""
+    weight as ``singular_vectors`` gives them, which by the sl2 bound
+    (``BorelOrder``) lie at dominant weights only.  Every nonzero
+    submodule holds one, so m is simple exactly when they form one line
+    that generates m.  One that does not generate is the witness; a
+    generating v spans the top weight space of m = U(n-)v, so two or more
+    lines mean "not simple" even where no witness is found."""
     cands = [(w, v) for w, vecs in sing.items() for v in vecs]
     if not cands:
         raise NonBasisElementError("no highest-weight vector found; "

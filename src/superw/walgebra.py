@@ -285,6 +285,12 @@ class BorelOrder:
     extension selects which operators count as raising beyond the positive
     degree-zero root vectors: "zero" adds nothing, "min" adjoins the d_i,
     "max" adjoins every basis term of positive Z-degree.
+
+    Each simple pair (i, j) spans an sl2: e = x_i d_j, f = x_j d_i and
+    h = E_ii - E_jj.  On a finite-dimensional module (Weyl's theorem, and
+    f: V(m)_(k+2) -> V(m)_k is onto unless k = m), a weight vector e kills,
+    or a weight space outside the image of f, has w_i >= w_j: singular
+    vectors and lowering coinvariants sit at ``dominant`` weights only.
     """
 
     kind: str
@@ -305,6 +311,10 @@ class BorelOrder:
     def simple_pairs(self) -> list[tuple[int, int]]:
         seq = self.sequence()
         return list(zip(seq, seq[1:]))
+
+    def dominant(self, w: Weight) -> bool:
+        """Whether w[s_k] >= w[s_(k+1)] for every simple pair of the order."""
+        return all(w[i] >= w[j] for i, j in self.simple_pairs())
 
 
 def triangular_terms(b: BorelOrder) -> tuple[list[Term], list[Term]]:

@@ -178,6 +178,12 @@ def weight_of(m: FiniteWModule, vec: Vec) -> Weight:
     return ws.pop()
 
 
+def natural_max_candidates(m: FiniteWModule) -> list[tuple[Weight, Vec]]:
+    """(weight, vector) for each singular vector of the natural "max" order."""
+    b = BorelOrder("natural", m.rank, "max")
+    return [(w, v) for w, vecs in singular_vectors(m, b).items() for v in vecs]
+
+
 def restrict(ch: Character) -> dict[tuple, int]:
     """Forget the z-degree, leaving a plain gl weight character."""
     out: dict[tuple, int] = {}

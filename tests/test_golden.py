@@ -20,8 +20,11 @@ COMMANDS = {
     "kac_m1_n4": ["kac", "-m", "1", "--n", "4"],
     "kac_m2_n4": ["kac", "-m", "2", "--n", "4"],
     "kac_l1_m1_n4": ["kac", "-l", "1", "-m", "1", "--n", "4"],
+    "kac_l1_m1_n5": ["kac", "-l", "1", "-m", "1", "--n", "5"],
     "kac_minus_l1_m1_n4_D2": ["kac", "--kind", "minus", "-l", "1", "-m", "1",
                               "--n", "4", "-D", "2"],
+    "kac_minus_l1_m1_n4_D3": ["kac", "--kind", "minus", "-l", "1", "-m", "1",
+                              "--n", "4", "-D", "3"],
     "tensorfield_l1_m1_n4_duality": ["tensorfield", "-l", "1", "-m", "1",
                                      "--n", "4", "--duality"],
     "tensorfield_l1_n3_duality": ["tensorfield", "-l", "1", "--n", "3",

@@ -26,8 +26,8 @@ from superw.walgebra import (BorelOrder, basis_terms, term_weight,
 from superw.weights import Weight
 
 from helpers import (closure_oracle, convolve, direct_sum, grading_element,
-                     is_simple_oracle, iso_check_oracle, restrict,
-                     trivial_module, weight_of)
+                     is_simple_oracle, iso_check_oracle, natural_max_candidates,
+                     restrict, trivial_module, weight_of)
 
 
 def test_builders_satisfy_the_bracket_relation():
@@ -191,6 +191,8 @@ def test_restricted_and_quotient_columns_are_solved_once(monkeypatch):
 
 
 def test_dual_transposes_each_term_once():
+    # each column of a term is read at most once, and only where the term
+    # maps it to a weight of the module: the rest hold no dual entry
     m = lambda_module(3)
     reads = Counter()
     col_fn = m._col_fn
@@ -199,7 +201,9 @@ def test_dual_transposes_each_term_once():
     keys = [(t, j) for t in m.check_keys() for j in range(d.dim)]
     first = [d.column(t, j) for t, j in keys]
     assert [d.column(t, j) for t, j in keys] == first
-    assert reads == {t: m.dim for t in m.check_keys()}
+    blocks = m.weight_blocks()
+    assert reads == Counter({t: sum(w + term_weight(t) in blocks for w in m.weights)
+                             for t in m.check_keys()})
 
 
 @pytest.mark.parametrize("case", ["gl", "tensor-field"])
@@ -291,11 +295,6 @@ def test_the_certificates_build_no_closure(monkeypatch):
     assert coinduction_duality_check(base, 3).passes
 
 
-def _natural_max_candidates(m):
-    b = BorelOrder("natural", m.rank, "max")
-    return [(w, v) for w, vecs in singular_vectors(m, b).items() for v in vecs]
-
-
 @pytest.mark.parametrize("lam,mu", PAIRS_LE2, ids=str)
 def test_generation_test_matches_the_lowering_closure(lam, mu):
     # v generates exactly when its closure under the lowering terms is
@@ -303,7 +302,7 @@ def test_generation_test_matches_the_lowering_closure(lam, mu):
     m = kac_plus(gl_simple(lam, mu, 3), 3) if lam.length + mu.length <= 3 \
         else kac_plus(gl_simple(lam, mu, 4), 4)
     _, lowering = triangular_terms(BorelOrder("natural", m.rank, "max"))
-    for w, v in _natural_max_candidates(m):
+    for w, v in natural_max_candidates(m):
         assert generates(m, w, v) == (closure_oracle(m, lowering, [v]).dim == m.dim)
 
 
@@ -312,7 +311,7 @@ def test_generation_test_needs_the_top_row_and_every_lowering_term(monkeypatch):
     # the top block keeps a coinvariant, and without a lowering term some
     # other block does
     m = kac_plus(gl_simple((1,), (1,), 3), 3)
-    ((w, v),) = _natural_max_candidates(m)
+    ((w, v),) = natural_max_candidates(m)
     assert generates(m, w, v)
     assert not generates(m, w, {})
     lowering = triangular_terms(BorelOrder("natural", 3, "max"))[1]
@@ -364,7 +363,7 @@ def _iso_inputs():
 
 def _assert_certifies(a, b, u):
     # u is a singular vector of a at b's top weight, and generates a
-    (lam,) = {w for w, _ in _natural_max_candidates(b)}
+    (lam,) = {w for w, _ in natural_max_candidates(b)}
     assert weight_of(a, u) == lam
     # a raising term into a weight the module lacks acts by zero; a gl
     # module's invariant span is closed under the gl terms only
@@ -416,7 +415,7 @@ def test_top_generator_reads_a_top_of_more_than_one_line_as_no(monkeypatch):
     # two singular lines at the top weight: no module generated by one of
     # them has that weight space, so no generation test is run
     q = _exterior_mod_constants(3)
-    ((lam, v),) = _natural_max_candidates(q)
+    ((lam, v),) = natural_max_candidates(q)
     assert top_generator(q, lam) == v
     double = direct_sum(q, q)
 
