@@ -408,15 +408,23 @@ class SimplicityVerdict:
         return self.simple
 
 
-def generates(m: FiniteWModule, w: Weight, v: Vec) -> bool:
-    """Whether v, of weight w and killed by the natural "max" raising
-    terms, generates m.  U(g)v = U(n-)v by PBW, and that is m exactly when
-    m = Cv + n-m (graded Nakayama: n- lowers a grading bounded on m).  The
-    n lowering terms generate n-, so no block may keep a coinvariant once
-    v is added (``coinvariant_blocks``, which stops at the first); by the
-    sl2 bound (``BorelOrder``) only dominant blocks can, so only they are
-    solved."""
-    b = BorelOrder("natural", m.rank, "max")
+def generates(m: FiniteWModule, w: Weight, v: Vec, b: BorelOrder) -> bool:
+    """Whether v, of weight w and killed by the raising terms of b,
+    generates m.  U(g)v = U(n-)v by PBW for W(n) = n- + h + n+, and that
+    is m exactly when m = Cv + n-m (graded Nakayama: n- strictly lowers a
+    grading bounded on m).  Here n- is the negative roots plus W_{-1} for
+    "max", or plus W_{>=1} for "min", so it lowers N times the z-degree,
+    or -N times it for "min", plus the pairing with b's rho, once N
+    exceeds the rho shift of every term.  The lowering terms of
+    ``triangular_terms(b)`` generate n-, so no block may keep a
+    coinvariant once v is added (``coinvariant_blocks``, which stops at
+    the first); they hold every simple f = x_{s_(k+1)} d_{s_k}, so by the
+    sl2 bound (``BorelOrder``) only b-dominant blocks can, and only they
+    are solved.  "zero" is no triangular datum, as its n+ leaves W_{-1}
+    out and U(g)v is more than U(n-)v: ValueError."""
+    if b.extension == "zero":
+        raise ValueError("generation needs a triangular Borel datum, "
+                         "extension 'min' or 'max'")
     _, lowering = triangular_terms(b)
     return next(coinvariant_blocks(m, lowering, {w: v}, b.dominant), None) is None
 
@@ -424,8 +432,9 @@ def generates(m: FiniteWModule, w: Weight, v: Vec) -> bool:
 def top_generator(m: FiniteWModule, lam: Weight) -> Optional[Vec]:
     """The vector of weight lam that the natural "max" raising terms kill,
     when they kill one line there and it generates m; else None."""
-    vecs = singular_space(m, BorelOrder("natural", m.rank, "max"), lam)
-    return vecs[0] if len(vecs) == 1 and generates(m, lam, vecs[0]) else None
+    b = BorelOrder("natural", m.rank, "max")
+    vecs = singular_space(m, b, lam)
+    return vecs[0] if len(vecs) == 1 and generates(m, lam, vecs[0], b) else None
 
 
 def highest_weight_verdict(m: FiniteWModule, sing: dict) -> SimplicityVerdict:
@@ -440,8 +449,9 @@ def highest_weight_verdict(m: FiniteWModule, sing: dict) -> SimplicityVerdict:
     if not cands:
         raise NonBasisElementError("no highest-weight vector found; "
                                    "module is not weight-finite")
+    b = BorelOrder("natural", m.rank, "max")
     for w, v in cands:
-        if not generates(m, w, v):
+        if not generates(m, w, v, b):
             return SimplicityVerdict(
                 False, "witness", f"singular vector at {w} generates a proper submodule",
                 witness=v, witness_weight=w)

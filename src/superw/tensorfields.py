@@ -7,7 +7,9 @@ induction ``kac_plus``.  Duality with the downward induction is checked
 by Frobenius reciprocity (``modules.top_generator``), and the simple
 module attached to a partition pair is cut out as the cyclic submodule
 on the interleaved-order singular vector (``modules.singular_line``, the
-search that also cuts the gl(n) simples out of mixed tensors).
+search that also cuts the gl(n) simples out of mixed tensors): the whole
+module when that vector generates it (``modules.generates``), else its
+closure.
 """
 from __future__ import annotations
 
@@ -20,9 +22,9 @@ from .linalg import Vec
 from .modules import (
     FiniteWModule,
     GlModule,
-    Submodule,
     dual_module,
     field_columns,
+    generates,
     is_simple,
     singular_line,
     singular_vectors,
@@ -71,20 +73,20 @@ def coinduction_duality_check(x: GlModule, n: int, seed: int = 0) -> DualityRepo
     return DualityReport(passes=u is not None, dim=t.dim, generator=u)
 
 
-def extract_L_minus_submodule(lam, mu, n: int) -> Submodule:
-    """The cyclic submodule of T(V(lam|mu)) on the interleaved singular
-    vector, kept as a span inside its parent."""
-    hw = stable_highest_weight(lam, mu, "interleaved", n)
-    t = tensor_field(gl_simple(lam, mu, n, order="interleaved"), n)
-    v = singular_line(t, BorelOrder("interleaved", n, "min"), hw)
-    return submodule_generated(t, [v])
-
-
 def extract_L_minus(lam, mu, n: int) -> FiniteWModule:
     """The simple module attached to a partition pair, realized inside the
-    tensor-field module over the interleaved-order simple base."""
+    tensor-field module T over the interleaved-order simple base: the
+    submodule that the interleaved "min" singular vector v of the stable
+    highest weight generates.  When v generates T (``generates``, a
+    coinvariant count for the "min" n-, the negative roots plus W_{>=1})
+    that is T itself, and no closure runs; otherwise it is the exact
+    closure of v, a proper submodule."""
     lam, mu = aspartition(lam), aspartition(mu)
-    out = extract_L_minus_submodule(lam, mu, n).module()
+    hw = stable_highest_weight(lam, mu, "interleaved", n)
+    t = tensor_field(gl_simple(lam, mu, n, order="interleaved"), n)
+    b = BorelOrder("interleaved", n, "min")
+    v = singular_line(t, b, hw)
+    out = t if generates(t, hw, v, b) else submodule_generated(t, [v]).module()
     out.name = f"L-({lam}|{mu},n={n})"
-    out.meta["highest_weight"] = stable_highest_weight(lam, mu, "interleaved", n)
+    out.meta["highest_weight"] = hw
     return out

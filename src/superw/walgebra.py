@@ -319,25 +319,34 @@ class BorelOrder:
 
 def triangular_terms(b: BorelOrder) -> tuple[list[Term], list[Term]]:
     """Lie generators (raising, lowering) of W(n) = n- + h + n+ for b, with
-    s = b.sequence().  raising generates every raising basis term of b:
-    the positive root vectors x_i d_j with i before j in s, plus every d_j
-    for "min", or every term of positive degree for "max".  It is the
-    simple root vectors x_{s_k} d_{s_(k+1)}, plus d_{s1} for "min", or for
-    "max" the lowest weight vectors x_{s1}x_{sn} d_{s1},
+    s = b.sequence() and h the Cartan.  raising generates every raising
+    basis term of b: the positive root vectors x_i d_j with i before j in
+    s, plus every d_j for "min", or every term of positive degree for
+    "max".  It is the simple root vectors x_{s_k} d_{s_(k+1)}, plus d_{s1}
+    for "min", or for "max" the lowest weight vectors x_{s1}x_{sn} d_{s1},
     x_{s(n-1)}x_{sn} d_{s1} of W_1 (all of W_1 below rank 3).  A joint
     kernel of the generators is one of everything they generate, so the
-    library needs no other raising set.  lowering, the n terms d_{sn} and
-    x_{s_(k+1)} d_{s_k} for k = n-1 down to 1, generates the negative roots
-    plus W_{-1}.  The test suite verifies each claim by span up to rank 7."""
+    library needs no other raising set.  lowering generates n-, the
+    negative roots plus what the extension leaves out of n+: for "max"
+    W_{-1}, from the n terms d_{sn} and x_{s_(k+1)} d_{s_k} for k = n-1
+    down to 1; for "min" W_{>=1}, from the n-1 terms x_{s_(k+1)} d_{s_k}
+    and x_{s1}x_{s2} d_{sn}, x_{s1}x_{s2} d_{s2} (all of W_1 below rank
+    3).  "zero", whose raising set is the positive roots alone, takes the
+    lowering set of "max", so the two and h do not make up W(n).  The
+    test suite verifies each claim by span up to rank 7."""
     s = b.sequence()
     raising = [(1 << (i - 1), j) for i, j in b.simple_pairs()]
-    lowering = [(0, s[-1])] + [(1 << (j - 1), i) for i, j in b.simple_pairs()[::-1]]
+    roots = [(1 << (j - 1), i) for i, j in b.simple_pairs()[::-1]]
     if b.extension == "min":
         raising.append((0, s[0]))
-    elif b.extension == "max":
+        if b.rank < 3:
+            return raising, roots + basis_terms(b.rank, 1)
+        top = 1 << (s[0] - 1) | 1 << (s[1] - 1)
+        return raising, roots + [(top, s[-1]), (top, s[1])]
+    if b.extension == "max":
         raising += basis_terms(b.rank, 1) if b.rank < 3 else [
             (1 << (i - 1) | 1 << (s[-1] - 1), s[0]) for i in (s[0], s[-2])]
-    return raising, lowering
+    return raising, [(0, s[-1])] + roots
 
 
 def generating_terms(n: int) -> list[Term]:

@@ -15,14 +15,16 @@ from typing import Iterable
 
 from superw.errors import (InhomogeneousError, NonBasisElementError,
                            RankMismatchError, RankTooSmallError)
-from superw.glmodules import cyclic_simple, gl_trivial, mixed_tensor
+from superw.glmodules import cyclic_simple, gl_simple, gl_trivial, mixed_tensor
 from superw.grassmann import (Coeff, GrassmannElement, Monomial, indices_of,
                               merge_sign, removal_sign)
 from superw.induction import kac_plus
 from superw.linalg import RationalEchelon, Vec, kernel_basis, vec_axpy
 from superw.modules import (Character, FiniteWModule, GlModule,
-                            SimplicityVerdict, dual_module, singular_vectors)
-from superw.partitions import aspartition
+                            SimplicityVerdict, Submodule, dual_module,
+                            singular_line, singular_vectors,
+                            submodule_generated)
+from superw.partitions import aspartition, stable_highest_weight
 from superw.spanops import apply_gen, hom_basis, module_closure, singular_blocks
 from superw.tensorfields import tensor_field
 from superw.walgebra import (BorelOrder, Term, WElement, basis_terms,
@@ -479,6 +481,16 @@ def kac_plus_oracle(x: GlModule, n: int) -> FiniteWModule:
 
 
 # --------------------------------------------------------- tensorfields
+
+def extract_L_minus_oracle(lam, mu, n: int) -> Submodule:
+    """``extract_L_minus`` as it stood before the generation test: the
+    exact closure of the interleaved singular vector in T(V(lam|mu)), kept
+    as a span inside its parent, whether or not it fills T."""
+    hw = stable_highest_weight(lam, mu, "interleaved", n)
+    t = tensor_field(gl_simple(lam, mu, n, order="interleaved"), n)
+    v = singular_line(t, BorelOrder("interleaved", n, "min"), hw)
+    return submodule_generated(t, [v])
+
 
 def duality_oracle(x: GlModule, n: int):
     """``coinduction_duality_check`` as it stood before Frobenius

@@ -113,18 +113,20 @@ def test_generation_test_matches_the_lowering_closure(build):
     # the pruned coinvariant count against the closure, on duals and on gl
     # modules, where generation can fail as well as hold
     m = build()
-    _, lowering = triangular_terms(BorelOrder("natural", m.rank, "max"))
+    b = BorelOrder("natural", m.rank, "max")
+    _, lowering = triangular_terms(b)
     cands = natural_max_candidates(m)
     assert cands
     for w, v in cands:
-        assert generates(m, w, v) == (closure_oracle(m, lowering, [v]).dim == m.dim)
+        assert generates(m, w, v, b) == (closure_oracle(m, lowering, [v]).dim == m.dim)
 
 
 def test_generation_fails_somewhere_among_the_inputs():
     # the comparison above is not vacuous: a mixed tensor's tops do not all
     # generate it
     m = mixed_tensor(2, 1, 3)
-    assert not all(generates(m, w, v) for w, v in natural_max_candidates(m))
+    b = BorelOrder("natural", 3, "max")
+    assert not all(generates(m, w, v, b) for w, v in natural_max_candidates(m))
 
 
 # ---------------------------------------------- the precondition and the bound

@@ -31,8 +31,12 @@ COMMANDS = {
                                   "--duality"],
     "tensorfield_l2_m1_n4_duality": ["tensorfield", "-l", "2", "-m", "1",
                                      "--n", "4", "--duality"],
+    "tensorfield_l2_n4": ["tensorfield", "-l", "2", "--n", "4"],
     "stabilize_L-_l1_m1_n4_5": ["stabilize", "-l", "1", "-m", "1",
                                 "--n-from", "4", "--n-to", "5",
+                                "--object", "L-"],
+    "stabilize_L-_l1_m1_n4_6": ["stabilize", "-l", "1", "-m", "1",
+                                "--n-from", "4", "--n-to", "6",
                                 "--object", "L-"],
     "stabilize_T_l1_n3_5": ["stabilize", "-l", "1", "--n-from", "3",
                             "--n-to", "5", "--object", "T"],

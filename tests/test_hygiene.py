@@ -33,8 +33,11 @@ RETIRED_PARAMS = {"prime", "max_steps", "burnside_threshold", "generating_only",
 ORACLES = {"burnside_full", "rank_mod_p", "hom_basis"}
 
 # names of retired paths that must not come back: the Burnside threshold,
-# and the hom-space isomorphism check's error and rank loop
-RETIRED_NAMES = {"BURNSIDE_MAX_DIM", "IsomorphismUndecidedError", "_full_rank"}
+# the hom-space isomorphism check's error and rank loop, and the L-
+# extraction that closed a span even when it filled the tensor fields
+# (``helpers.extract_L_minus_oracle`` now)
+RETIRED_NAMES = {"BURNSIDE_MAX_DIM", "IsomorphismUndecidedError", "_full_rank",
+                 "extract_L_minus_submodule"}
 
 # the only readers of the mod-p modulus
 PRIME_READERS = {"linalg.py": {"rank_mod_p"}, "spanops.py": {"burnside_full"}}
@@ -381,7 +384,9 @@ def test_scans_flag_oracle_calls_and_retired_names():
            "def iso_check(a, b):\n"
            "    homs = spanops.hom_basis(a, b, a.gen_keys())\n"
            "    if not any(_full_rank(phi) for phi in homs):\n"
-           "        raise IsomorphismUndecidedError(len(homs))\n")
+           "        raise IsomorphismUndecidedError(len(homs))\n"
+           "def extract_L_minus(lam, mu, n):\n"
+           "    return extract_L_minus_submodule(lam, mu, n).module()\n")
     assert sorted(calls_to(src, ORACLES)) == [
         "line 4: burnside_full", "line 5: rank_mod_p", "line 8: hom_basis"]
     assert RETIRED_NAMES <= identifiers(src)

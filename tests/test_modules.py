@@ -20,14 +20,15 @@ from superw.modules import (Character, FiniteWModule, adjoint_module,
                             tensor_module, top_generator)
 from superw.suite import PAIRS_LE2
 from superw.tensorfields import (coinduction_duality_check, extract_L_minus,
-                                 extract_L_minus_submodule, tensor_field)
+                                 tensor_field)
 from superw.walgebra import (BorelOrder, basis_terms, term_weight,
                              triangular_terms)
 from superw.weights import Weight
 
-from helpers import (closure_oracle, convolve, direct_sum, grading_element,
-                     is_simple_oracle, iso_check_oracle, natural_max_candidates,
-                     restrict, trivial_module, weight_of)
+from helpers import (closure_oracle, convolve, direct_sum,
+                     extract_L_minus_oracle, grading_element, is_simple_oracle,
+                     iso_check_oracle, natural_max_candidates, restrict,
+                     trivial_module, weight_of)
 
 
 def test_builders_satisfy_the_bracket_relation():
@@ -165,7 +166,7 @@ def test_quotient_of_an_integer_module_keeps_int_columns():
 def test_restricted_and_quotient_columns_are_solved_once(monkeypatch):
     # each column is an echelon solve, so the source memoizes it: a second
     # read of every column solves nothing and gives the same columns
-    sub = extract_L_minus_submodule((1,), (), 3)
+    sub = extract_L_minus_oracle((1,), (), 3)
     t = sub.parent
     assert 0 < sub.dim < t.dim
     solves = []
@@ -280,7 +281,7 @@ def test_is_simple_matches_the_closure_oracle(kind, n):
 def test_the_certificates_build_no_closure(monkeypatch):
     # simplicity, isomorphism with a simple module and the coinduction
     # duality are generation tests, not closures; the inputs are built
-    # first, since extracting L- closes a span
+    # first, since building a gl simple closes a span
     k = kac_plus(gl_simple((1,), (1,), 3), 3)
     inv, x = _psi_round_trip((1,), (1,), 3)
     base = gl_simple((1,), (1,), 3)
@@ -301,9 +302,10 @@ def test_generation_test_matches_the_lowering_closure(lam, mu):
     # everything, whether or not v generates
     m = kac_plus(gl_simple(lam, mu, 3), 3) if lam.length + mu.length <= 3 \
         else kac_plus(gl_simple(lam, mu, 4), 4)
-    _, lowering = triangular_terms(BorelOrder("natural", m.rank, "max"))
+    b = BorelOrder("natural", m.rank, "max")
+    _, lowering = triangular_terms(b)
     for w, v in natural_max_candidates(m):
-        assert generates(m, w, v) == (closure_oracle(m, lowering, [v]).dim == m.dim)
+        assert generates(m, w, v, b) == (closure_oracle(m, lowering, [v]).dim == m.dim)
 
 
 def test_generation_test_needs_the_top_row_and_every_lowering_term(monkeypatch):
@@ -312,13 +314,24 @@ def test_generation_test_needs_the_top_row_and_every_lowering_term(monkeypatch):
     # other block does
     m = kac_plus(gl_simple((1,), (1,), 3), 3)
     ((w, v),) = natural_max_candidates(m)
-    assert generates(m, w, v)
-    assert not generates(m, w, {})
-    lowering = triangular_terms(BorelOrder("natural", 3, "max"))[1]
+    b = BorelOrder("natural", 3, "max")
+    assert generates(m, w, v, b)
+    assert not generates(m, w, {}, b)
+    lowering = triangular_terms(b)[1]
     for drop in range(len(lowering)):
         kept = lowering[:drop] + lowering[drop + 1:]
         monkeypatch.setattr(mods, "triangular_terms", lambda b: ([], kept))
-        assert not generates(m, w, v), lowering[drop]
+        assert not generates(m, w, v, b), lowering[drop]
+
+
+def test_generation_test_rejects_a_datum_that_is_not_triangular():
+    # the "zero" n+ is the positive roots alone, so U(g)v is more than
+    # U(n-)v and no coinvariant count certifies generation
+    m = kac_plus(gl_simple((1,), (1,), 3), 3)
+    ((w, v),) = natural_max_candidates(m)
+    for kind in ("natural", "interleaved"):
+        with pytest.raises(ValueError, match="triangular"):
+            generates(m, w, v, BorelOrder(kind, 3, "zero"))
 
 
 # --------------------------------- iso_check against the hom-space oracle

@@ -21,19 +21,20 @@ from superw.spanops import (apply_gen, block_index, burnside_full, hom_basis,
 from superw.partitions import stable_highest_weight
 from superw.errors import RankTooSmallError
 from superw.suite import PAIRS_LE2
-from superw.tensorfields import extract_L_minus_submodule, tensor_field
+from superw.tensorfields import tensor_field
 from superw.walgebra import (BorelOrder, generating_terms, term_weight,
                              triangular_terms)
 from superw.weights import Weight
 import helpers
 from helpers import (IsomorphismUndecidedError, closure_oracle, direct_sum,
-                     hom_basis_oracle, hom_space, hom_value, iso_check_oracle,
-                     raising_terms, singular_blocks_oracle, trivial_module)
+                     extract_L_minus_oracle, hom_basis_oracle, hom_space,
+                     hom_value, iso_check_oracle, raising_terms,
+                     singular_blocks_oracle, trivial_module)
 from test_linalg import dense_kernel
 
 
 def _proper_L_minus(lam, n):
-    sub = extract_L_minus_submodule(lam, (), n)
+    sub = extract_L_minus_oracle(lam, (), n)
     assert not sub.full
     return sub
 
@@ -140,7 +141,7 @@ def test_closure_requests_no_column_into_an_absent_weight():
     # a generator's shift is its own weight, so the closure asks for none
     # of the columns whose target weight T(V(1|1)) lacks, not even before
     # the generator's first nonzero image; the oracle builds every one
-    seed = extract_L_minus_submodule((1,), (1,), 4).echelon
+    seed = extract_L_minus_oracle((1,), (1,), 4).echelon
     seed = seed.rows[seed.order[0]]
 
     def counted(closure):
@@ -210,7 +211,7 @@ def _recording_echelon(m, calls, full_rejects):
 def test_closure_inserts_nothing_into_a_full_block(monkeypatch):
     # L-(1|1) fills all of T(V(1|1)) at n = 4, so most images the old
     # closure inserted landed in full blocks and reduced to zero
-    sub = extract_L_minus_submodule((1,), (1,), 4)
+    sub = extract_L_minus_oracle((1,), (1,), 4)
     t = sub.parent
     assert sub.full
     seed = sub.echelon.rows[sub.echelon.order[0]]
@@ -434,7 +435,7 @@ def test_several_generating_singular_lines_mean_not_simple(monkeypatch):
     other = next(j for j in range(q.dim) if q.weights[j] != key)
     fake = {key: [top], q.weights[other]: [{other: Fraction(1)}]}
     monkeypatch.setattr(mods, "singular_vectors", lambda m, b: fake)
-    monkeypatch.setattr(mods, "generates", lambda m, w, v: True)
+    monkeypatch.setattr(mods, "generates", lambda m, w, v, b: True)
     verdict = is_simple(q)
     assert not verdict.simple
     assert verdict.method == "highest-weight" and verdict.witness is None
@@ -482,7 +483,7 @@ def test_duality_homs_are_exact_intertwiners(base):
     ((1,), (1,), 4, 240), ((1,), (), 4, 15), ((2,), (), 4, 49),
     ((), (1,), 3, 24)], ids=["(1|1)", "(1|)", "(2|)", "(|1)"])
 def test_closure_agrees_with_the_lowest_degrees(lam, mu, n, dim):
-    sub = extract_L_minus_submodule(lam, mu, n)
+    sub = extract_L_minus_oracle(lam, mu, n)
     t = sub.parent
     seed = sub.echelon.rows[sub.echelon.order[0]]
     small = module_closure(t, generating_terms(n), [seed])
@@ -522,7 +523,7 @@ HOM_PAIRS = {
     "End(Lambda+Lambda)": lambda n: (direct_sum(lambda_module(n), lambda_module(n)),) * 2,
     "T(C)->Lambda": lambda n: (tensor_field(gl_trivial(n), n), lambda_module(n)),
     "End(adjoint)": lambda n: (adjoint_module(n),) * 2,
-    "End(L-(1|1))": lambda n: (extract_L_minus_submodule((1,), (1,), n).module(),) * 2,
+    "End(L-(1|1))": lambda n: (extract_L_minus_oracle((1,), (1,), n).module(),) * 2,
 }
 
 
@@ -546,7 +547,7 @@ def test_hom_space_matches_the_oracle(pair, n):
 def test_proper_simple_passes_the_full_bracket_check(lam, dim):
     # the span closed over the small set is invariant under every local
     # term, so its restricted action satisfies all their brackets
-    sub = extract_L_minus_submodule(lam, (), 4)
+    sub = extract_L_minus_oracle(lam, (), 4)
     assert not sub.full and sub.dim == dim
     assert check_representation(sub.module()) == []
 

@@ -2,17 +2,24 @@
 
 import pytest
 
-from superw.errors import RankMismatchError
+import superw.modules as mods
+import superw.spanops as spanops
+from superw.errors import RankMismatchError, RankTooSmallError
 from superw.glmodules import gl_conatural, gl_natural, gl_simple, gl_trivial
 from superw.modules import (adjoint_module, check_representation, dual_module,
-                            is_simple, iso_check, lambda_module,
+                            generates, is_simple, iso_check, lambda_module,
                             submodule_generated)
+from superw.partitions import stable_highest_weight
+from superw.spanops import module_closure
+from superw.suite import PAIRS_LE2
 from superw.tensorfields import (coinduction_duality_check, extract_L_minus,
                                  tensor_field)
-from superw.walgebra import basis_terms
+from superw.walgebra import (BorelOrder, basis_terms, generating_terms,
+                             triangular_terms)
 from superw.weights import Weight
 
-from helpers import (convolve, direct_sum, duality_oracle, iso_check_oracle,
+from helpers import (convolve, direct_sum, duality_oracle,
+                     extract_L_minus_oracle, iso_check_oracle,
                      tensor_field_oracle)
 
 
@@ -129,6 +136,66 @@ def test_mixed_pair_character_sits_under_the_product(n):
     conv = convolve(extract_L_minus((1,), (), n).character(),
                     extract_L_minus((), (1,), n).character())
     assert all(conv.entries.get(k, 0) >= v for k, v in a.entries.items())
+
+
+def _extractions():
+    """The pairs of rank at most 2 a side at ranks 3 and 4, wherever the
+    interleaved order fits them, and (1|1) at ranks 5 and 6."""
+    out = []
+    for n in (3, 4):
+        for lam, mu in PAIRS_LE2:
+            try:
+                stable_highest_weight(lam, mu, "interleaved", n)
+            except RankTooSmallError:
+                continue
+            out.append(pytest.param(lam, mu, n, id=f"({lam}|{mu})@{n}"))
+    return out + [pytest.param((1,), (1,), n, id=f"((1)|(1))@{n}")
+                  for n in (5, 6)]
+
+
+@pytest.mark.parametrize("lam,mu,n", _extractions())
+def test_extraction_matches_the_closure_oracle(lam, mu, n):
+    # the generation test against the closure it replaced: the same full
+    # or proper outcome, dimension and weights, and on a proper submodule
+    # the same column of every generator on every basis vector
+    got = extract_L_minus(lam, mu, n)
+    sub = extract_L_minus_oracle(lam, mu, n)
+    want = sub.module()
+    assert (got.dim == sub.parent.dim) == sub.full
+    assert got.dim == sub.dim and got.weights == want.weights
+    if not sub.full:
+        for g in generating_terms(n):
+            for j in range(want.dim):
+                assert list(got.column(g, j).items()) == list(want.column(g, j).items())
+    # the verdict against the closure under the lowering set it counts on
+    b = BorelOrder("interleaved", n, "min")
+    hw = got.meta["highest_weight"]
+    seed = sub.echelon.rows[sub.echelon.order[0]]
+    _, lowering = triangular_terms(b)
+    assert generates(sub.parent, hw, seed, b) == (
+        module_closure(sub.parent, lowering, [seed]).dim == sub.parent.dim)
+
+
+@pytest.mark.parametrize("lam,mu,n,closures", [((1,), (1,), 5, 0),
+                                                ((2,), (), 4, 1)],
+                         ids=["((1)|(1))@5", "((2)|())@4"])
+def test_only_a_proper_extraction_closes_a_span(lam, mu, n, closures, monkeypatch):
+    # L-(1|1) fills T at rank 5, which the generation test shows with no
+    # closure; L-((2)|()) is proper, so its one closure runs.  The gl
+    # simple's own closure, in glmodules, is not counted.
+    calls = []
+    closure = spanops.module_closure
+
+    def counted(*args):
+        calls.append(args[0])
+        return closure(*args)
+
+    for namespace in (mods, spanops):
+        monkeypatch.setattr(namespace, "module_closure", counted)
+    m = extract_L_minus(lam, mu, n)
+    assert len(calls) == closures
+    t = tensor_field(gl_simple(lam, mu, n, order="interleaved"), n)
+    assert (m.dim == t.dim) == (closures == 0)
 
 
 def test_rank_mismatch_rejected():

@@ -333,15 +333,17 @@ def spans_exactly(terms, target, n: int) -> bool:
 
 
 def lowering_target(b: BorelOrder) -> list:
-    """n- opposite the max extension: the negative roots plus W_{-1}."""
-    return ([(1 << (j - 1), i) for i, j in positive_pairs(b)]
-            + basis_terms(b.rank, -1))
+    """n- opposite the extension: the negative roots plus W_{>=1} for
+    "min", or plus W_{-1} for "max"."""
+    rest = ([t for k in range(1, b.rank) for t in basis_terms(b.rank, k)]
+            if b.extension == "min" else basis_terms(b.rank, -1))
+    return [(1 << (j - 1), i) for i, j in positive_pairs(b)] + rest
 
 
 def test_generating_terms_generate_the_nilradical():
     """Brackets of the raising set span exactly the raising terms, and
-    those of the lowering set the negative roots plus W_{-1}, up to rank 7
-    in both orders and both extensions."""
+    those of the lowering set the negative roots plus W_{>=1} for "min"
+    or plus W_{-1} for "max", up to rank 7 in both orders."""
     for n in range(1, 8):
         for kind in ("natural", "interleaved"):
             for ext in ("min", "max"):
@@ -351,14 +353,15 @@ def test_generating_terms_generate_the_nilradical():
                 assert spans_exactly(lowering, lowering_target(b), n), b
                 if n >= 3:
                     assert len(raising) == n + (ext == "max"), b
-                    assert len(lowering) == n, b
+                    assert len(lowering) == n + (ext == "min"), b
 
 
 @pytest.mark.parametrize("kind", ["natural", "interleaved"])
 @pytest.mark.parametrize("n", range(3, 8))
 def test_triangular_terms_fail_without_any_one_term(n, kind):
-    # each set is minimal, and swapping the extension's extra term, or
-    # d_{sn}, for the opposite end of its string loses generation
+    # each set is minimal, and swapping the extension's extra raising term,
+    # d_{sn} in the "max" lowering set or x_{s1}x_{s2} d_{sn} in the "min"
+    # one, for the opposite end of its string loses generation
     for ext in ("min", "max"):
         b = BorelOrder(kind, n, ext)
         s = b.sequence()
@@ -369,11 +372,15 @@ def test_triangular_terms_fail_without_any_one_term(n, kind):
         for k in range(len(lowering)):
             assert not spans_exactly(lowering[:k] + lowering[k + 1:],
                                      lowering_target(b), n), (ext, k)
-        wrong = ((0, s[-1]) if ext == "min"
-                 else ((1 << (s[0] - 1)) | (1 << (s[1] - 1)), s[-1]))
+        if ext == "min":
+            wrong = (0, s[-1])
+            low = (1 << (s[-2] - 1)) | (1 << (s[-1] - 1))
+            swapped = lowering[:-2] + [(low, s[0])] + lowering[-1:]
+        else:
+            wrong = ((1 << (s[0] - 1)) | (1 << (s[1] - 1)), s[-1])
+            swapped = [(0, s[0])] + lowering[1:]
         assert not spans_exactly(raising[:-1] + [wrong], raising_terms(b), n)
-        assert not spans_exactly([(0, s[0])] + lowering[1:],
-                                 lowering_target(b), n)
+        assert not spans_exactly(swapped, lowering_target(b), n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
