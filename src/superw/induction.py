@@ -80,7 +80,7 @@ def kac_plus(x: GlModule, n: int) -> FiniteWModule:
     t0 = _base_total(x)
     weights: list[Weight] = []
     for mask in range(1 << n):
-        drop = Weight(tuple((i, -1) for i in indices_of(mask)))
+        drop = Weight.from_dense(-(mask >> i & 1) for i in range(n))
         weights.extend(w + drop for w in x.weights)
 
     def twisted_col(term: Term, v: int) -> Vec:

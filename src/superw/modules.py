@@ -25,7 +25,6 @@ from .errors import NonBasisElementError, RankMismatchError
 from .grassmann import (
     GrassmannElement,
     basis as grassmann_basis,
-    indices_of,
     inversion_mask,
 )
 from .linalg import RationalEchelon, Vec, vec_axpy
@@ -156,7 +155,7 @@ def lambda_module(n: int) -> FiniteWModule:
     """The Grassmann algebra itself, with basis all monomials."""
     masks = [m for k in range(n + 1) for m in grassmann_basis(n, k)]
     index = {m: j for j, m in enumerate(masks)}
-    weights = [Weight(tuple((i, 1) for i in indices_of(m))) for m in masks]
+    weights = [Weight.from_dense(m >> i & 1 for i in range(n)) for m in masks]
 
     def col(term: Term, j: int) -> Vec:
         x = WElement(n, {term: Fraction(1)})
@@ -210,8 +209,9 @@ def tensor_module(a: FiniteWModule, b: FiniteWModule) -> FiniteWModule:
 
 def dual_module(m: FiniteWModule) -> FiniteWModule:
     """Contragredient module: (x.f)(v) = -(-1)^(p(x)p(f)) f(x.v)."""
-    weights = [-w for w in m.weights]
     blocks = m.weight_blocks()
+    neg = {w: -w for w in blocks}
+    weights = [neg[w] for w in m.weights]
 
     # parity of a dual vector equals the parity of its partner; dual column
     # j reads m's columns on the one block the term maps into weight w_j,

@@ -72,11 +72,11 @@ class _Targets:
 
     def __init__(self, m, gen_keys):
         ws = list(m.weight_blocks())
-        top = max((abs(c) for w in ws for _, c in w.items()), default=0)
+        top = max((abs(c) for w in ws for c in w.coords), default=0)
         k = (top + 1).bit_length() + 1
 
         def code(w) -> int:
-            return sum(c << k * (i - 1) for i, c in w.items())
+            return sum(c << k * i for i, c in enumerate(w.coords))
 
         self.codes = [code(w) for w in ws]
         self.index = {c: b for b, c in enumerate(self.codes)}
@@ -170,14 +170,18 @@ def block_kernel(m, cols: list[int], gen_keys) -> list[Vec]:
     """Joint kernel of the generator operators on the weight block spanned
     by the basis vectors ``cols``, in module coordinates: one exact
     ``kernel_basis`` solve, which stops reading equations once they pin
-    every coordinate, so a zero kernel costs no more than the rank."""
+    every coordinate, so a zero kernel costs no more than the rank.  As in
+    ``hom_basis``, the equations go in by descending leading unknown,
+    which keeps the fill low and leaves the reduced-row-echelon basis
+    unchanged."""
     rows_map: dict = {}
     for g in gen_keys:
         for k, c in enumerate(cols):
             for r, x in m.column(g, c).items():
                 rows_map.setdefault((g, r), {})[k] = x
+    rows = sorted(rows_map.values(), key=min, reverse=True)
     return [{cols[k]: c for k, c in v.items()}
-            for v in kernel_basis(rows_map.values(), len(cols))]
+            for v in kernel_basis(rows, len(cols))]
 
 
 def singular_blocks(m, gen_keys, block_filter: Callable | None = None) -> dict:

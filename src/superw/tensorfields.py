@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import RankMismatchError
 from .glmodules import gl_simple
-from .grassmann import indices_of
 from .linalg import Vec
 from .modules import (
     FiniteWModule,
@@ -43,7 +42,7 @@ def tensor_field(x: GlModule, n: int) -> FiniteWModule:
         raise RankMismatchError(f"base rank {x.rank} vs algebra rank {n}")
     weights: list[Weight] = []
     for f in range(1 << n):
-        lift = Weight(tuple((i, 1) for i in indices_of(f)))
+        lift = Weight.from_dense(f >> i & 1 for i in range(n))
         weights.extend(w + lift for w in x.weights)
     return FiniteWModule(n, weights, col_fn=field_columns(x.column, x.dim),
                          name=f"T({x.name or 'X'})")
@@ -80,13 +79,16 @@ def extract_L_minus(lam, mu, n: int) -> FiniteWModule:
     highest weight generates.  When v generates T (``generates``, a
     coinvariant count for the "min" n-, the negative roots plus W_{>=1})
     that is T itself, and no closure runs; otherwise it is the exact
-    closure of v, a proper submodule."""
+    closure of v, a proper submodule.  Its meta records the highest weight
+    and the base simple, under "base"."""
     lam, mu = aspartition(lam), aspartition(mu)
     hw = stable_highest_weight(lam, mu, "interleaved", n)
-    t = tensor_field(gl_simple(lam, mu, n, order="interleaved"), n)
+    base = gl_simple(lam, mu, n, order="interleaved")
+    t = tensor_field(base, n)
     b = BorelOrder("interleaved", n, "min")
     v = singular_line(t, b, hw)
     out = t if generates(t, hw, v, b) else submodule_generated(t, [v]).module()
     out.name = f"L-({lam}|{mu},n={n})"
     out.meta["highest_weight"] = hw
+    out.meta["base"] = base
     return out

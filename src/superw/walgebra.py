@@ -20,7 +20,7 @@ monomial at low rank.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -52,6 +52,7 @@ def term_parity(term: Term) -> int:
     return (term[0].bit_count() - 1) & 1
 
 
+@lru_cache(maxsize=None)
 def term_weight(term: Term) -> Weight:
     mask, j = term
     return Weight([(i, 1) for i in indices_of(mask)] + [(j, -1)])
@@ -296,6 +297,7 @@ class BorelOrder:
     kind: str
     rank: int
     extension: str = "zero"
+    _pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ORDER_KINDS:
@@ -304,20 +306,25 @@ class BorelOrder:
             raise ValueError(f"unknown extension {self.extension!r}")
         if self.rank < 1:
             raise ValueError("rank must be positive")
+        seq = self.sequence()
+        object.__setattr__(self, "_pairs", tuple(zip(seq, seq[1:])))
 
     def sequence(self) -> list[int]:
         return order_sequence(self.kind, self.rank)
 
     def simple_pairs(self) -> list[tuple[int, int]]:
-        seq = self.sequence()
-        return list(zip(seq, seq[1:]))
+        return list(self._pairs)
 
     def dominant(self, w: Weight) -> bool:
         """Whether w[s_k] >= w[s_(k+1)] for every simple pair of the order."""
-        return all(w[i] >= w[j] for i, j in self.simple_pairs())
+        for i, j in self._pairs:
+            if w[i] < w[j]:
+                return False
+        return True
 
 
-def triangular_terms(b: BorelOrder) -> tuple[list[Term], list[Term]]:
+@lru_cache(maxsize=None)
+def triangular_terms(b: BorelOrder) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
     """Lie generators (raising, lowering) of W(n) = n- + h + n+ for b, with
     s = b.sequence() and h the Cartan.  raising generates every raising
     basis term of b: the positive root vectors x_i d_j with i before j in
@@ -333,20 +340,21 @@ def triangular_terms(b: BorelOrder) -> tuple[list[Term], list[Term]]:
     and x_{s1}x_{s2} d_{sn}, x_{s1}x_{s2} d_{s2} (all of W_1 below rank
     3).  "zero", whose raising set is the positive roots alone, takes the
     lowering set of "max", so the two and h do not make up W(n).  The
-    test suite verifies each claim by span up to rank 7."""
+    test suite verifies each claim by span up to rank 7.  Both are
+    tuples, built once per datum."""
     s = b.sequence()
     raising = [(1 << (i - 1), j) for i, j in b.simple_pairs()]
     roots = [(1 << (j - 1), i) for i, j in b.simple_pairs()[::-1]]
     if b.extension == "min":
         raising.append((0, s[0]))
         if b.rank < 3:
-            return raising, roots + basis_terms(b.rank, 1)
+            return tuple(raising), tuple(roots + basis_terms(b.rank, 1))
         top = 1 << (s[0] - 1) | 1 << (s[1] - 1)
-        return raising, roots + [(top, s[-1]), (top, s[1])]
+        return tuple(raising), tuple(roots + [(top, s[-1]), (top, s[1])])
     if b.extension == "max":
         raising += basis_terms(b.rank, 1) if b.rank < 3 else [
             (1 << (i - 1) | 1 << (s[-1] - 1), s[0]) for i in (s[0], s[-2])]
-    return raising, [(0, s[-1])] + roots
+    return tuple(raising), ((0, s[-1]),) + tuple(roots)
 
 
 def generating_terms(n: int) -> list[Term]:
@@ -360,7 +368,7 @@ def generating_terms(n: int) -> list[Term]:
     if n < 3:
         return basis_terms(n)
     raising, lowering = triangular_terms(BorelOrder("natural", n, "max"))
-    return lowering[:2] + raising
+    return list(lowering[:2] + raising)
 
 
 def format_welement(x: WElement) -> str:

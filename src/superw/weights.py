@@ -10,6 +10,7 @@ ascending followed by even indices descending (1, 3, 5, ..., 6, 4, 2).
 """
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 NATURAL = "natural"
@@ -30,10 +31,22 @@ def order_sequence(kind: str, n: int) -> list[int]:
     raise ValueError(f"unknown order kind {kind!r}")
 
 
-class Weight:
-    """Finitely supported map from positive indices to integers."""
+def _trim(dense) -> tuple[int, ...]:
+    """The coordinates as a tuple, trailing zeros dropped."""
+    k = len(dense)
+    while k and not dense[k - 1]:
+        k -= 1
+    return tuple(dense[:k])
 
-    __slots__ = ("_items",)
+
+class Weight:
+    """Finitely supported map from positive indices to integers.
+
+    Held as the dense tuple of coordinates 1..k with trailing zeros
+    dropped, so a weight compares equal across ranks, plus its hash:
+    arithmetic is plain tuple arithmetic, with no sort and no dict."""
+
+    __slots__ = ("_coords", "_hash")
 
     def __init__(self, coords: Iterable[tuple[int, int]] = ()):
         acc: dict[int, int] = {}
@@ -44,7 +57,19 @@ class Weight:
                 raise ValueError(f"weight index {i} out of range")
             if c:
                 acc[i] = acc.get(i, 0) + c
-        self._items = tuple(sorted((i, c) for i, c in acc.items() if c))
+        dense = [0] * max(acc, default=0)
+        for i, c in acc.items():
+            dense[i - 1] = c
+        self._coords = t = _trim(dense)
+        self._hash = hash(t)
+
+    @classmethod
+    def _dense(cls, dense) -> "Weight":
+        """The weight with coordinates 1..len(dense)."""
+        w = object.__new__(cls)
+        w._coords = t = _trim(dense)
+        w._hash = hash(t)
+        return w
 
     @classmethod
     def eps(cls, i: int, c: int = 1) -> "Weight":
@@ -54,60 +79,67 @@ class Weight:
     def zero(cls) -> "Weight":
         return cls()
 
+    @property
+    def coords(self) -> tuple[int, ...]:
+        """The coordinates 1..max_index(), the last one nonzero."""
+        return self._coords
+
     def items(self) -> tuple[tuple[int, int], ...]:
-        return self._items
+        return tuple((i, c) for i, c in enumerate(self._coords, 1) if c)
 
     def __getitem__(self, i: int) -> int:
-        for j, c in self._items:
-            if j == i:
-                return c
-        return 0
+        return self._coords[i - 1] if 0 < i <= len(self._coords) else 0
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(self._items + other._items)
+        a, b = self._coords, other._coords
+        if len(a) < len(b):
+            a, b = b, a
+        return Weight._dense(tuple(map(operator.add, a, b)) + a[len(b):])
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(self._items + tuple((i, -c) for i, c in other._items))
+        return self + -other
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple((i, -c) for i, c in self._items))
+        return Weight._dense(tuple(-c for c in self._coords))
 
     def __rmul__(self, k: int) -> "Weight":
-        return Weight(tuple((i, k * c) for i, c in self._items))
+        return Weight._dense(tuple(int(k * c) for c in self._coords))
 
     def total(self) -> int:
         """Sum of all coordinates."""
-        return sum(c for _, c in self._items)
+        return sum(self._coords)
 
     def max_index(self) -> int:
-        return self._items[-1][0] if self._items else 0
+        return len(self._coords)
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self._coords)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Weight) and self._items == other._items
+        return (isinstance(other, Weight) and self._hash == other._hash
+                and self._coords == other._coords)
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return self._hash
 
     def dense(self, n: int) -> tuple[int, ...]:
-        if self.max_index() > n:
+        if len(self._coords) > n:
             raise ValueError(f"weight {self} not supported within 1..{n}")
-        return tuple(self[i] for i in range(1, n + 1))
+        return self._coords + (0,) * (n - len(self._coords))
 
     @classmethod
     def from_dense(cls, coords: Iterable[int]) -> "Weight":
-        return cls(tuple((i + 1, c) for i, c in enumerate(coords)))
+        return cls._dense([int(c) for c in coords])
 
     def to_json(self) -> dict[str, int]:
-        return {str(i): c for i, c in self._items}
+        return {str(i): c for i, c in self.items()}
 
     def __str__(self) -> str:
-        if not self._items:
+        items = self.items()
+        if not items:
             return "0"
         out = []
-        for i, c in self._items:
+        for i, c in items:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             body = f"e{i}" if mag == 1 else f"{mag}*e{i}"
@@ -116,4 +148,4 @@ class Weight:
         return s[1:] if s.startswith("+") else s
 
     def __repr__(self) -> str:
-        return f"Weight({self._items!r})"
+        return f"Weight({self.items()!r})"

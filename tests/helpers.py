@@ -33,6 +33,90 @@ from superw.walgebra import (BorelOrder, Term, WElement, basis_terms,
 from superw.weights import Weight, order_sequence
 
 
+# --------------------------------------------------------------- weights
+
+class SparseWeight:
+    """``Weight`` as it stood before dense coordinates: the sorted tuple of
+    its nonzero (index, coefficient) pairs, rebuilt through a dict and a
+    sort on every sum.  The oracle the dense class is compared against."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, coords: Iterable[tuple[int, int]] = ()):
+        acc: dict[int, int] = {}
+        for i, c in coords:
+            i = int(i)
+            c = int(c)
+            if i < 1:
+                raise ValueError(f"weight index {i} out of range")
+            if c:
+                acc[i] = acc.get(i, 0) + c
+        self._items = tuple(sorted((i, c) for i, c in acc.items() if c))
+
+    def items(self) -> tuple[tuple[int, int], ...]:
+        return self._items
+
+    def __getitem__(self, i: int) -> int:
+        for j, c in self._items:
+            if j == i:
+                return c
+        return 0
+
+    def __add__(self, other: "SparseWeight") -> "SparseWeight":
+        return SparseWeight(self._items + other._items)
+
+    def __sub__(self, other: "SparseWeight") -> "SparseWeight":
+        return SparseWeight(self._items + tuple((i, -c) for i, c in other._items))
+
+    def __neg__(self) -> "SparseWeight":
+        return SparseWeight(tuple((i, -c) for i, c in self._items))
+
+    def __rmul__(self, k: int) -> "SparseWeight":
+        return SparseWeight(tuple((i, k * c) for i, c in self._items))
+
+    def total(self) -> int:
+        return sum(c for _, c in self._items)
+
+    def max_index(self) -> int:
+        return self._items[-1][0] if self._items else 0
+
+    def __bool__(self) -> bool:
+        return bool(self._items)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SparseWeight) and self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def dense(self, n: int) -> tuple[int, ...]:
+        if self.max_index() > n:
+            raise ValueError(f"weight {self} not supported within 1..{n}")
+        return tuple(self[i] for i in range(1, n + 1))
+
+    @classmethod
+    def from_dense(cls, coords: Iterable[int]) -> "SparseWeight":
+        return cls(tuple((i + 1, c) for i, c in enumerate(coords)))
+
+    def to_json(self) -> dict[str, int]:
+        return {str(i): c for i, c in self._items}
+
+    def __str__(self) -> str:
+        if not self._items:
+            return "0"
+        out = []
+        for i, c in self._items:
+            sign = "-" if c < 0 else "+"
+            mag = abs(c)
+            body = f"e{i}" if mag == 1 else f"{mag}*e{i}"
+            out.append(f"{sign}{body}")
+        s = " ".join(out)
+        return s[1:] if s.startswith("+") else s
+
+    def __repr__(self) -> str:
+        return f"Weight({self._items!r})"
+
+
 # ------------------------------------------------------------- grassmann
 
 def mask_of(indices: Iterable[int]) -> Monomial:
@@ -370,6 +454,18 @@ def direct_sum(a, b) -> FiniteWModule:
         return {a.dim + r: x for r, x in b.column(term, j - a.dim).items()}
 
     return type(a)(a.rank, a.weights + b.weights, col_fn=col)
+
+
+def block_kernel_unsorted(m, cols: list[int], gen_keys) -> list[Vec]:
+    """``spanops.block_kernel`` as it stood before it sorted its equations:
+    they go to ``kernel_basis`` in generator order."""
+    rows_map: dict = {}
+    for g in gen_keys:
+        for k, c in enumerate(cols):
+            for r, x in m.column(g, c).items():
+                rows_map.setdefault((g, r), {})[k] = x
+    return [{cols[k]: c for k, c in v.items()}
+            for v in kernel_basis(rows_map.values(), len(cols))]
 
 
 def singular_blocks_oracle(m, gen_keys, block_filter=None) -> dict:

@@ -5,6 +5,7 @@ pass/fail line, so `pytest -v tests/test_acceptance.py -s` doubles as the
 release checklist.  The same battery backs the `superw suite` command.
 """
 
+import superw.glmodules as glmodules
 from superw.modules import SimplicityVerdict
 from superw.suite import (criterion_1, criterion_2, criterion_3, criterion_4,
                           criterion_5, criterion_6, criterion_7, criterion_8,
@@ -57,6 +58,17 @@ def test_criterion_6_coinduction_duality():
 
 def test_criterion_7_invariants_round_trip():
     _run(criterion_7)
+
+
+def test_criterion_7_builds_each_base_once(monkeypatch):
+    # the base simple that extract_L_minus builds is the one the invariants
+    # are checked against: one cyclic_simple per nontrivial pair, 15 of 16
+    calls = []
+    real = glmodules.cyclic_simple
+    monkeypatch.setattr(glmodules, "cyclic_simple",
+                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    _run(criterion_7)
+    assert len(calls) == len(set(calls)) == 15
 
 
 def test_criterion_8_stabilization():

@@ -5,7 +5,8 @@ calls a test oracle, only the bracket check reads the three lowest
 degrees, no sign outside ``grassmann`` but the negative control's comes
 from ``merge_sign``, only the two seeded property samplers draw random numbers,
 only ``modules.py`` defines a class with action columns, which stores
-none of them, and every library function has a caller outside the tests.
+none of them, no module but ``weights.py`` reads a private member of
+``Weight``, and every library function has a caller outside the tests.
 
 Stdlib ``ast`` scans, so the checks need no linter.  The package's
 ``__init__.py`` is exempt from the import scan, since its imports are its
@@ -474,6 +475,59 @@ def test_scan_flags_the_cached_column():
 def test_the_module_stores_no_column():
     # closed-form sources are recomputed; costly ones memoize themselves
     assert column_stores((SRC / "modules.py").read_text()) == []
+
+
+def private_members(source: str, cls: str) -> set[str]:
+    """The class's ``__slots__`` and its private methods."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in item.targets):
+                    out |= set(ast.literal_eval(item.value))
+                elif (isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                      and not item.name.endswith("__")):
+                    out.add(item.name)
+    return out
+
+
+def private_reads(source: str, names: set[str]) -> list[str]:
+    """Each attribute among the names that the source reads or assigns."""
+    return sorted(f"line {node.lineno}: {node.attr}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in names)
+
+
+# the block codes of ``spanops._Targets`` read off a weight's internals;
+# the scan below must flag both reads
+PRIVATE_WEIGHT_CODES = """
+def code(w, k):
+    return sum(c << k * i for i, c in enumerate(w._coords))
+
+def shifted(w, d):
+    return Weight._dense(w.dense(len(d)) + d)
+"""
+
+# the private members of Weight: its slots, its private methods, and the
+# sparse pairs it held before dense coordinates
+WEIGHT_PRIVATE = private_members((SRC / "weights.py").read_text(), "Weight") | {"_items"}
+
+
+def test_scan_flags_a_read_of_weight_internals():
+    assert {"_coords", "_hash", "_dense"} <= WEIGHT_PRIVATE
+    assert private_reads(PRIVATE_WEIGHT_CODES, WEIGHT_PRIVATE) == [
+        "line 3: _coords", "line 6: _dense"]
+    assert private_reads("def f(w):\n    return w.coords, w.items()\n",
+                         WEIGHT_PRIVATE) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "weights.py"],
+                         ids=lambda p: p.name)
+def test_no_module_reads_weight_internals(path):
+    # every other module goes through the public surface: coords, items,
+    # dense, from_dense and the arithmetic
+    assert private_reads(path.read_text(), WEIGHT_PRIVATE) == []
 
 
 def library_functions(source: str) -> list[str]:

@@ -26,7 +26,8 @@ from superw.walgebra import (BorelOrder, generating_terms, term_weight,
                              triangular_terms)
 from superw.weights import Weight
 import helpers
-from helpers import (IsomorphismUndecidedError, closure_oracle, direct_sum,
+from helpers import (IsomorphismUndecidedError, block_kernel_unsorted,
+                     closure_oracle, direct_sum,
                      extract_L_minus_oracle, hom_basis_oracle, hom_space,
                      hom_value, iso_check_oracle, raising_terms,
                      singular_blocks_oracle, trivial_module)
@@ -335,6 +336,29 @@ def test_triangular_raising_sets_match_all_raising_operators(ext, build, kind):
     # holds every min raising term
     m = build(kind)
     _assert_same_kernels(m, BorelOrder(kind, m.rank, ext))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: kac_plus(gl_simple((1,), (1,), 3), 3),
+    lambda: tensor_field(gl_simple((1,), (1,), 3), 3),
+    lambda: kac_minus_truncated(gl_simple((1,), (1,), 3), 3, 2),
+], ids=["K+(1|1)@3", "T(1|1)@3", "K-(1|1)@3,D=2"])
+def test_sorted_block_equations_give_the_unsorted_kernels(build):
+    # block_kernel feeds its equations by descending leading unknown; the
+    # reduced-row-echelon basis is unique, so every block's kernel is, item
+    # for item, the one that the generator order gives
+    m = build()
+    gen_sets = [m.gen_keys()]
+    for ext in ("min", "max"):
+        gen_sets += triangular_terms(BorelOrder("natural", m.rank, ext))
+    nonzero = 0
+    for cols in m.weight_blocks().values():
+        for gens in gen_sets:
+            want = block_kernel_unsorted(m, cols, gens)
+            got = spanops.block_kernel(m, cols, gens)
+            assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+            nonzero += bool(want)
+    assert nonzero
 
 
 @pytest.mark.parametrize("lam,mu", [p for p in PAIRS_LE2

@@ -375,11 +375,11 @@ def test_triangular_terms_fail_without_any_one_term(n, kind):
         if ext == "min":
             wrong = (0, s[-1])
             low = (1 << (s[-2] - 1)) | (1 << (s[-1] - 1))
-            swapped = lowering[:-2] + [(low, s[0])] + lowering[-1:]
+            swapped = lowering[:-2] + ((low, s[0]),) + lowering[-1:]
         else:
             wrong = ((1 << (s[0] - 1)) | (1 << (s[1] - 1)), s[-1])
-            swapped = [(0, s[0])] + lowering[1:]
-        assert not spans_exactly(raising[:-1] + [wrong], raising_terms(b), n)
+            swapped = ((0, s[0]),) + lowering[1:]
+        assert not spans_exactly(raising[:-1] + (wrong,), raising_terms(b), n)
         assert not spans_exactly(swapped, lowering_target(b), n)
 
 
@@ -398,7 +398,7 @@ def test_generating_terms_generate_the_algebra(n):
                     + [(1 << (k - 1), k + 1) for k in range(1, n)]
                     + [(1 | top, 1), (last | top, 1)])
     raising, _ = triangular_terms(BorelOrder("natural", n, "max"))
-    assert gens[2:] == raising
+    assert tuple(gens[2:]) == raising
     for k in range(len(gens)):
         assert bracket_span(gens[:k] + gens[k + 1:], n)[0].dim < n << n, k
 
@@ -414,3 +414,22 @@ def test_format_parse_roundtrip():
 def test_weight_of_terms():
     assert term_weight((0b101, 2)) == Weight(((1, 1), (3, 1), (2, -1)))
     assert term_weight((0, 3)) == Weight(((3, -1),))
+
+
+def test_memoized_terms_and_weights_are_immutable():
+    # term_weight and triangular_terms are memoized, so they hand out only
+    # values that a caller cannot change; generating_terms copies its list
+    for b in (BorelOrder("natural", 4, "max"), BorelOrder("interleaved", 2, "min"),
+              BorelOrder("natural", 5)):
+        raising, lowering = triangular_terms(b)
+        assert type(raising) is type(lowering) is tuple
+        assert all(type(t) is tuple for t in raising + lowering)
+        assert triangular_terms(b) is triangular_terms(BorelOrder(b.kind, b.rank,
+                                                                  b.extension))
+        for t in raising + lowering:
+            assert type(term_weight(t)) is Weight
+            assert term_weight(t) is term_weight((t[0], t[1]))
+    gens = generating_terms(4)
+    assert type(gens) is list
+    gens.clear()
+    assert generating_terms(4) == [(0, 4), (8, 3), (1, 2), (2, 3), (4, 4), (9, 1), (12, 1)]
