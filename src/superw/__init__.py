@@ -26,8 +26,7 @@ from .modules import (Character, FiniteWModule, GlModule, SimplicityVerdict,
                       adjoint_module, check_representation, dual_module,
                       is_simple, iso_check, lambda_module, psi_invariants,
                       quotient_module, submodule_generated, tensor_module)
-from .induction import (Typicality, find_primitive, kac_minus_truncated,
-                        kac_plus, typicality)
+from .induction import Typicality, kac_minus_truncated, kac_plus, typicality
 from .tensorfields import (DualityReport, coinduction_duality_check,
                            extract_L_minus, tensor_field)
 from .stability import (StabilizationReport, restricted_character,
@@ -45,7 +44,7 @@ __all__ = [
     "StabilizationReport", "Typicality", "WElement",
     "Weight", "adjoint_module", "aspartition", "basis_terms", "bracket",
     "check_representation", "coinduction_duality_check", "component_dim",
-    "dual_module", "extract_L_minus", "find_primitive",
+    "dual_module", "extract_L_minus",
     "format_welement", "gl_conatural", "gl_iso_check", "gl_natural",
     "gl_simple", "gl_trivial", "gmul", "graded_jacobi_defect",
     "is_simple", "iso_check", "kac_minus_truncated", "kac_plus",

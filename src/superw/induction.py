@@ -25,9 +25,8 @@ from functools import cache
 from .errors import InhomogeneousError, RankMismatchError
 from .grassmann import indices_of
 from .linalg import Vec, vec_axpy
-from .modules import FiniteWModule, GlModule, field_columns, singular_vectors
+from .modules import FiniteWModule, GlModule, field_columns
 from .walgebra import (
-    BorelOrder,
     Term,
     WElement,
     basis_terms,
@@ -227,18 +226,3 @@ def typicality(nu: Weight, n: int) -> Typicality:
             return Typicality(nu, n, typical=False, position=i,
                               coefficient=dense[i - 1])
     return Typicality(nu, n, typical=True)
-
-
-def find_primitive(m: FiniteWModule, b: BorelOrder, degrees=None) -> dict:
-    """Singular vectors of an induced module away from the layer that
-    generates it, keyed by block weight.
-
-    degrees restricts to the stated induction layers; layer zero is always
-    excluded since its highest-weight line generates everything."""
-    t0 = m.meta["base_total"]
-    s = m.meta["layer_sign"]
-    if degrees is None:
-        zset = {z for z in m.zdegs if z != t0}
-    else:
-        zset = {t0 + s * d for d in degrees if d != 0}
-    return singular_vectors(m, b, zdegs=zset)

@@ -28,7 +28,7 @@ from .grassmann import (
     inversion_mask,
 )
 from .linalg import RationalEchelon, Vec, vec_axpy
-from .spanops import (apply_gen, block_index, block_kernel, coinvariant_blocks,
+from .spanops import (apply_gen, block_kernel, coinvariant_blocks,
                       module_closure, restricted_action, singular_blocks)
 from .walgebra import (
     BorelOrder,
@@ -314,13 +314,12 @@ def submodule_generated(m: FiniteWModule, seeds: Iterable[Vec]) -> Submodule:
     The Cartan separates weights, so the submodule of a vector is that of
     its weight components: each seed is split into them, in the order its
     support first meets their blocks, before the closure."""
-    block_of = block_index(m)
     parts: list[Vec] = []
     for s in seeds:
         comps: dict = {}
         for j, x in s.items():
             if x:
-                comps.setdefault(block_of[j], {})[j] = x
+                comps.setdefault(m.weights[j], {})[j] = x
         parts.extend(comps.values())
     return Submodule(parent=m, echelon=module_closure(m, m.gen_keys(), parts))
 
@@ -354,33 +353,29 @@ def quotient_module(m: FiniteWModule, sub: Submodule, name: str = "") -> FiniteW
 # ---------------------------------------------------------------- structure analysis
 
 
-def singular_vectors(m: FiniteWModule, b: BorelOrder,
-                     zdegs: Iterable[int] | None = None) -> dict:
+def singular_vectors(m: FiniteWModule, b: BorelOrder) -> dict:
     """Joint kernels of the raising operators of b, keyed by block weight.
 
     Only the raising set of ``triangular_terms(b)``, which generates them,
     is applied: operators that kill a vector also kill their brackets, so
     the joint kernel is the same, at a fraction of the cost.  It holds the
     simple root vectors of b, so by the sl2 bound (``BorelOrder``) only
-    the b-dominant blocks are solved."""
+    the b-dominant blocks are solved.  A caller after one weight, and so
+    one layer, asks ``singular_space``, which solves that block alone."""
     if b.rank != m.rank:
         raise RankMismatchError("order rank differs from module rank")
-    zset = set(zdegs) if zdegs is not None else None
-    flt = b.dominant if zset is None else (
-        lambda w: w.total() in zset and b.dominant(w))
-    return singular_blocks(m, triangular_terms(b)[0], block_filter=flt)
+    return singular_blocks(m, triangular_terms(b)[0], block_filter=b.dominant)
 
 
 def singular_space(m: FiniteWModule, b: BorelOrder, hw: Weight) -> list[Vec]:
     """Joint kernel of the raising terms of b on the one block of weight hw,
-    empty when hw does not occur or is not b-dominant, where the sl2 bound
-    (``BorelOrder``) leaves none; a raising term whose target weight the
-    module lacks adds no equation."""
+    the same solve ``singular_vectors`` makes there: empty when hw does not
+    occur or is not b-dominant, where the sl2 bound (``BorelOrder``) leaves
+    none."""
     blocks = m.weight_blocks()
     if hw not in blocks or not b.dominant(hw):
         return []
-    raising = [g for g in triangular_terms(b)[0] if hw + term_weight(g) in blocks]
-    return block_kernel(m, blocks[hw], raising)
+    return block_kernel(m, blocks[hw], triangular_terms(b)[0])
 
 
 def singular_line(m: FiniteWModule, b: BorelOrder, hw: Weight) -> Vec:

@@ -18,12 +18,12 @@ and to zero when the module has no vector of that weight.  ``column``
 stores nothing: closed-form column sources are recomputed on every read,
 and echelon-derived and recursive ones memoize themselves.  Closure,
 restriction to an invariant span, the joint kernel and the coinvariant
-count (``modules.generates``) live here, and predict each generator's
-target block from the weights alone: a generator's shift is its own
-weight, so no generator is applied into a weight the module lacks.
-``hom_basis`` and the operator span ``burnside_full`` have no library
-caller: they are the tests' oracles, kept for the benchmark's tracer,
-which looks them up by name.
+count (``modules.generates``) live here.  The weights are the block keys:
+a generator's target block is the block weight plus the generator's
+weight, looked up in ``weight_blocks()``, so no generator is applied into
+a weight the module lacks.  ``hom_basis`` and the operator span
+``burnside_full`` have no library caller: they are the tests' oracles,
+kept for the benchmark's tracer, which looks them up by name.
 """
 from __future__ import annotations
 
@@ -50,86 +50,48 @@ def apply_gen(m, gen, vec: Vec) -> Vec:
     return out
 
 
-def block_index(m) -> list[int]:
-    """The position, in ``m.weight_blocks()`` order, of each basis vector's
-    block."""
-    block_of = [0] * m.dim
-    for b, cols in enumerate(m.weight_blocks().values()):
-        for j in cols:
-            block_of[j] = b
-    return block_of
-
-
-class _Targets:
-    """The target block of each (block, generator) pair, from weights alone.
-
-    Each block's weight is packed into one int, sum_i w_i << k(i-1): the
-    code is additive, and one-to-one while every coordinate stays below
-    2^(k-1) in size, which k leaves room for on a block weight plus a term
-    weight, whose coordinates lie in -1..1.  ``row(b)`` lists, per
-    generator, the index of the block at weight(b) + weight(gen), or -1
-    when the module has no vector of that weight, so the image is zero."""
-
-    def __init__(self, m, gen_keys):
-        ws = list(m.weight_blocks())
-        top = max((abs(c) for w in ws for c in w.coords), default=0)
-        k = (top + 1).bit_length() + 1
-
-        def code(w) -> int:
-            return sum(c << k * i for i, c in enumerate(w.coords))
-
-        self.codes = [code(w) for w in ws]
-        self.index = {c: b for b, c in enumerate(self.codes)}
-        self.shifts = [code(term_weight(g)) for g in gen_keys]
-        self.rows: list = [None] * len(ws)
-
-    def row(self, b: int) -> list[int]:
-        r = self.rows[b]
-        if r is None:
-            c, index = self.codes[b], self.index
-            r = self.rows[b] = [index.get(c + s, -1) for s in self.shifts]
-        return r
-
-
 def module_closure(m, gen_keys, seeds: Iterable[Vec]) -> RationalEchelon:
     """Smallest span containing the seeds and stable under the generator
     operators, exactly.
 
     Every seed must be a weight vector, one whose support lies in a single
     weight block, else NonBasisElementError.  Each generator moves every
-    weight by one fixed weight, so every echelon row stays inside one
-    block, and once a block holds as many rows as its dimension every
-    image landing in it reduces to zero.  The closure predicts the target
-    block of each (block, generator) pair from the weights (``_Targets``):
-    a generator's shift is its own weight.  It applies no generator into a
-    weight the module lacks or into a full block, inserts no image into a
-    full block, and stops once the span is everything.  Only images that
-    are zero or could change nothing are skipped, so the rows, their order
-    and their items are those of applying every generator to every row."""
-    block_of = block_index(m)
-    # the free dimensions of each block; the last 0 is that of target -1,
-    # a weight the module lacks
-    free = [len(cols) for cols in m.weight_blocks().values()] + [0]
-    pred = _Targets(m, gen_keys)
+    weight by one fixed weight, its own, so every echelon row stays inside
+    one block, and once a block holds as many rows as its dimension every
+    image landing in it reduces to zero.  The closure reads each
+    generator's target block as the block weight plus the generator's
+    weight.  It applies no generator into a weight the module lacks or
+    into a full block, inserts no image into a full block, and stops once
+    the span is everything.  Only images that are zero or could change
+    nothing are skipped, so the rows, their order and their items are
+    those of applying every generator to every row."""
+    weights = m.weights
+    shifts = [term_weight(g) for g in gen_keys]
+    free = {w: len(cols) for w, cols in m.weight_blocks().items()}
+    targets: dict = {}  # block weight -> each generator's target weight
     ech = RationalEchelon()
     queue: list = []  # pivots of rows still to apply the generators to
     for s in seeds:
-        if len({block_of[j] for j, x in s.items() if x}) > 1:
+        if len({weights[j] for j, x in s.items() if x}) > 1:
             raise NonBasisElementError("closure seed mixes weight blocks")
         piv = ech.insert(s)
         if piv is not None:
-            free[block_of[piv]] -= 1
+            free[weights[piv]] -= 1
             queue.append(piv)
     while queue and ech.dim < m.dim:
         p = queue.pop()
         v = ech.rows[p]
-        for g, t in zip(gen_keys, pred.row(block_of[p])):
-            if not free[t]:
+        w = weights[p]
+        row = targets.get(w)
+        if row is None:
+            row = targets[w] = [w + d for d in shifts]
+        for g, t in zip(gen_keys, row):
+            if not free.get(t):  # a weight the module lacks, or a full block
                 continue
-            w = apply_gen(m, g, v)
-            if not w:
+            img = apply_gen(m, g, v)
+            if not img:
                 continue
-            piv = ech.insert(w)
+            piv = ech.insert(img)
             if piv is not None:
                 free[t] -= 1
                 queue.append(piv)
@@ -170,12 +132,18 @@ def block_kernel(m, cols: list[int], gen_keys) -> list[Vec]:
     """Joint kernel of the generator operators on the weight block spanned
     by the basis vectors ``cols``, in module coordinates: one exact
     ``kernel_basis`` solve, which stops reading equations once they pin
-    every coordinate, so a zero kernel costs no more than the rank.  As in
-    ``hom_basis``, the equations go in by descending leading unknown,
-    which keeps the fill low and leaves the reduced-row-echelon basis
-    unchanged."""
+    every coordinate, so a zero kernel costs no more than the rank.  A
+    generator maps the block to the block weight plus its own; where the
+    module lacks that weight the image is zero, so the generator adds no
+    equation and its columns are not read.  As in ``hom_basis``, the
+    equations go in by descending leading unknown, which keeps the fill
+    low and leaves the reduced-row-echelon basis unchanged."""
+    blocks = m.weight_blocks()
+    w = m.weights[cols[0]]
     rows_map: dict = {}
     for g in gen_keys:
+        if w + term_weight(g) not in blocks:
+            continue
         for k, c in enumerate(cols):
             for r, x in m.column(g, c).items():
                 rows_map.setdefault((g, r), {})[k] = x
@@ -187,16 +155,12 @@ def block_kernel(m, cols: list[int], gen_keys) -> list[Vec]:
 def singular_blocks(m, gen_keys, block_filter: Callable | None = None) -> dict:
     """Joint kernel of the generator operators, keyed by the weight of each
     block that carries a nonzero kernel; ``block_filter`` takes that
-    weight.  Each block is one ``block_kernel`` solve.  A generator whose
-    target weight the module lacks (``_Targets``) adds no equation, so its
-    columns on that block are not built."""
+    weight.  Each block is one ``block_kernel`` solve."""
     out: dict = {}
-    pred = _Targets(m, gen_keys)
-    for b, (w, cols) in enumerate(m.weight_blocks().items()):
+    for w, cols in m.weight_blocks().items():
         if block_filter is not None and not block_filter(w):
             continue
-        vecs = block_kernel(m, cols, [g for g, t in zip(gen_keys, pred.row(b))
-                                      if t != -1])
+        vecs = block_kernel(m, cols, gen_keys)
         if vecs:
             out[w] = vecs
     return out
@@ -219,24 +183,23 @@ def coinvariant_blocks(m, gen_keys, tops: dict | None = None,
     block, in ``m.weight_blocks()`` order, that passes ``block_filter`` and
     has a nonzero quotient; ``tops`` maps a weight to one vector of it.
     Each is the nullity of one ``kernel_basis`` solve, fed the top, then
-    the generators' columns on their source blocks (from ``_Targets``) as
-    it reads them: a full block and a caller that stops at the first yield
-    read no more."""
-    blocks = list(m.weight_blocks().items())
-    pos = {c: t for _, cols in blocks for t, c in enumerate(cols)}  # place in block
-    pred = _Targets(m, gen_keys)
+    the generators' columns on their source blocks, of weight w - wt(g),
+    as it reads them: a full block and a caller that stops at the first
+    yield read no more."""
+    blocks = m.weight_blocks()
+    negs = [-term_weight(g) for g in gen_keys]
 
-    def rows(b: int, w) -> Iterator[Vec]:
+    def rows(w, pos: dict) -> Iterator[Vec]:
         if tops and w in tops:
             yield {pos[j]: x for j, x in tops[w].items()}
-        for g, s in zip(gen_keys, pred.shifts):
-            src = pred.index.get(pred.codes[b] - s)  # the block g maps to b
-            for c in blocks[src][1] if src is not None else ():
+        for g, neg in zip(gen_keys, negs):
+            for c in blocks.get(w + neg, ()):  # the block g maps to w
                 yield {pos[r]: x for r, x in m.column(g, c).items()}
 
-    for b, (w, cols) in enumerate(blocks):
+    for w, cols in blocks.items():
         if block_filter is None or block_filter(w):
-            dim = len(kernel_basis(_Rows(partial(rows, b, w)), len(cols)))
+            pos = {c: t for t, c in enumerate(cols)}  # place in block
+            dim = len(kernel_basis(_Rows(partial(rows, w, pos)), len(cols)))
             if dim:
                 yield w, dim
 

@@ -20,9 +20,10 @@ from math import comb
 from .glmodules import (gl_conatural, gl_natural, gl_simple, gl_trivial,
                         verify_socle_identity)
 from .grassmann import merge_sign, removal_sign
-from .induction import find_primitive, kac_minus_truncated, kac_plus, typicality
+from .induction import kac_minus_truncated, kac_plus, typicality
 from .modules import (adjoint_module, is_simple, iso_check, lambda_module,
-                      psi_invariants, quotient_module, submodule_generated)
+                      psi_invariants, quotient_module, singular_space,
+                      submodule_generated)
 from .partitions import partitions_of, stable_highest_weight
 from .stability import stabilization_sweep
 from .tensorfields import coinduction_duality_check, extract_L_minus
@@ -179,9 +180,8 @@ def criterion_3() -> Criterion:
         for kk in (1, 2):
             m = kac_plus(gl_simple((), (kk,), 4, order="natural"), 4)
             b = BorelOrder("natural", 4, "max")
-            target = -(kk + 1) * Weight.eps(4)
-            prim = find_primitive(m, b, degrees=[1])
-            hits = prim.get(target)
+            target = -(kk + 1) * Weight.eps(4)  # its total puts it in layer one
+            hits = singular_space(m, b, target)
             if not hits:
                 return False, f"no primitive at weight {target} for mu=({kk})"
             sub = submodule_generated(m, hits[:1])

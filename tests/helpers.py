@@ -264,6 +264,13 @@ def weight_of(m: FiniteWModule, vec: Vec) -> Weight:
     return ws.pop()
 
 
+def block_positions(m: FiniteWModule) -> list[int]:
+    """The place, in ``m.weight_blocks()`` order, of each basis vector's
+    block, read off its weight."""
+    place = {w: b for b, w in enumerate(m.weight_blocks())}
+    return [place[w] for w in m.weights]
+
+
 def natural_max_candidates(m: FiniteWModule) -> list[tuple[Weight, Vec]]:
     """(weight, vector) for each singular vector of the natural "max" order."""
     b = BorelOrder("natural", m.rank, "max")

@@ -26,19 +26,24 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
-# options that no caller set; the library fixes their values instead
+# options that no caller set; the library fixes their values instead.  The
+# layer filters of the singular scan (``zdegs``, ``degrees``) went too: a
+# caller after one layer names a weight, which fixes it (``singular_space``)
 RETIRED_PARAMS = {"prime", "max_steps", "burnside_threshold", "generating_only",
-                  "term_fn", "labels"}
+                  "term_fn", "labels", "zdegs", "degrees"}
 
 # oracles the tests compare against; the library decides without them
 ORACLES = {"burnside_full", "rank_mod_p", "hom_basis"}
 
 # names of retired paths that must not come back: the Burnside threshold,
-# the hom-space isomorphism check's error and rank loop, and the L-
-# extraction that closed a span even when it filled the tensor fields
-# (``helpers.extract_L_minus_oracle`` now)
+# the hom-space isomorphism check's error and rank loop, the L- extraction
+# that closed a span even when it filled the tensor fields
+# (``helpers.extract_L_minus_oracle`` now), the packed block codes and the
+# block-position index, second encodings of a block's weight, and the
+# primitive search that filtered a singular scan by layer
 RETIRED_NAMES = {"BURNSIDE_MAX_DIM", "IsomorphismUndecidedError", "_full_rank",
-                 "extract_L_minus_submodule"}
+                 "extract_L_minus_submodule", "_Targets", "block_index",
+                 "find_primitive"}
 
 # the only readers of the mod-p modulus
 PRIME_READERS = {"linalg.py": {"rank_mod_p"}, "spanops.py": {"burnside_full"}}
@@ -276,8 +281,11 @@ def test_scans_flag_retired_options_and_prime_readers():
            "    return m\n"
            "def g(m):\n    return rank(m, DEFAULT_PRIME)\n"
            "def h(primes, steps):\n    return primes\n"
-           "def k():\n    return linalg.DEFAULT_PRIME\n")
-    assert retired_params(src) == ["line 2: prime", "line 2: max_steps"]
+           "def k():\n    return linalg.DEFAULT_PRIME\n"
+           "def singular_vectors(m, b, zdegs=None):\n    return m\n"
+           "def find_primitive(m, b, degrees=None):\n    return m\n")
+    assert retired_params(src) == ["line 2: prime", "line 2: max_steps",
+                                   "line 10: zdegs", "line 12: degrees"]
     assert readers_of(src, "DEFAULT_PRIME") == {"<module>", "f", "g", "k"}
 
 
@@ -387,7 +395,11 @@ def test_scans_flag_oracle_calls_and_retired_names():
            "    if not any(_full_rank(phi) for phi in homs):\n"
            "        raise IsomorphismUndecidedError(len(homs))\n"
            "def extract_L_minus(lam, mu, n):\n"
-           "    return extract_L_minus_submodule(lam, mu, n).module()\n")
+           "    return extract_L_minus_submodule(lam, mu, n).module()\n"
+           "class _Targets:\n    pass\n"
+           "def closure(m, b):\n"
+           "    block_of = spanops.block_index(m)\n"
+           "    return find_primitive(m, b, degrees=[1]), _Targets(m), block_of\n")
     assert sorted(calls_to(src, ORACLES)) == [
         "line 4: burnside_full", "line 5: rank_mod_p", "line 8: hom_basis"]
     assert RETIRED_NAMES <= identifiers(src)
@@ -499,8 +511,9 @@ def private_reads(source: str, names: set[str]) -> list[str]:
                   if isinstance(node, ast.Attribute) and node.attr in names)
 
 
-# the block codes of ``spanops._Targets`` read off a weight's internals;
-# the scan below must flag both reads
+# a code packed from a weight's coordinates, as the span engine once keyed
+# its blocks by, and a shifted weight built past the constructor both read
+# off a weight's internals; the scan below must flag both reads
 PRIVATE_WEIGHT_CODES = """
 def code(w, k):
     return sum(c << k * i for i, c in enumerate(w._coords))

@@ -12,11 +12,11 @@ import pytest
 import superw.induction as induction
 from superw.glmodules import gl_natural, gl_simple, gl_trivial
 from superw.grassmann import indices_of
-from superw.induction import (find_primitive, kac_minus_truncated, kac_plus,
-                              typicality)
+from superw.induction import kac_minus_truncated, kac_plus, typicality
 from superw.modules import (FiniteWModule, GlModule, check_representation,
                             field_columns, is_simple, local_terms,
-                            submodule_generated, tensor_module)
+                            singular_vectors, submodule_generated,
+                            tensor_module)
 from superw.partitions import Partition
 from superw.suite import PAIRS_LE2
 from superw.walgebra import (BorelOrder, basis_terms, generating_terms,
@@ -117,7 +117,9 @@ def test_kac_minus_straightens_each_column_once():
 def test_kac_minus_truncation_has_degree_one_primitives():
     m = kac_minus_truncated(gl_trivial(3), 3, 2)
     b = BorelOrder("interleaved", 3, "min")
-    prim = find_primitive(m, b, degrees=[1])
+    layer1 = m.meta["base_total"] + m.meta["layer_sign"]
+    prim = {w: vecs for w, vecs in singular_vectors(m, b).items()
+            if w.total() == layer1}
     assert prim
 
 

@@ -10,13 +10,14 @@ from superw.glmodules import (gl_conatural, gl_natural, gl_simple, gl_trivial,
 from superw.induction import kac_minus_truncated, kac_plus
 from superw.linalg import RationalEchelon
 from superw.modules import (adjoint_module, check_representation,
-                            dual_module, is_simple, lambda_module,
+                            dual_module, generates, is_simple, lambda_module,
                             local_terms, psi_invariants, quotient_module,
-                            singular_vectors, submodule_generated,
+                            singular_space, singular_vectors,
+                            submodule_generated,
                             tensor_module)
 import superw.glmodules as glm
 import superw.spanops as spanops
-from superw.spanops import (apply_gen, block_index, burnside_full, hom_basis,
+from superw.spanops import (apply_gen, burnside_full, hom_basis,
                             module_closure, restricted_action, singular_blocks)
 from superw.partitions import stable_highest_weight
 from superw.errors import RankTooSmallError
@@ -27,7 +28,7 @@ from superw.walgebra import (BorelOrder, generating_terms, term_weight,
 from superw.weights import Weight
 import helpers
 from helpers import (IsomorphismUndecidedError, block_kernel_unsorted,
-                     closure_oracle, direct_sum,
+                     block_positions, closure_oracle, direct_sum,
                      extract_L_minus_oracle, hom_basis_oracle, hom_space,
                      hom_value, iso_check_oracle, raising_terms,
                      singular_blocks_oracle, trivial_module)
@@ -169,6 +170,32 @@ def test_closure_requests_no_column_into_an_absent_weight():
     assert fast < 0.3 * slow
 
 
+def test_kernels_and_generation_request_no_column_into_an_absent_weight():
+    # block_kernel drops every generator whose target weight T(V(1|1))
+    # lacks, so neither singular scan nor the generation test reads such a
+    # column; the oracle's kernels read them all
+    t = tensor_field(gl_simple((1,), (1,), 4), 4)
+    b = BorelOrder("natural", 4, "max")
+    present = set(t.weights)
+    reads, blind = [], []
+    col_fn = t._col_fn
+
+    def col(term, j):
+        reads.append((term, j))
+        if t.weights[j] + term_weight(term) not in present:
+            blind.append((term, j))
+        return col_fn(term, j)
+
+    t._col_fn = col
+    sing = singular_vectors(t, b)
+    spaces = {w: singular_space(t, b, w) for w in t.weight_blocks()}
+    assert sing and {w: v for w, v in spaces.items() if v} == sing
+    assert all(generates(t, w, v, b) for w, vecs in sing.items() for v in vecs)
+    assert reads and blind == []
+    singular_blocks_oracle(t, triangular_terms(b)[0], b.dominant)
+    assert blind  # the check sees the oracle's waste
+
+
 def _gl_simple_fits(lam, mu, order, n):
     try:
         stable_highest_weight(lam, mu, order, n)
@@ -193,7 +220,7 @@ def test_gl_simples_keep_their_weights_and_columns(lam, mu, order, monkeypatch):
 def _recording_echelon(m, calls, full_rejects):
     """An echelon that counts its inserts and records each rejected one
     whose weight block was already full."""
-    block_of = block_index(m)
+    block_of = block_positions(m)
     sizes = [len(cols) for cols in m.weight_blocks().values()]
 
     class Recording(RationalEchelon):
@@ -243,7 +270,7 @@ def _mixed_seed():
     mixed = dict(v)
     for j, x in w.items():
         mixed[j] = mixed.get(j, 0) + x
-    block_of = block_index(m)
+    block_of = block_positions(m)
     assert len({block_of[j] for j in mixed}) == 2
     return m, lowering, mixed
 
