@@ -24,7 +24,7 @@ from .partitions import (
     weight_to_partition_pair,
 )
 from .spanops import module_closure
-from .walgebra import BorelOrder, Term
+from .walgebra import BorelOrder, Term, lowering_roots
 from .weights import Weight
 
 
@@ -67,10 +67,16 @@ def mixed_tensor(p: int, q: int, n: int) -> GlModule:
 
 
 def cyclic_simple(m: GlModule, hw: Weight, order: str = "natural") -> GlModule:
-    """Simple submodule generated by a vector of weight hw that the raising
-    operators of the given order kill (``singular_line``)."""
-    v = singular_line(m, BorelOrder(order, m.rank), hw)
-    return restrict_module(m, module_closure(m, m.gen_keys(), [v]), name=f"V({hw})")
+    """Simple submodule generated by a vector v of weight hw that the
+    raising operators of the given order kill (``singular_line``).  The
+    positive roots kill v, so U(gl)v = U(n-)v by PBW, and v is closed
+    under the n-1 ``lowering_roots`` of the order alone, which generate
+    n-.  That spans the submodule a closure under every E_ij spans, on
+    other echelon rows."""
+    b = BorelOrder(order, m.rank)
+    v = singular_line(m, b, hw)
+    return restrict_module(m, module_closure(m, lowering_roots(b), [v]),
+                           name=f"V({hw})")
 
 
 def gl_simple(lam, mu, n: int, order: str = "natural") -> GlModule:

@@ -37,6 +37,7 @@ from .walgebra import (
     basis_terms,
     bracket,
     generating_terms,
+    lowering_roots,
     term_parity,
     term_weight,
     triangular_terms,
@@ -126,10 +127,16 @@ class GlModule(FiniteWModule):
     """Module over the degree-zero part gl(rank), where E_ij is the term
     x_i d_j, keyed ``(1 << (i - 1), j)``; only those terms act.
 
-    Spans and hom spaces run over the n(n-1) terms E_ij with i != j: a
-    Cartan term maps a weight vector to a multiple of itself, so it adds
-    nothing to a closure of weight vectors, and a block-diagonal map
-    commutes with it.  The bracket check keeps all n^2 terms."""
+    A generic closure (``submodule_generated``) and a hom space run over
+    the n(n-1) terms E_ij with i != j: a Cartan term maps a weight vector
+    to a multiple of itself, so it adds nothing to a closure of weight
+    vectors, and a block-diagonal map commutes with it.  Without this
+    override a GlModule would close under the W(n) generating set, most
+    of whose terms act by zero here, and a span could come out too
+    small.  The gl builders need fewer terms: a finite-dimensional gl
+    module is U(n-) on its dominant weight spaces, their closure under
+    the n-1 ``lowering_roots`` (``glmodules.cyclic_simple``,
+    ``psi_invariants``).  The bracket check keeps all n^2 terms."""
 
     def gen_keys(self) -> list[Term]:
         return [t for t in basis_terms(self.rank, 0) if t[0] != 1 << (t[1] - 1)]
@@ -489,15 +496,20 @@ def iso_check(a: FiniteWModule, b: FiniteWModule, seed: int = 0) -> Optional[Vec
 
 
 def psi_invariants(m: FiniteWModule) -> GlModule:
-    """Joint kernel of the degree -1 operators, as a gl module: E_ij acts
-    as x_i d_j, the same term in both modules."""
+    """Joint kernel K of the degree -1 operators, as a gl module: E_ij acts
+    as x_i d_j, the same term in both modules.  [W_0, W_-1] lies in W_-1,
+    so K is a finite-dimensional gl(n) module, completely reducible, and
+    each simple summand is U(n-) on its highest weight vector, which sits
+    at a natural dominant weight: K = U(n-)K_dominant.  So only the
+    dominant blocks are solved, and their kernel is closed under the
+    natural ``lowering_roots``."""
     n = m.rank
+    b = BorelOrder("natural", n)
     partials = [(0, i) for i in range(1, n + 1)]
-    ech = RationalEchelon()
-    for vecs in singular_blocks(m, partials).values():
-        for v in vecs:
-            ech.insert(v)
-    weights, col = restricted_action(m, ech)
+    seeds = [v for vecs in singular_blocks(m, partials, b.dominant).values()
+             for v in vecs]
+    weights, col = restricted_action(
+        m, module_closure(m, lowering_roots(b), seeds))
     return GlModule(n, weights, col_fn=col,
                     name=f"Psi({m.name})" if m.name else "Psi")
 

@@ -29,6 +29,7 @@ characters plus the first disagreement, if any.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .glmodules import gl_simple
 from .induction import kac_plus
@@ -36,30 +37,51 @@ from .modules import Character, FiniteWModule
 from .partitions import Partition, aspartition
 from .spanops import coinvariant_blocks, singular_blocks
 from .tensorfields import extract_L_minus, tensor_field
-from .walgebra import generating_terms
+from .walgebra import BorelOrder, generating_terms
+
+
+def _orbit(dense: tuple) -> Iterator[tuple]:
+    """The distinct permutations of dense, each once."""
+    if not dense:
+        yield ()
+        return
+    for x in dict.fromkeys(dense):
+        i = dense.index(x)
+        for rest in _orbit(dense[:i] + dense[i + 1:]):
+            yield (x,) + rest
 
 
 def restricted_character(m: FiniteWModule, window: int,
                          mode: str = "annihilator") -> Character:
     """Graded character of the window part of m that the tail algebra
-    cannot see; entries are keyed by dense window weights."""
+    cannot see; entries are keyed by dense window weights.
+
+    gl(window) commutes with the tail terms and keeps a weight inside the
+    window, so in either mode the window part is a finite-dimensional
+    gl(window) module and its character is invariant under the
+    permutations of the window coordinates, with the z-degree fixed.  So
+    only the window blocks dominant for the natural order on the window
+    are solved, and each one's dimension is entered at every distinct
+    permutation of its weight."""
     n = m.rank
     if not 0 < window <= n:
         raise ValueError(f"window {window} out of range for rank {n}")
     tail = [(mask << window, j + window)
             for mask, j in generating_terms(n - window)]
-    in_window = lambda w: w.max_index() <= window
+    dominant = BorelOrder("natural", window).dominant
+    solved = lambda w: w.max_index() <= window and dominant(w)
     if mode == "annihilator":
         dims = ((w, len(vecs)) for w, vecs in
-                singular_blocks(m, tail, block_filter=in_window).items())
+                singular_blocks(m, tail, block_filter=solved).items())
     elif mode == "coinvariants":
-        dims = coinvariant_blocks(m, tail, block_filter=in_window)
+        dims = coinvariant_blocks(m, tail, block_filter=solved)
     else:
         raise ValueError(f"unknown restriction mode {mode!r}")
     entries: dict = {}
     for w, dim in dims:
-        key = (w.dense(window), w.total())
-        entries[key] = entries.get(key, 0) + dim
+        z = w.total()
+        for dense in _orbit(w.dense(window)):
+            entries[dense, z] = entries.get((dense, z), 0) + dim
     return Character(window, entries)
 
 

@@ -323,6 +323,14 @@ class BorelOrder:
         return True
 
 
+def lowering_roots(b: BorelOrder) -> tuple[Term, ...]:
+    """The n-1 simple lowering root vectors x_{s_(k+1)} d_{s_k} of b, for
+    k = n-1 down to 1, with s = b.sequence().  They generate the negative
+    roots of gl(n) = W(n)_0 for b, so on a vector v that the positive
+    roots kill, U(gl(n))v = U(n-)v (PBW) is the closure of v under them."""
+    return tuple((1 << (j - 1), i) for i, j in b.simple_pairs()[::-1])
+
+
 @lru_cache(maxsize=None)
 def triangular_terms(b: BorelOrder) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
     """Lie generators (raising, lowering) of W(n) = n- + h + n+ for b, with
@@ -335,26 +343,25 @@ def triangular_terms(b: BorelOrder) -> tuple[tuple[Term, ...], tuple[Term, ...]]
     kernel of the generators is one of everything they generate, so the
     library needs no other raising set.  lowering generates n-, the
     negative roots plus what the extension leaves out of n+: for "max"
-    W_{-1}, from the n terms d_{sn} and x_{s_(k+1)} d_{s_k} for k = n-1
-    down to 1; for "min" W_{>=1}, from the n-1 terms x_{s_(k+1)} d_{s_k}
-    and x_{s1}x_{s2} d_{sn}, x_{s1}x_{s2} d_{s2} (all of W_1 below rank
-    3).  "zero", whose raising set is the positive roots alone, takes the
+    W_{-1}, from d_{sn} and the n-1 ``lowering_roots``; for "min"
+    W_{>=1}, from the ``lowering_roots`` and x_{s1}x_{s2} d_{sn},
+    x_{s1}x_{s2} d_{s2} (all of W_1 below rank 3).  "zero", whose raising set is the positive roots alone, takes the
     lowering set of "max", so the two and h do not make up W(n).  The
     test suite verifies each claim by span up to rank 7.  Both are
     tuples, built once per datum."""
     s = b.sequence()
     raising = [(1 << (i - 1), j) for i, j in b.simple_pairs()]
-    roots = [(1 << (j - 1), i) for i, j in b.simple_pairs()[::-1]]
+    roots = lowering_roots(b)
     if b.extension == "min":
         raising.append((0, s[0]))
         if b.rank < 3:
-            return tuple(raising), tuple(roots + basis_terms(b.rank, 1))
+            return tuple(raising), roots + tuple(basis_terms(b.rank, 1))
         top = 1 << (s[0] - 1) | 1 << (s[1] - 1)
-        return tuple(raising), tuple(roots + [(top, s[-1]), (top, s[1])])
+        return tuple(raising), roots + ((top, s[-1]), (top, s[1]))
     if b.extension == "max":
         raising += basis_terms(b.rank, 1) if b.rank < 3 else [
             (1 << (i - 1) | 1 << (s[-1] - 1), s[0]) for i in (s[0], s[-2])]
-    return tuple(raising), ((0, s[-1]),) + tuple(roots)
+    return tuple(raising), ((0, s[-1]),) + roots
 
 
 def generating_terms(n: int) -> list[Term]:

@@ -25,11 +25,12 @@ from superw.modules import (Character, FiniteWModule, GlModule,
                             singular_line, singular_vectors,
                             submodule_generated)
 from superw.partitions import aspartition, stable_highest_weight
-from superw.spanops import apply_gen, hom_basis, module_closure, singular_blocks
+from superw.spanops import (apply_gen, coinvariant_blocks, hom_basis,
+                            module_closure, singular_blocks)
 from superw.tensorfields import tensor_field
 from superw.walgebra import (BorelOrder, Term, WElement, basis_terms,
-                             bracket, term_degree, term_parity,
-                             triangular_terms)
+                             bracket, generating_terms, term_degree,
+                             term_parity, triangular_terms)
 from superw.weights import Weight, order_sequence
 
 
@@ -250,6 +251,12 @@ def vec_scaled(v: Vec, c) -> Vec:
     return {k: c * x for k, x in v.items()}
 
 
+def same_span(a: RationalEchelon, b: RationalEchelon) -> bool:
+    """Whether two echelons span one space: equal dimension, and every row
+    of a reduces to zero against b."""
+    return a.dim == b.dim and all(not b.reduce(a.rows[p]) for p in a.order)
+
+
 # -------------------------------------------------------------- modules
 
 def trivial_module(n: int) -> FiniteWModule:
@@ -326,6 +333,18 @@ def is_simple_oracle(m: FiniteWModule) -> SimplicityVerdict:
                                  f"unique singular line at {cands[0][0]} generates")
     return SimplicityVerdict(False, "highest-weight",
                              f"{len(cands)} independent singular lines")
+
+
+def psi_span_oracle(m: FiniteWModule) -> RationalEchelon:
+    """The span of ``modules.psi_invariants`` as it stood before the gl
+    symmetry: the joint kernel of the degree -1 operators solved on every
+    weight block, with no closure."""
+    partials = [(0, i) for i in range(1, m.rank + 1)]
+    ech = RationalEchelon()
+    for vecs in singular_blocks(m, partials).values():
+        for v in vecs:
+            ech.insert(v)
+    return ech
 
 
 # -------------------------------------------------------------- spanops
@@ -640,3 +659,26 @@ def tensor_field_oracle(x: GlModule, n: int) -> FiniteWModule:
         return out
 
     return FiniteWModule(n, weights, col_fn=col)
+
+
+# ------------------------------------------------------------ stability
+
+def restricted_character_oracle(m: FiniteWModule, window: int,
+                                mode: str = "annihilator") -> Character:
+    """``stability.restricted_character`` as it stood before the gl
+    symmetry: every window block is solved, and each enters its own
+    weight alone."""
+    tail = [(mask << window, j + window)
+            for mask, j in generating_terms(m.rank - window)]
+    in_window = lambda w: w.max_index() <= window
+    if mode == "annihilator":
+        dims = ((w, len(vecs)) for w, vecs in
+                singular_blocks(m, tail, block_filter=in_window).items())
+    else:
+        dims = coinvariant_blocks(m, tail, block_filter=in_window)
+    entries: dict = {}
+    for w, dim in dims:
+        key = (w.dense(window), w.total())
+        entries[key] = entries.get(key, 0) + dim
+    return Character(window, entries)
+

@@ -1,19 +1,22 @@
 """Weight modules over the degree-zero part: construction, splitting,
 and the contraction-layer identity."""
 
+from collections import Counter
 from functools import reduce
 from itertools import product
 
 import pytest
 
+from superw import glmodules
 from superw.errors import RankTooSmallError
-from superw.glmodules import (decompose_character, gl_conatural,
-                              gl_natural, gl_simple, mixed_tensor,
-                              verify_socle_identity, weyl_dim)
+from superw.glmodules import (cyclic_simple, decompose_character,
+                              gl_conatural, gl_natural, gl_simple,
+                              mixed_tensor, verify_socle_identity, weyl_dim)
+from superw.linalg import RationalEchelon
 from superw.modules import (GlModule, check_representation, dual_module,
                             iso_check, lambda_module, local_terms,
-                            quotient_module, submodule_generated,
-                            tensor_module)
+                            quotient_module, restrict_module, singular_line,
+                            submodule_generated, tensor_module)
 from superw.partitions import (Partition, partitions_of, schur_dim,
                                schur_weights, socle_layer_mults,
                                stable_highest_weight)
@@ -22,7 +25,8 @@ from superw.spanops import (hom_basis, module_closure, restricted_action,
 from superw.walgebra import BorelOrder, basis_terms
 from superw.weights import Weight, order_sequence
 
-from helpers import decompose, hom_space, raising_terms, restrict, schur_module
+from helpers import (decompose, hom_space, raising_terms, restrict, same_span,
+                     schur_module)
 
 
 # ---------------------------------------------------------------- peeling oracle
@@ -316,8 +320,10 @@ def test_mixed_tensor_rank_guard():
 #
 # An independent build of gl(n) modules from the matrix rules alone: every
 # E_ij column computed up front and keyed by the term of E_ij = x_i d_j,
-# (1 << (i - 1), j).  Each lazily built gl_simple must match it column for
-# column.
+# (1 << (i - 1), j), and the simple module closed under every E_ij.  Each
+# lazily built gl_simple, closed under the n-1 lowering roots alone, must
+# span the same subspace of the mixed tensor and match the eager matrix
+# rules on its own rows column for column.
 
 
 def eij(i: int, j: int) -> tuple:
@@ -406,17 +412,21 @@ def eager_restrict_to_span(m: EagerGl, ech) -> EagerGl:
     return EagerGl(m.rank, weights, cols)
 
 
-def eager_gl_simple(lam, mu, n: int, order: str) -> EagerGl:
+def eager_gl_simple(lam, mu, n: int,
+                    order: str) -> tuple[EagerGl, RationalEchelon]:
+    """The eager mixed tensor and the echelon of the simple module in it,
+    the highest-weight line closed under every E_ij."""
     lam, mu = Partition(lam), Partition(mu)
     factors = [eager_natural(n)] * lam.size + [eager_conatural(n)] * mu.size
     if not factors:
-        return EagerGl(n, [Weight.zero()], {})
+        amb = EagerGl(n, [Weight.zero()], {})
+        return amb, module_closure(amb, [], [{0: 1}])
     amb = reduce(eager_tensor, factors)
     hw = stable_highest_weight(lam, mu, order, n)
     seq = order_sequence(order, n)
     raising = [eij(seq[s], seq[t]) for s in range(n) for t in range(s + 1, n)]
     (vecs,) = singular_blocks(amb, raising, block_filter=lambda w: w == hw).values()
-    return eager_restrict_to_span(amb, module_closure(amb, amb.gen_keys(), [vecs[0]]))
+    return amb, module_closure(amb, amb.gen_keys(), [vecs[0]])
 
 
 def assert_same_columns(m, oracle: EagerGl) -> None:
@@ -433,29 +443,67 @@ CHECKED = {(3, "natural"): 15, (3, "interleaved"): 12,
            (5, "natural"): 16, (5, "interleaved"): 16}
 
 
+@pytest.fixture
+def closed_spans(monkeypatch) -> list:
+    """The echelon each ``cyclic_simple`` restricts its mixed tensor to,
+    appended as it is built."""
+    spans = []
+
+    def spy(m, ech, name=""):
+        spans.append(ech)
+        return restrict_module(m, ech, name=name)
+
+    monkeypatch.setattr(glmodules, "restrict_module", spy)
+    return spans
+
+
 @pytest.mark.parametrize("order", ["natural", "interleaved"])
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_gl_simple_matches_the_eager_oracle(n, order):
+def test_gl_simple_matches_the_eager_oracle(closed_spans, n, order):
     checked = 0
     for lam, mu in product(SHAPES_LE2, SHAPES_LE2):
+        closed_spans.clear()
         try:
             m = gl_simple(lam, mu, n, order=order)
         except RankTooSmallError:
             with pytest.raises(RankTooSmallError):
                 eager_gl_simple(lam, mu, n, order)
             continue
-        oracle = eager_gl_simple(lam, mu, n, order)
-        assert_same_columns(m, oracle)
-        assert_same_columns(dual_module(m), eager_dual(oracle))
+        amb, oracle = eager_gl_simple(lam, mu, n, order)
+        (ech,) = closed_spans or [oracle]  # V(|) is built without a closure
+        # one subspace: every lowering-root row lies in the E_ij closure
+        assert same_span(ech, oracle)
+        # the character is the multiset of weights
+        want = eager_restrict_to_span(amb, oracle).weights
+        assert Counter(m.weights) == Counter(want)
+        if n < 5:  # all n^4 bracket pairs; n = 5 costs seconds
+            assert check_representation(m) == []
+        eager = eager_restrict_to_span(amb, ech)
+        assert_same_columns(m, eager)
+        assert_same_columns(dual_module(m), eager_dual(eager))
         checked += 1
     assert checked == CHECKED[n, order]
 
 
+@pytest.mark.parametrize("order", ["natural", "interleaved"])
+@pytest.mark.parametrize("lam,mu", [((2,), (1,)), ((1, 1), (1,))])
+def test_submodule_generated_spans_the_cyclic_simple(closed_spans, lam, mu, order):
+    # a generic closure runs over GlModule.gen_keys, all n(n-1) E_ij
+    n = 4
+    amb = mixed_tensor(2, 1, n)
+    hw = stable_highest_weight(Partition(lam), Partition(mu), order, n)
+    cyclic_simple(amb, hw, order=order)
+    (ech,) = closed_spans
+    sub = submodule_generated(amb, [singular_line(amb, BorelOrder(order, n), hw)])
+    assert not sub.full
+    assert same_span(ech, sub.echelon)
+
+
 def test_eager_oracle_tells_the_dual_from_the_module():
     m = gl_simple((1,), (1,), 3)
-    oracle = eager_gl_simple((1,), (1,), 3, "natural")
+    amb, oracle = eager_gl_simple((1,), (1,), 3, "natural")
     with pytest.raises(AssertionError):
-        assert_same_columns(dual_module(m), oracle)
+        assert_same_columns(dual_module(m), eager_restrict_to_span(amb, oracle))
 
 
 @pytest.mark.parametrize("build", [gl_natural, gl_conatural,

@@ -599,7 +599,7 @@ SHARED_NAME_CALLERS = {
     "modules.FiniteWModule.dim": "modules.is_simple",
     "modules.FiniteWModule.gen_keys": "modules.submodule_generated",
     "modules.GlModule.check_keys": "modules.check_representation",
-    "modules.GlModule.gen_keys": "glmodules.cyclic_simple",
+    "modules.GlModule.gen_keys": "modules.submodule_generated",
     "modules.Submodule.dim": "cli.cmd_tensorfield",
     "stability.StabilizationReport.to_json": "cli.cmd_stabilize",
     "suite.Criterion.to_json": "cli.cmd_suite",
