@@ -12,7 +12,8 @@ restrictions and quotients keep the class of their input.
 
 The z-degree of a basis vector always equals the coordinate sum of its
 weight, and the parity is that number mod 2; constructions below all
-preserve this, so both gradings are derived from the weight.
+preserve this, so a module stores neither grading and each reader
+derives it from the weight, or from the weight of a whole block.
 """
 from __future__ import annotations
 
@@ -61,15 +62,13 @@ class FiniteWModule:
     a term on basis vector j; ``column`` calls it on every read, so a
     source whose columns are costly memoizes them itself.
     Weight blocks are keyed by their weight, which also fixes their
-    z-degree and parity.
+    z-degree (``w.total()``) and parity.
     """
 
     def __init__(self, rank: int, weights: list[Weight], col_fn: Callable,
                  name: str = "", meta: dict | None = None):
         self.rank = rank
         self.weights = list(weights)
-        self.zdegs = [w.total() for w in self.weights]
-        self.parities = [z % 2 for z in self.zdegs]
         self.name = name
         self.meta = meta or {}
         self._col_fn = col_fn
@@ -111,12 +110,9 @@ class FiniteWModule:
         return self._blocks
 
     def character(self) -> "Character":
-        entries: dict = {}
         n = self.rank
-        for j, w in enumerate(self.weights):
-            key = (w.dense(n), self.zdegs[j])
-            entries[key] = entries.get(key, 0) + 1
-        return Character(n, entries)
+        return Character(n, {(w.dense(n), w.total()): len(js)
+                             for w, js in self.weight_blocks().items()})
 
     def __repr__(self):
         tag = self.name or "W-module"
@@ -194,13 +190,14 @@ def tensor_module(a: FiniteWModule, b: FiniteWModule) -> FiniteWModule:
         raise RankMismatchError("tensor factors must share a rank")
     db = b.dim
     weights = [wa + wb for wa in a.weights for wb in b.weights]
+    odd = [w.total() % 2 for w in a.weights]
 
     def col(term: Term, j: int) -> Vec:
         ia, ib = divmod(j, db)
         out: Vec = {}
         for r, x in a.column(term, ia).items():
             out[r * db + ib] = x
-        sign = -1 if term_parity(term) and a.parities[ia] else 1
+        sign = -1 if term_parity(term) and odd[ia] else 1
         for r, x in b.column(term, ib).items():
             k = ia * db + r
             nv = out.get(k, 0) + sign * x
@@ -226,11 +223,12 @@ def dual_module(m: FiniteWModule) -> FiniteWModule:
     @cache
     def transpose(term: Term, w: Weight) -> dict:
         mat: dict = {}
-        tp = term_parity(term)
+        # every row r lies in the block of weight w, of parity p(w)
+        sign = 1 if term_parity(term) and w.total() % 2 else -1
         for c in blocks.get(w - term_weight(term), ()):
             for r, x in m.column(term, c).items():
                 # entry c of dual column r is -(-1)^(p(t)p(e^r)) * x
-                mat.setdefault(r, {})[c] = x if (tp and m.parities[r]) else -x
+                mat.setdefault(r, {})[c] = sign * x
         return mat
 
     def col(term: Term, j: int) -> Vec:

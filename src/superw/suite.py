@@ -207,13 +207,13 @@ def criterion_4() -> Criterion:
             hw = stable_highest_weight(lam, mu, "interleaved", 4)
             t0 = m.meta["base_total"]
             tops = [i for i in range(m.dim)
-                    if m.zdegs[i] == t0 and m.weights[i] == hw]
+                    if m.weights[i].total() == t0 and m.weights[i] == hw]
             if len(tops) != 1:
                 return False, f"ambiguous top vector at lam={lam}, mu={mu}"
             vec = m.column(x_term, tops[0])
             if not vec:
                 return False, f"x.v vanishes at lam={lam}, mu={mu}"
-            if any(m.zdegs[i] != t0 + 1 for i in vec):
+            if any(m.weights[i].total() != t0 + 1 for i in vec):
                 return False, f"x.v not in layer one at lam={lam}, mu={mu}"
             if any(m.act_term(g, vec) for g in gens):
                 return False, f"x.v not primitive at lam={lam}, mu={mu}"

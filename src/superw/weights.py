@@ -1,8 +1,10 @@
 """Integer weights with finite support, and the two index orderings.
 
 A weight is a finite integer combination of the coordinate functionals
-e_1, e_2, ... dual to the diagonal matrix units.  Weights are immutable
-and hashable so they can key weight-space decompositions.
+e_1, e_2, ... dual to the diagonal matrix units, a weight of gl(infinity).
+It is the tuple of its coordinates up to the last nonzero one, so it is
+immutable, and it keys weight-space decompositions with the tuple's own
+hash and equality.
 
 Two total orders on {1..n} are used throughout: the natural order
 1 < 2 < ... < n, and the interleaved order that lists odd indices
@@ -11,6 +13,7 @@ ascending followed by even indices descending (1, 3, 5, ..., 6, 4, 2).
 from __future__ import annotations
 
 import operator
+from itertools import islice
 from typing import Iterable
 
 NATURAL = "natural"
@@ -31,28 +34,22 @@ def order_sequence(kind: str, n: int) -> list[int]:
     raise ValueError(f"unknown order kind {kind!r}")
 
 
-def _trim(dense) -> tuple[int, ...]:
-    """The coordinates as a tuple, trailing zeros dropped."""
-    k = len(dense)
-    while k and not dense[k - 1]:
-        k -= 1
-    return tuple(dense[:k])
-
-
-class Weight:
+class Weight(tuple):
     """Finitely supported map from positive indices to integers.
 
-    Held as the dense tuple of coordinates 1..k with trailing zeros
-    dropped, so a weight compares equal across ranks, plus its hash:
-    arithmetic is plain tuple arithmetic, with no sort and no dict."""
+    The tuple of coordinates 1..k with trailing zeros dropped, so a
+    weight compares equal across ranks and hashes, compares and iterates
+    as that tuple.  Indexing is 1-based, with 0 outside the support, and
+    ``+``, ``-`` and ``*`` are coordinatewise arithmetic, not tuple
+    concatenation and repetition."""
 
-    __slots__ = ("_coords", "_hash")
+    __slots__ = ()
 
-    def __init__(self, coords: Iterable[tuple[int, int]] = ()):
+    def __new__(cls, coords: Iterable[tuple[int, int]] = ()):
         acc: dict[int, int] = {}
         for i, c in coords:
-            i = int(i)
-            c = int(c)
+            i = operator.index(i)
+            c = operator.index(c)
             if i < 1:
                 raise ValueError(f"weight index {i} out of range")
             if c:
@@ -60,16 +57,19 @@ class Weight:
         dense = [0] * max(acc, default=0)
         for i, c in acc.items():
             dense[i - 1] = c
-        self._coords = t = _trim(dense)
-        self._hash = hash(t)
+        return cls._dense(dense)
 
     @classmethod
     def _dense(cls, dense) -> "Weight":
-        """The weight with coordinates 1..len(dense)."""
-        w = object.__new__(cls)
-        w._coords = t = _trim(dense)
-        w._hash = hash(t)
-        return w
+        """The weight with coordinates 1..len(dense), trailing zeros dropped."""
+        k = len(dense)
+        while k and not dense[k - 1]:
+            k -= 1
+        return tuple.__new__(cls, dense[:k])
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a weight from its pairs, not its tuple
+        return (self.items(),)
 
     @classmethod
     def eps(cls, i: int, c: int = 1) -> "Weight":
@@ -79,57 +79,45 @@ class Weight:
     def zero(cls) -> "Weight":
         return cls()
 
-    @property
-    def coords(self) -> tuple[int, ...]:
-        """The coordinates 1..max_index(), the last one nonzero."""
-        return self._coords
-
     def items(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, c) for i, c in enumerate(self._coords, 1) if c)
+        return tuple((i, c) for i, c in enumerate(self, 1) if c)
 
     def __getitem__(self, i: int) -> int:
-        return self._coords[i - 1] if 0 < i <= len(self._coords) else 0
+        return tuple.__getitem__(self, i - 1) if 0 < i <= len(self) else 0
 
     def __add__(self, other: "Weight") -> "Weight":
-        a, b = self._coords, other._coords
+        a, b = self, other
         if len(a) < len(b):
             a, b = b, a
-        return Weight._dense(tuple(map(operator.add, a, b)) + a[len(b):])
+        return Weight._dense((*map(operator.add, a, b), *islice(a, len(b), None)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         return self + -other
 
     def __neg__(self) -> "Weight":
-        return Weight._dense(tuple(-c for c in self._coords))
+        return Weight._dense(tuple(-c for c in self))
 
     def __rmul__(self, k: int) -> "Weight":
-        return Weight._dense(tuple(int(k * c) for c in self._coords))
+        k = operator.index(k)
+        return Weight._dense(tuple(k * c for c in self))
+
+    __mul__ = __rmul__
 
     def total(self) -> int:
         """Sum of all coordinates."""
-        return sum(self._coords)
+        return sum(self)
 
     def max_index(self) -> int:
-        return len(self._coords)
-
-    def __bool__(self) -> bool:
-        return bool(self._coords)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Weight) and self._hash == other._hash
-                and self._coords == other._coords)
-
-    def __hash__(self) -> int:
-        return self._hash
+        return len(self)
 
     def dense(self, n: int) -> tuple[int, ...]:
-        if len(self._coords) > n:
+        if len(self) > n:
             raise ValueError(f"weight {self} not supported within 1..{n}")
-        return self._coords + (0,) * (n - len(self._coords))
+        return tuple(self) + (0,) * (n - len(self))
 
     @classmethod
     def from_dense(cls, coords: Iterable[int]) -> "Weight":
-        return cls._dense([int(c) for c in coords])
+        return cls._dense([operator.index(c) for c in coords])
 
     def to_json(self) -> dict[str, int]:
         return {str(i): c for i, c in self.items()}

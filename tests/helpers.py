@@ -546,8 +546,8 @@ def layer_dims(m: FiniteWModule) -> dict[int, int]:
     t0 = m.meta["base_total"]
     s = m.meta["layer_sign"]
     out: dict[int, int] = {}
-    for z in m.zdegs:
-        layer = s * (z - t0)
+    for w in m.weights:
+        layer = s * (w.total() - t0)
         out[layer] = out.get(layer, 0) + 1
     return dict(sorted(out.items()))
 

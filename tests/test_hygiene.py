@@ -6,7 +6,8 @@ degrees, no sign outside ``grassmann`` but the negative control's comes
 from ``merge_sign``, only the two seeded property samplers draw random numbers,
 only ``modules.py`` defines a class with action columns, which stores
 none of them, no module but ``weights.py`` reads a private member of
-``Weight``, and every library function has a caller outside the tests.
+``Weight``, whose hash and equality stay the tuple's, and every library
+function has a caller outside the tests.
 
 Stdlib ``ast`` scans, so the checks need no linter.  The package's
 ``__init__.py`` is exempt from the import scan, since its imports are its
@@ -19,6 +20,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from superw.weights import Weight
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "superw"
@@ -40,10 +43,12 @@ ORACLES = {"burnside_full", "rank_mod_p", "hom_basis"}
 # that closed a span even when it filled the tensor fields
 # (``helpers.extract_L_minus_oracle`` now), the packed block codes and the
 # block-position index, second encodings of a block's weight, and the
-# primitive search that filtered a singular scan by layer
+# primitive search that filtered a singular scan by layer, the per-vector
+# gradings a module stored beside its weights, and the coordinate and hash
+# slots of the weight object that wrapped its tuple
 RETIRED_NAMES = {"BURNSIDE_MAX_DIM", "IsomorphismUndecidedError", "_full_rank",
                  "extract_L_minus_submodule", "_Targets", "block_index",
-                 "find_primitive"}
+                 "find_primitive", "zdegs", "parities", "_coords", "_hash"}
 
 # the only readers of the mod-p modulus
 PRIME_READERS = {"linalg.py": {"rank_mod_p"}, "spanops.py": {"burnside_full"}}
@@ -399,7 +404,9 @@ def test_scans_flag_oracle_calls_and_retired_names():
            "class _Targets:\n    pass\n"
            "def closure(m, b):\n"
            "    block_of = spanops.block_index(m)\n"
-           "    return find_primitive(m, b, degrees=[1]), _Targets(m), block_of\n")
+           "    return find_primitive(m, b, degrees=[1]), _Targets(m), block_of\n"
+           "def grading(m, w):\n"
+           "    return m.zdegs, m.parities, w._coords, w._hash\n")
     assert sorted(calls_to(src, ORACLES)) == [
         "line 4: burnside_full", "line 5: rank_mod_p", "line 8: hom_basis"]
     assert RETIRED_NAMES <= identifiers(src)
@@ -513,7 +520,9 @@ def private_reads(source: str, names: set[str]) -> list[str]:
 
 # a code packed from a weight's coordinates, as the span engine once keyed
 # its blocks by, and a shifted weight built past the constructor both read
-# off a weight's internals; the scan below must flag both reads
+# off a weight's internals: the retired coordinate slot, which the
+# retired-name scan flags, and the private constructor, which the scan
+# below must flag
 PRIVATE_WEIGHT_CODES = """
 def code(w, k):
     return sum(c << k * i for i, c in enumerate(w._coords))
@@ -528,17 +537,24 @@ WEIGHT_PRIVATE = private_members((SRC / "weights.py").read_text(), "Weight") | {
 
 
 def test_scan_flags_a_read_of_weight_internals():
-    assert {"_coords", "_hash", "_dense"} <= WEIGHT_PRIVATE
-    assert private_reads(PRIVATE_WEIGHT_CODES, WEIGHT_PRIVATE) == [
-        "line 3: _coords", "line 6: _dense"]
-    assert private_reads("def f(w):\n    return w.coords, w.items()\n",
+    assert WEIGHT_PRIVATE == {"_dense", "_items"}
+    assert private_reads(PRIVATE_WEIGHT_CODES, WEIGHT_PRIVATE) == ["line 6: _dense"]
+    assert identifiers(PRIVATE_WEIGHT_CODES) & RETIRED_NAMES == {"_coords"}
+    assert private_reads("def f(w):\n    return tuple(w), w.items()\n",
                          WEIGHT_PRIVATE) == []
+
+
+def test_weight_lookups_stay_in_the_tuple():
+    # a weight keys every block dict; its hash and equality are the
+    # tuple's own, run in C, not a Python method on each probe
+    assert Weight.__hash__ is tuple.__hash__
+    assert Weight.__eq__ is tuple.__eq__
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "weights.py"],
                          ids=lambda p: p.name)
 def test_no_module_reads_weight_internals(path):
-    # every other module goes through the public surface: coords, items,
+    # every other module goes through the public surface: the tuple, items,
     # dense, from_dense and the arithmetic
     assert private_reads(path.read_text(), WEIGHT_PRIVATE) == []
 

@@ -65,7 +65,7 @@ def test_grading_element_reads_layers():
     seen: dict[int, int] = {}
     for i in range(m.dim):
         out = m.act(e, {i: Fraction(1)})
-        z = m.zdegs[i]
+        z = m.weights[i].total()
         assert out == ({i: Fraction(z)} if z else {})
         seen[t0 - z] = seen.get(t0 - z, 0) + 1
     assert seen == layer_dims(m)
@@ -91,11 +91,11 @@ def test_kac_minus_truncation_sizes():
 
 def test_kac_minus_interior_relations_hold():
     m = kac_minus_truncated(gl_natural(3), 3, 2)
-    base = [i for i in range(m.dim) if m.zdegs[i] == m.meta["base_total"]]
+    base = [i for i in range(m.dim) if m.weights[i].total() == m.meta["base_total"]]
     assert check_representation(m, vectors=base) == []
     low = [t for t in local_terms(3) if term_degree(t) <= 0]
     layer1 = [i for i in range(m.dim)
-              if m.zdegs[i] == m.meta["base_total"] + 1]
+              if m.weights[i].total() == m.meta["base_total"] + 1]
     assert check_representation(m, terms=low, vectors=layer1) == []
 
 

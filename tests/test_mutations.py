@@ -10,10 +10,13 @@ that no raising term can leave, so no check can tell the two apart."""
 import pytest
 
 from superw import glmodules, modules, stability
-from superw.glmodules import gl_simple, mixed_weight, weyl_dim
-from superw.modules import (dual_module, lambda_module, psi_invariants,
-                            tensor_module)
+from superw.glmodules import gl_natural, gl_simple, mixed_weight, weyl_dim
+from superw.induction import kac_plus
+from superw.linalg import vec_axpy
+from superw.modules import (check_representation, dual_module, lambda_module,
+                            psi_invariants, tensor_module)
 from superw.stability import restricted_character
+from superw.walgebra import term_parity
 
 from helpers import psi_span_oracle, restricted_character_oracle
 
@@ -39,6 +42,49 @@ def check_restricted_characters():
             restricted_character_oracle(m, 2, mode), mode
 
 
+def check_dual_relations():
+    # the sign rule of the contragredient action, on odd and even vectors
+    assert check_representation(modules.dual_module(kac_plus(gl_natural(2), 2))) == []
+
+
+def check_tensor_relations():
+    # the sign an odd term picks up past an odd left factor
+    assert check_representation(
+        modules.tensor_module(kac_plus(gl_natural(2), 2), lambda_module(2))) == []
+
+
+def odd_term_on_odd_vector(term, w):
+    return term_parity(term) and w.total() % 2
+
+
+def flip_the_dual_parity_sign(dual_module):
+    # entry -(-1)^(p(x)p(f)) f(x.v) of the dual action as -f(x.v): the
+    # sign of an odd term on an odd row flips
+    def dual(m):
+        d = dual_module(m)
+        return type(d)(d.rank, d.weights, col_fn=lambda t, j: {
+            r: -x if odd_term_on_odd_vector(t, d.weights[r]) else x
+            for r, x in d.column(t, j).items()})
+    return dual
+
+
+def flip_the_tensor_parity_sign(tensor_module):
+    # x.(u (x) v) = x.u (x) v + (-1)^(p(x)p(u)) u (x) x.v with that sign
+    # flipped: adding u (x) x.v twice turns -u (x) x.v into +u (x) x.v
+    def tensor(a, b):
+        t = tensor_module(a, b)
+
+        def col(term, j):
+            ia, ib = divmod(j, b.dim)
+            out = dict(t.column(term, j))
+            if odd_term_on_odd_vector(term, a.weights[ia]):
+                vec_axpy(out, 2, {ia * b.dim + r: x
+                                  for r, x in b.column(term, ib).items()})
+            return out
+        return type(t)(t.rank, t.weights, col_fn=col)
+    return tensor
+
+
 def drop_a_lowering_root(lowering_roots):
     return lambda b: lowering_roots(b)[1:]
 
@@ -62,6 +108,10 @@ MUTANTS = [
                  check_psi_dims, id="psi-seeds-the-top-block-only"),
     pytest.param(stability, "_orbit", skip_the_permutation_fill,
                  check_restricted_characters, id="restricted-skips-the-orbit"),
+    pytest.param(modules, "dual_module", flip_the_dual_parity_sign,
+                 check_dual_relations, id="dual-flips-the-parity-sign"),
+    pytest.param(modules, "tensor_module", flip_the_tensor_parity_sign,
+                 check_tensor_relations, id="tensor-flips-the-parity-sign"),
 ]
 
 
