@@ -3,18 +3,16 @@
 Two constructions:
 
 * kac_plus: U(g) (x)_{U(g^{>=0})} X with the positive part acting by zero
-  on X.  As a vector space this is Lambda(d_1..d_n) (x) X, of dimension
-  2^n dim X; it is the tensor fields T(X (x) det^-1) re-indexed, and its
-  columns are those of the kernel ``modules.field_columns``.
+  on X, of dimension 2^n dim X.  It is the tensor fields T(X (x) det^-1),
+  built by ``modules.field_module`` on its basis x^f (x) v, indexed
+  f * dim X + v.
 
 * kac_minus_truncated: the induction from the opposite parabolic is
   infinite-dimensional, so we realize its degree window <= cutoff.  The
   basis is PBW monomials in the positive-degree terms (odd generators at
   most once) applied to X; raising action that leaves the window is
   dropped.  Its columns come from a straightening recursion, memoized
-  column by column.
-
-Basis vectors are indexed mono * dim X + v.
+  column by column.  Its basis vectors are indexed mono * dim X + v.
 """
 from __future__ import annotations
 
@@ -23,9 +21,8 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import InhomogeneousError, RankMismatchError
-from .grassmann import indices_of
 from .linalg import Vec, vec_axpy
-from .modules import FiniteWModule, GlModule, field_columns
+from .modules import FiniteWModule, GlModule, field_module
 from .walgebra import (
     Term,
     WElement,
@@ -61,47 +58,31 @@ def _base_total(x: GlModule) -> int:
 
 
 def kac_plus(x: GlModule, n: int) -> FiniteWModule:
-    """Induced module on Lambda(d) (x) X, positive part acting by zero.
+    """Induced module U(g) (x)_{U(g^{>=0})} X, positive part acting by zero
+    on X, as the tensor fields T(X (x) det^-1) on their own basis: x^f (x) v
+    at f * dim X + v, of weight w_v - (1,...,1) + lift(f) and layer
+    n - |f|, its number of d's.
 
-    It is the tensor fields T(X (x) det^-1) re-indexed: an induced module
-    is a coinduced one twisted by the Berezinian of g/g^{>=0} = W_{-1},
-    which is purely odd with weights -e_i, so the twist is det^-1.  In
-    T(X (x) det^-1), x^[n] (x) X is a copy of X that g^{>=1} kills, so
-    1 (x) v -> x^[n] (x) v extends to a module map.  It sends d_S (x) v =
-    d_(s_1)...d_(s_k) (1 (x) v), s_1 < ... < s_k, to eps(S) x^(S^c) (x) v,
-    eps(S) = (-1)^(sum_{i in S} (i - 1)), as each d_s removes x_s past the
-    s - 1 factors before it, the largest first.  So the column on
-    d_S (x) v is the tensor-field column on x^(S^c) (x) v, each row
-    f (x) w read back as d_(f^c) (x) w, times eps(S) eps(f^c)."""
+    An induced module is a coinduced one twisted by the Berezinian of
+    g/g^{>=0} = W_{-1}, which is purely odd with weights -e_i, so the
+    twist is det^-1.  In T(X (x) det^-1), x^[n] (x) X is a copy of X that
+    g^{>=1} kills, so 1 (x) v -> x^[n] (x) v extends to a module map.  It
+    sends d_S (x) v to +-x^(S^c) (x) v, a basis, so it is an isomorphism.
+    The columns are ``field_columns`` over X (x) det^-1, read directly; no
+    tensor product is built."""
     if x.rank != n:
         raise RankMismatchError(f"base rank {x.rank} vs algebra rank {n}")
-    dx = x.dim
     t0 = _base_total(x)
-    weights: list[Weight] = []
-    for mask in range(1 << n):
-        drop = Weight.from_dense(-(mask >> i & 1) for i in range(n))
-        weights.extend(w + drop for w in x.weights)
 
     def twisted_col(term: Term, v: int) -> Vec:
         # X (x) det^-1: E_ii acts by one less (a zero adds no key), E_ij as on X
         c = x.column(term, v)
         return {v: c.get(v, 0) - 1} if term[0] == 1 << (term[1] - 1) else c
 
-    full = (1 << n) - 1
-    field_col = field_columns(twisted_col, dx)
-    eps = [(-1) ** sum(i - 1 for i in indices_of(s)) for s in range(1 << n)]
-
-    def col(term: Term, j: int) -> Vec:
-        mask, v = divmod(j, dx)
-        sgn = eps[mask]
-        out: Vec = {}
-        for k, c in field_col(term, (full ^ mask) * dx + v).items():
-            f, w = divmod(k, dx)
-            out[(full ^ f) * dx + w] = c if eps[full ^ f] == sgn else -c
-        return out
-
-    return FiniteWModule(n, weights, col_fn=col, name=f"K+({x.name or 'X'})",
-                         meta={"base_total": t0, "layer_sign": -1})
+    det_inv = Weight.from_dense([-1] * n)
+    base = GlModule(n, [w + det_inv for w in x.weights], col_fn=twisted_col)
+    return field_module(base, name=f"K+({x.name or 'X'})",
+                        meta={"base_total": t0, "layer_sign": -1})
 
 
 def kac_minus_truncated(x: GlModule, n: int, cutoff: int) -> FiniteWModule:

@@ -245,7 +245,9 @@ def field_columns(x_col: Callable, dx: int) -> Callable:
     plus a gl correction contracted through X,
 
         (xi^a d_j).(f (x) v) = (xi^a d_j f) (x) v
-                               + (-1)^{p(a,j) p(f)} sum_i d_i(xi^a) f (x) E_ij v."""
+                               + (-1)^{p(a,j)} sum_i d_i(xi^a) f (x) E_ij v,
+
+    with d_i the left derivative and p(a,j) the parity of xi^a d_j."""
 
     def col(term: Term, j: int) -> Vec:
         f, v = divmod(j, dx)
@@ -281,6 +283,19 @@ def field_columns(x_col: Callable, dx: int) -> Callable:
         return out
 
     return col
+
+
+def field_module(x: GlModule, name: str, meta: dict | None = None) -> FiniteWModule:
+    """The tensor fields Lambda(n) (x) X, n the rank of X, on the basis
+    f (x) v indexed f * dim X + v, of weight w_v + lift(f), with the
+    columns of ``field_columns``: T(X), and K+ as T(X (x) det^-1)."""
+    n = x.rank
+    weights: list[Weight] = []
+    for f in range(1 << n):
+        lift = Weight.from_dense(f >> i & 1 for i in range(n))
+        weights.extend(w + lift for w in x.weights)
+    return FiniteWModule(n, weights, col_fn=field_columns(x.column, x.dim),
+                         name=name, meta=meta)
 
 
 # ---------------------------------------------------------------- spans and quotients

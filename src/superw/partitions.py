@@ -10,6 +10,7 @@ a lattice word.  The convention used everywhere below is
 """
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
@@ -18,12 +19,13 @@ from .weights import INTERLEAVED, NATURAL, Weight
 
 
 class Partition:
-    """Weakly decreasing tuple of positive integers."""
+    """Weakly decreasing tuple of positive integers; a part that is not an
+    integer (a float, a string) raises TypeError."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(operator.index(p) for p in parts)
         # trailing zeros are tolerated on input and stripped
         while ps and ps[-1] == 0:
             ps = ps[:-1]

@@ -2,14 +2,15 @@
 
 The action, a derivation part on the Grassmann coefficient plus a gl
 correction contracted through the base module, is the column kernel
-``modules.field_columns``, which also gives every column of the upward
-induction ``kac_plus``.  Duality with the downward induction is checked
-by Frobenius reciprocity (``modules.top_generator``), and the simple
-module attached to a partition pair is cut out as the cyclic submodule
-on the interleaved-order singular vector (``modules.singular_line``, the
-search that also cuts the gl(n) simples out of mixed tensors): the whole
-module when that vector generates it (``modules.generates``), else its
-closure.
+``modules.field_columns``.  ``modules.field_module`` builds the module
+from it, here and for the upward induction ``kac_plus``, the tensor
+fields of the base twisted by det^-1.  Duality with the downward
+induction is checked by Frobenius reciprocity (``modules.top_generator``),
+and the simple module attached to a partition pair is cut out as the
+cyclic submodule on the interleaved-order singular vector
+(``modules.singular_line``, the search that also cuts the gl(n) simples
+out of mixed tensors): the whole module when that vector generates it
+(``modules.generates``), else its closure.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .modules import (
     FiniteWModule,
     GlModule,
     dual_module,
-    field_columns,
+    field_module,
     generates,
     is_simple,
     singular_line,
@@ -32,7 +33,6 @@ from .modules import (
 )
 from .partitions import aspartition, stable_highest_weight
 from .walgebra import BorelOrder
-from .weights import Weight
 
 
 def tensor_field(x: GlModule, n: int) -> FiniteWModule:
@@ -40,12 +40,7 @@ def tensor_field(x: GlModule, n: int) -> FiniteWModule:
     basis f (x) v indexed f * dim X + v."""
     if x.rank != n:
         raise RankMismatchError(f"base rank {x.rank} vs algebra rank {n}")
-    weights: list[Weight] = []
-    for f in range(1 << n):
-        lift = Weight.from_dense(f >> i & 1 for i in range(n))
-        weights.extend(w + lift for w in x.weights)
-    return FiniteWModule(n, weights, col_fn=field_columns(x.column, x.dim),
-                         name=f"T({x.name or 'X'})")
+    return field_module(x, name=f"T({x.name or 'X'})")
 
 
 @dataclass

@@ -602,6 +602,33 @@ def kac_plus_oracle(x: GlModule, n: int) -> FiniteWModule:
     return FiniteWModule(n, weights, col_fn=col)
 
 
+def complement_signs(n: int) -> list[int]:
+    """eps(S) = (-1)^(sum_{i in S} (i - 1)) for every mask S: the sign of
+    d_S (x) v -> eps(S) x^(S^c) (x) v, as each d_s, s_1 < ... < s_k, removes
+    x_s from x^[n] past the s - 1 factors before it, the largest first."""
+    return [(-1) ** sum(i - 1 for i in indices_of(s)) for s in range(1 << n)]
+
+
+def on_field_basis(m: FiniteWModule, n: int, eps: list[int]) -> FiniteWModule:
+    """m, on the basis d_S (x) v at S * dim X + v of ``kac_plus_oracle``,
+    carried to x^f (x) v at f * dim X + v, the basis of ``kac_plus``, by
+    d_S (x) v -> eps[S] x^(S^c) (x) v."""
+    full = (1 << n) - 1
+    dx = m.dim >> n
+    weights = [m.weights[(full ^ f) * dx + v] for f in range(1 << n) for v in range(dx)]
+
+    def col(term: Term, j: int) -> Vec:
+        f, v = divmod(j, dx)
+        sgn = eps[full ^ f]
+        out: Vec = {}
+        for k, c in m.column(term, (full ^ f) * dx + v).items():
+            s, w = divmod(k, dx)
+            out[(full ^ s) * dx + w] = c if eps[s] == sgn else -c
+        return out
+
+    return FiniteWModule(n, weights, col_fn=col)
+
+
 # --------------------------------------------------------- tensorfields
 
 def extract_L_minus_oracle(lam, mu, n: int) -> Submodule:

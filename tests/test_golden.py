@@ -16,6 +16,7 @@ from superw.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
+    "kac_n4": ["kac", "--n", "4"],
     "kac_m1_n2": ["kac", "-m", "1", "--n", "2"],
     "kac_m1_n4": ["kac", "-m", "1", "--n", "4"],
     "kac_m2_n4": ["kac", "-m", "2", "--n", "4"],

@@ -14,17 +14,17 @@ from superw.glmodules import gl_natural, gl_simple, gl_trivial
 from superw.grassmann import indices_of
 from superw.induction import kac_minus_truncated, kac_plus, typicality
 from superw.modules import (FiniteWModule, GlModule, check_representation,
-                            field_columns, is_simple, local_terms,
-                            singular_vectors, submodule_generated,
-                            tensor_module)
+                            is_simple, local_terms, singular_vectors,
+                            submodule_generated, tensor_module)
 from superw.partitions import Partition
 from superw.suite import PAIRS_LE2
+from superw.tensorfields import tensor_field
 from superw.walgebra import (BorelOrder, basis_terms, generating_terms,
                              term_degree)
 from superw.weights import Weight
 
-from helpers import (grading_element, hom_space, hom_value, kac_plus_oracle,
-                     layer_dims)
+from helpers import (complement_signs, grading_element, hom_space, hom_value,
+                     kac_plus_oracle, layer_dims, on_field_basis)
 
 
 def test_kac_plus_of_trivial_base():
@@ -40,16 +40,34 @@ def test_kac_plus_satisfies_the_bracket_relation():
         assert check_representation(m) == []
 
 
-def test_kac_plus_straightening_column():
-    # moving a degree-one operator past one lowering generator leaves a
-    # lowering generator plus a degree-zero action on the base
+def test_kac_plus_columns_on_the_field_basis():
+    # K+(V) at n = 2 is T(V (x) det^-1) on x^f (x) e_v at f * 2 + v: vector 3
+    # is x1 (x) e2; E_ii acts on the twisted base by e_k -> (delta_ik - 1) e_k,
+    # and (xi^a d_j).(f (x) v) = (xi^a d_j f) (x) v
+    #                           + (-1)^p(xi^a d_j) sum_i d_i(xi^a) f (x) E_ij v
     m = kac_plus(gl_natural(2), 2)
-    # basis d_S (x) e_v at S * 2 + v: vector 2 is d1 (x) e1
     e1, e2 = Weight.eps(1), Weight.eps(2)
-    assert m.weights == [e1, e2, Weight.zero(), e2 - e1,
-                         e1 - e2, Weight.zero(), -e2, -e1]
-    assert m.column((1, 2), 2) == {4: -1}
-    assert m.column((1, 2), 3) == {5: -1, 2: 1}
+    assert m.weights == [-e2, -e1, e1 - e2, Weight.zero(),
+                         Weight.zero(), e2 - e1, e1, e2]
+    # layer n - |f|: the copy of V at x1 x2 is layer 0
+    assert [m.meta["base_total"] - w.total() for w in m.weights] == [2, 2, 1, 1, 1, 1, 0, 0]
+    # d_1 (x1 x2) = x2 and d_2 (x1 x2) = -x1; W_-1 kills 1 (x) v
+    assert m.column((0, 1), 6) == {4: 1}
+    assert m.column((0, 2), 6) == {2: -1}
+    assert m.column((0, 1), 0) == {}
+    # E_22 on 1 (x) e1: e1 (x) det^-1 has E_22-weight -1
+    assert m.column((2, 2), 0) == {0: -1}
+    # E_11 on x1 x2 (x) e2: x1 x2 adds one, E_11 e2 = -e2
+    assert m.column((1, 1), 7) == {}
+    # E_12 = x1 d_2 on x2 (x) e2: x1 (x) e2 + x2 (x) E_12 e2
+    assert m.column((1, 2), 5) == {3: 1, 4: 1}
+    # x1 x2 d_2 is odd: -(x2 (x) E_12 e1 - x1 (x) E_22 e1) = -x1 (x) e1 on 1 (x) e1
+    assert m.column((3, 2), 0) == {2: -1}
+    # and -(x2 x1 (x) E_12 e2 - x1 x1 (x) E_22 e2) = x1 x2 (x) e1 on x1 (x) e2
+    assert m.column((3, 2), 3) == {6: 1}
+    # x1 x2 d_1: -(x2 (x) E_11 e2 - x1 (x) E_21 e2) = x2 (x) e2 on 1 (x) e2
+    assert m.column((3, 1), 1) == {5: 1}
+    assert m.column((3, 1), 0) == {3: 1}
 
 
 def test_kac_plus_layer_dims_scale_with_base():
@@ -184,11 +202,16 @@ def fitting(n: int) -> list:
     return [(lam, mu) for lam, mu in PAIRS_LE2 if lam.length + mu.length <= n]
 
 
+def straightening(x: GlModule, n: int) -> FiniteWModule:
+    """``kac_plus_oracle`` carried to the basis of ``kac_plus``."""
+    return on_field_basis(kac_plus_oracle(x, n), n, complement_signs(n))
+
+
 @pytest.mark.parametrize("n,pair", [(n, p) for n in (1, 2, 3) for p in fitting(n)],
                          ids=lambda v: pair_id(v) if isinstance(v, tuple) else f"n={v}")
 def test_kac_plus_matches_straightening_on_every_term(n, pair):
     x = gl_simple(*pair, n)
-    m, oracle = kac_plus(x, n), kac_plus_oracle(x, n)
+    m, oracle = kac_plus(x, n), straightening(x, n)
     assert m.weights == oracle.weights
     assert column_mismatches(m, oracle, basis_terms(n)) == []
 
@@ -203,42 +226,45 @@ RANK_FIVE_PAIRS = [(Partition((1,)), Partition()), (Partition(), Partition((1,))
 def test_kac_plus_matches_straightening_on_generators(n, pair):
     # the generators and the Cartan determine the whole action
     x = gl_simple(*pair, n)
-    m, oracle = kac_plus(x, n), kac_plus_oracle(x, n)
+    m, oracle = kac_plus(x, n), straightening(x, n)
     terms = generating_terms(n) + basis_terms(n, 0)
     assert column_mismatches(m, oracle, terms) == []
 
 
-def twisted_kac_plus(x: GlModule, n: int, twist: int, eps) -> FiniteWModule:
-    """``kac_plus``'s construction with the twist det^twist and the sign
-    table eps as parameters, for the negative control."""
-    full = (1 << n) - 1
-    dx = x.dim
-    det = GlModule(n, [Weight(tuple((i, twist) for i in range(1, n + 1)))],
-                   col_fn=lambda t, j: {0: twist} if t[0] == 1 << (t[1] - 1) else {})
-    field_col = field_columns(tensor_module(x, det).column, dx)
+def det_line(n: int, twist: int) -> GlModule:
+    """The gl(n) line det^twist: E_ii acts by twist, E_ij (i != j) by zero."""
+    return GlModule(n, [Weight.from_dense([twist] * n)],
+                    col_fn=lambda t, j: {0: twist} if t[0] == 1 << (t[1] - 1) else {})
 
-    def col(term, j):
-        mask, v = divmod(j, dx)
-        out = {}
-        for k, c in field_col(term, (full ^ mask) * dx + v).items():
-            f, w = divmod(k, dx)
-            out[(full ^ f) * dx + w] = eps[mask] * eps[full ^ f] * c
-        return out
 
-    return FiniteWModule(n, kac_plus(x, n).weights, col_fn=col)
+@pytest.mark.parametrize("n,pair", [(n, p) for n in (1, 2, 3) for p in fitting(n)],
+                         ids=lambda v: pair_id(v) if isinstance(v, tuple) else f"n={v}")
+def test_kac_plus_is_the_tensor_fields_of_the_twisted_base(n, pair):
+    # K+(X) = T(X (x) det^-1) index for index, with the twist built as a
+    # tensor product here and applied to the base's columns in the library
+    x = gl_simple(*pair, n)
+    m, t = kac_plus(x, n), tensor_field(tensor_module(x, det_line(n, -1)), n)
+    assert m.weights == t.weights
+    assert column_mismatches(m, t, basis_terms(n)) == []
 
 
 def test_negative_control_flipped_sign_or_det_fails_the_comparison():
+    # the oracle carried by a wrong sign table, or the fields over det^+1,
+    # must differ from the fields over det^-1
     n = 3
     x = gl_simple((1,), (1,), n)
     oracle = kac_plus_oracle(x, n)
     terms = basis_terms(n)
-    eps = [(-1) ** sum(i - 1 for i in indices_of(s)) for s in range(1 << n)]
-    assert column_mismatches(twisted_kac_plus(x, n, -1, eps), oracle, terms) == []
+    eps = complement_signs(n)
+
+    def fields(twist):
+        return tensor_field(tensor_module(x, det_line(n, twist)), n)
+
+    assert column_mismatches(fields(-1), on_field_basis(oracle, n, eps), terms) == []
     flipped = [(-1) ** sum(indices_of(s)) for s in range(1 << n)]
     unsigned = [1] * (1 << n)
     for twist, signs in ((-1, flipped), (-1, unsigned), (1, eps)):
-        assert column_mismatches(twisted_kac_plus(x, n, twist, signs), oracle, terms)
+        assert column_mismatches(fields(twist), on_field_basis(oracle, n, signs), terms)
 
 
 def test_kac_plus_leaves_the_bracket_cache_alone():

@@ -9,16 +9,18 @@ that no raising term can leave, so no check can tell the two apart."""
 
 import pytest
 
-from superw import glmodules, modules, stability
+from superw import glmodules, induction, modules, stability, walgebra
 from superw.glmodules import gl_natural, gl_simple, mixed_weight, weyl_dim
 from superw.induction import kac_plus
 from superw.linalg import vec_axpy
 from superw.modules import (check_representation, dual_module, lambda_module,
                             psi_invariants, tensor_module)
 from superw.stability import restricted_character
-from superw.walgebra import term_parity
+from superw.suite import jacobi_failures
+from superw.walgebra import basis_terms, term_parity
 
-from helpers import psi_span_oracle, restricted_character_oracle
+from helpers import (complement_signs, kac_plus_oracle, on_field_basis,
+                     psi_span_oracle, restricted_character_oracle)
 
 
 def check_gl_simple_dims():
@@ -53,6 +55,21 @@ def check_tensor_relations():
         modules.tensor_module(kac_plus(gl_natural(2), 2), lambda_module(2))) == []
 
 
+def check_kac_plus_against_the_straightening():
+    # K+(V) at n = 2 against the straightening oracle, through the
+    # isomorphism d_S (x) v -> eps(S) x^(S^c) (x) v
+    x = gl_natural(2)
+    m = induction.kac_plus(x, 2)
+    oracle = on_field_basis(kac_plus_oracle(x, 2), 2, complement_signs(2))
+    assert [(t, j, m.column(t, j)) for t in basis_terms(2) for j in range(m.dim)] == \
+        [(t, j, oracle.column(t, j)) for t in basis_terms(2) for j in range(m.dim)]
+
+
+def check_jacobi():
+    # the graded Jacobi identity on random homogeneous triples at n = 3
+    assert jacobi_failures(3, 200) == []
+
+
 def odd_term_on_odd_vector(term, w):
     return term_parity(term) and w.total() % 2
 
@@ -85,6 +102,17 @@ def flip_the_tensor_parity_sign(tensor_module):
     return tensor
 
 
+def drop_the_det_twist(kac_plus):
+    # the tensor fields over X itself, where E_ii acts with one more
+    return lambda x, n: modules.field_module(x, "K+")
+
+
+def flip_a_merge_sign(inversion_mask):
+    # the bracket's sign kernel: a hit whose remainder holds x_1 merges
+    # with the wrong sign
+    return lambda a: inversion_mask(a) ^ 1
+
+
 def drop_a_lowering_root(lowering_roots):
     return lambda b: lowering_roots(b)[1:]
 
@@ -112,6 +140,11 @@ MUTANTS = [
                  check_dual_relations, id="dual-flips-the-parity-sign"),
     pytest.param(modules, "tensor_module", flip_the_tensor_parity_sign,
                  check_tensor_relations, id="tensor-flips-the-parity-sign"),
+    pytest.param(induction, "kac_plus", drop_the_det_twist,
+                 check_kac_plus_against_the_straightening,
+                 id="kac_plus-drops-the-det-twist"),
+    pytest.param(walgebra, "inversion_mask", flip_a_merge_sign,
+                 check_jacobi, id="bracket-flips-a-merge-sign"),
 ]
 
 

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superw.errors import RankTooSmallError
+from superw.glmodules import gl_simple
 from superw.partitions import (Partition, aspartition, lr_coefficient,
                                partitions_of, schur_dim, schur_weights,
                                socle_layer_mults, stable_highest_weight,
@@ -188,3 +189,16 @@ def test_parse_format_roundtrip(parts):
 def test_aspartition_rejects_increasing():
     with pytest.raises(ValueError):
         aspartition((1, 2))
+
+
+def test_a_float_part_is_not_truncated_into_a_gl_simple():
+    # int(1.9) == 1 would silently build V((1)|())
+    with pytest.raises(TypeError):
+        gl_simple((1.9,), (), 3)
+
+
+def test_string_parts_are_not_parsed_by_the_constructor():
+    # Partition.parse reads text; the constructor takes integers only
+    with pytest.raises(TypeError):
+        Partition(["2", "1"])
+    assert Partition.parse("2,1") == Partition((2, 1))
