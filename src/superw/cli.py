@@ -28,8 +28,8 @@ from .stability import stabilization_sweep
 from .suite import (jacobi_failures, random_homogeneous, run_suite,
                     sign_bugged_bracket)
 from .tensorfields import coinduction_duality_check, extract_L_minus, tensor_field
-from .walgebra import (BorelOrder, basis_terms, bracket, component_dim,
-                       format_term, format_welement, parity, w_apply)
+from .walgebra import (BorelOrder, basis_terms, component_dim, format_term,
+                       format_welement, parity, term_bracket, w_apply)
 from .grassmann import GrassmannElement, gmul
 
 
@@ -95,10 +95,10 @@ def cmd_check(args) -> int:
         raise ValueError(f"rank must be between 1 and 12, got {n}")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    br = sign_bugged_bracket if args.inject_sign_bug else bracket
+    kernel = sign_bugged_bracket if args.inject_sign_bug else term_bracket
     props = []
 
-    jac = jacobi_failures(n, samples, seed, bracket_fn=br, limit=1)
+    jac = jacobi_failures(n, samples, seed, kernel, limit=1)
     jac_dump = None
     if jac:
         x, y, z = jac[0]

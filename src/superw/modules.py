@@ -290,10 +290,11 @@ def field_module(x: GlModule, name: str, meta: dict | None = None) -> FiniteWMod
     f (x) v indexed f * dim X + v, of weight w_v + lift(f), with the
     columns of ``field_columns``: T(X), and K+ as T(X (x) det^-1)."""
     n = x.rank
+    distinct = dict.fromkeys(x.weights)  # one sum per (f, X-weight), shared
     weights: list[Weight] = []
     for f in range(1 << n):
         lift = Weight.from_dense(f >> i & 1 for i in range(n))
-        weights.extend(w + lift for w in x.weights)
+        weights.extend(map({w: w + lift for w in distinct}.__getitem__, x.weights))
     return FiniteWModule(n, weights, col_fn=field_columns(x.column, x.dim),
                          name=name, meta=meta)
 

@@ -28,7 +28,7 @@ from .partitions import partitions_of, stable_highest_weight
 from .stability import stabilization_sweep
 from .tensorfields import coinduction_duality_check, extract_L_minus
 from .walgebra import (BorelOrder, WElement, basis_terms, bracket,
-                       component_dim, graded_jacobi_defect,
+                       component_dim, graded_jacobi_defect, term_bracket,
                        triangular_terms)
 from .weights import Weight
 
@@ -65,24 +65,23 @@ def random_homogeneous(rng: random.Random, n: int) -> WElement:
 
 
 def jacobi_failures(n: int, samples: int, seed: int = JACOBI_SEED,
-                    bracket_fn=bracket, limit: int | None = 3) -> list:
-    """Triples whose graded Jacobi defect is nonzero, up to limit."""
+                    kernel=term_bracket, limit: int | None = 3) -> list:
+    """Triples with a nonzero graded Jacobi defect under kernel, up to limit."""
     rng = random.Random(seed)
     bad = []
     for _ in range(samples):
         x, y, z = (random_homogeneous(rng, n) for _ in range(3))
-        if graded_jacobi_defect(x, y, z, bracket_fn=bracket_fn).terms:
+        if graded_jacobi_defect(x, y, z, kernel).terms:
             bad.append((x, y, z))
             if limit is not None and len(bad) >= limit:
                 break
     return bad
 
 
-def sign_bugged_bracket(x: WElement, y: WElement) -> WElement:
-    """Deliberately wrong bracket: the plain commutator of the two
-    composition halves, dropping the parity twist on the second.  Used
-    as a negative control; it must fail the Jacobi sweep."""
-    x._check(y)
+def sign_bugged_bracket(xt: dict, yt: dict) -> dict:
+    """Deliberately wrong ``term_bracket``: the plain commutator of the two
+    composition halves, dropping the parity twist on the second.  Used as
+    a negative control; it must fail the Jacobi sweep."""
     out: dict = {}
 
     def accumulate(t, c):
@@ -92,9 +91,9 @@ def sign_bugged_bracket(x: WElement, y: WElement) -> WElement:
         else:
             out.pop(t, None)
 
-    for (a, j), ca in x.terms.items():
+    for (a, j), ca in xt.items():
         jbit = 1 << (j - 1)
-        for (b, l), cb in y.terms.items():
+        for (b, l), cb in yt.items():
             c = ca * cb
             if b & jbit:
                 rem = b ^ jbit
@@ -107,7 +106,7 @@ def sign_bugged_bracket(x: WElement, y: WElement) -> WElement:
                 s = removal_sign(l, a) * merge_sign(b, rem)
                 if s:
                     accumulate((b | rem, j), -s * c)
-    return WElement(x.rank, out)
+    return out
 
 
 def _timed(fn):
@@ -303,7 +302,7 @@ def criterion_9() -> Criterion:
     """Negative controls: a sign-bugged bracket must fail the Jacobi
     sweep, and the boundary weights -k eps_n must all test atypical."""
     def run():
-        bad = jacobi_failures(4, 200, bracket_fn=sign_bugged_bracket, limit=1)
+        bad = jacobi_failures(4, 200, kernel=sign_bugged_bracket, limit=1)
         if not bad:
             return False, "sign-bugged bracket slipped through the jacobi sweep"
         for k in (0, 1, 2):

@@ -179,17 +179,16 @@ def component_dim(n: int, k: int) -> int:
     return comb(n, k + 1) * n if -1 <= k <= n - 1 else 0
 
 
-def bracket(x: WElement, y: WElement) -> WElement:
-    """Superbracket by composition; see the module docstring for the
-    collapsed closed form evaluated here, in one pass over the term pairs.
-
-    A hit x^a d_j(x^b) = +-x^rem, rem = b minus x_j, carries the removal
-    sign (popcount of b below x_j) and the merge sign of x^a x^rem, whose
+def term_bracket(xt: Mapping[Term, Coeff], yt: Mapping[Term, Coeff]) -> dict[Term, Coeff]:
+    """The superbracket on term dicts, the kernel of ``bracket`` and of the
+    Jacobi defect: the module docstring's closed form, one pass over the
+    term pairs into a fresh dict without zeros, in order of first hit.  A
+    hit x^a d_j(x^b) = +-x^rem, rem = b minus x_j, carries the removal sign
+    (popcount of b below x_j) and the merge sign of x^a x^rem, whose
     parities add, so one popcount of their xor decides it."""
-    x._check(y)
     out: dict[Term, Coeff] = {}
-    yterms = y.terms.items()
-    for (a, j), ca in x.terms.items():
+    yterms = yt.items()
+    for (a, j), ca in xt.items():
         a_even = not a.bit_count() & 1  # x^a d_j is odd
         jbit = 1 << (j - 1)
         for (b, l), cb in yterms:
@@ -220,7 +219,13 @@ def bracket(x: WElement, y: WElement) -> WElement:
                         out[t] = nc
                     else:
                         out.pop(t, None)
-    return WElement._of(x.rank, out)
+    return out
+
+
+def bracket(x: WElement, y: WElement) -> WElement:
+    """Superbracket by composition: the rank check, then ``term_bracket``."""
+    x._check(y)
+    return WElement._of(x.rank, term_bracket(x.terms, y.terms))
 
 
 def w_apply(x: WElement, f: GrassmannElement) -> GrassmannElement:
@@ -248,29 +253,33 @@ def w_apply(x: WElement, f: GrassmannElement) -> GrassmannElement:
 
 
 def parity(x: WElement) -> int:
-    if not x.terms:
-        raise InhomogeneousError("zero element has no parity")
-    ps = {term_parity(t) for t in x.terms}
-    if len(ps) != 1:
-        raise InhomogeneousError("element mixes parities")
-    return ps.pop()
+    masks = iter(x.terms)
+    for a, _ in masks:
+        for b, _ in masks:  # the terms after the first
+            if (a.bit_count() ^ b.bit_count()) & 1:
+                raise InhomogeneousError("element mixes parities")
+        return (a.bit_count() - 1) & 1
+    raise InhomogeneousError("zero element has no parity")
 
 
-def graded_jacobi_defect(x: WElement, y: WElement, z: WElement, bracket_fn=bracket) -> WElement:
+def graded_jacobi_defect(x: WElement, y: WElement, z: WElement, kernel=term_bracket) -> WElement:
     """(-1)^{p(x)p(z)}[x,[y,z]] + cyclic; zero exactly when Jacobi holds.
-    The three signed double brackets are summed into one dict.  The
-    defect is trilinear, so it is zero when an argument is, although
-    zero has no parity."""
-    if not (x.terms and y.terms and z.terms):
-        x._check(y)
-        x._check(z)
+    kernel is a bracket on term dicts.  The first signed double bracket is
+    the output dict, and the other two are merged into it whole.  The
+    defect is trilinear, so it is zero when an argument is, although zero
+    has no parity."""
+    x._check(y)
+    x._check(z)
+    xt, yt, zt = x.terms, y.terms, z.terms
+    if not (xt and yt and zt):
         return WElement._of(x.rank, {})
     px, py, pz = parity(x), parity(y), parity(z)
-    out: dict[Term, Coeff] = {}
-    for odd, w in ((px & pz, bracket_fn(x, bracket_fn(y, z))),
-                   (py & px, bracket_fn(y, bracket_fn(z, x))),
-                   (pz & py, bracket_fn(z, bracket_fn(x, y)))):
-        for t, c in w.terms.items():
+    out = kernel(xt, kernel(yt, zt))
+    if px & pz:
+        out = {t: -c for t, c in out.items()}
+    for odd, w in ((py & px, kernel(yt, kernel(zt, xt))),
+                   (pz & py, kernel(zt, kernel(xt, yt)))):
+        for t, c in w.items():
             nc = out.get(t, 0) + (-c if odd else c)
             if nc:
                 out[t] = nc
@@ -317,8 +326,9 @@ class BorelOrder:
 
     def dominant(self, w: Weight) -> bool:
         """Whether w[s_k] >= w[s_(k+1)] for every simple pair of the order."""
+        d = (0, *w) + (0,) * self.rank  # d[i] is w[i] for i <= rank, read in C
         for i, j in self._pairs:
-            if w[i] < w[j]:
+            if d[i] < d[j]:
                 return False
         return True
 

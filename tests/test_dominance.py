@@ -9,6 +9,7 @@ blocks; these tests hold them to the full scans and check the two facts
 the bound rests on.
 """
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -182,6 +183,17 @@ def test_dominant_reads_the_simple_pairs_of_the_order():
     assert not BorelOrder("natural", 3).dominant(w)  # w2 < w3
     assert BorelOrder("interleaved", 3).dominant(w)  # order 1, 3, 2
     assert BorelOrder("natural", 3).dominant(Weight.from_dense((1, 1, 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_dominant_matches_the_one_based_reading(n):
+    # every weight of the box {-1, 0, 1}^(n+2), so also every weight that
+    # is longer than the rank, whose coordinates past it stay unread
+    for kind in ORDER_KINDS:
+        b = BorelOrder(kind, n)
+        for coords in product((-1, 0, 1), repeat=n + 2):
+            w = Weight.from_dense(coords)
+            assert b.dominant(w) == all(w[i] >= w[j] for i, j in b.simple_pairs()), (kind, w)
 
 
 # ------------------------------------------------------------- work counters

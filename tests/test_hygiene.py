@@ -3,8 +3,9 @@ function takes a retired tuning option, the mod-p modulus and the mod-p
 echelon stay inside the two oracles built on them, no library function
 calls a test oracle, only the bracket check reads the three lowest
 degrees, no sign outside ``grassmann`` but the negative control's comes
-from ``merge_sign``, only the two seeded property samplers draw random numbers,
-only ``modules.py`` defines a class with action columns, which stores
+from ``merge_sign``, the bracket and the Jacobi checks share one kernel,
+only the two seeded property samplers draw random numbers, only
+``modules.py`` defines a class with action columns, which stores
 none of them, no module but ``weights.py`` reads a private member of
 ``Weight``, whose hash and equality stay the tuple's, and every library
 function has a caller outside the tests.
@@ -15,12 +16,14 @@ public surface.
 """
 
 import ast
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from superw import suite, walgebra
 from superw.weights import Weight
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -357,6 +360,24 @@ def test_scan_flags_the_two_call_tensor_field():
 def test_only_the_negative_control_reads_the_two_call_sign(path):
     allowed = MERGE_SIGN_READERS.get(path.name, set())
     assert stray_readers(path.read_text(), ["merge_sign"], allowed) == set()
+
+
+def test_one_bracket_kernel(monkeypatch):
+    # bracket, the Jacobi defect and the Jacobi sweep reach one term-dict
+    # kernel: the two defaults are it, and bracket looks it up by name
+    kernel = walgebra.term_bracket
+    assert inspect.signature(walgebra.graded_jacobi_defect).parameters["kernel"].default is kernel
+    assert inspect.signature(suite.jacobi_failures).parameters["kernel"].default is kernel
+    reads = []
+
+    def spy(xt, yt):
+        reads.append((xt, yt))
+        return kernel(xt, yt)
+
+    monkeypatch.setattr(walgebra, "term_bracket", spy)
+    x = walgebra.WElement.matrix_unit(2, 1, 2)
+    assert walgebra.bracket(x, x) == walgebra.WElement(2)
+    assert reads == [(x.terms, x.terms)]
 
 
 def calls_to(source: str, names: set[str]) -> list[str]:

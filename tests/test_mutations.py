@@ -113,6 +113,12 @@ def flip_a_merge_sign(inversion_mask):
     return lambda a: inversion_mask(a) ^ 1
 
 
+def even_everywhere(parity):
+    # the defect's sign rule: every argument read as even, so no double
+    # bracket of odd arguments changes sign
+    return lambda x: 0
+
+
 def drop_a_lowering_root(lowering_roots):
     return lambda b: lowering_roots(b)[1:]
 
@@ -145,6 +151,8 @@ MUTANTS = [
                  id="kac_plus-drops-the-det-twist"),
     pytest.param(walgebra, "inversion_mask", flip_a_merge_sign,
                  check_jacobi, id="bracket-flips-a-merge-sign"),
+    pytest.param(walgebra, "parity", even_everywhere,
+                 check_jacobi, id="jacobi-defect-reads-every-parity-as-even"),
 ]
 
 

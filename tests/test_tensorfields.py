@@ -6,6 +6,7 @@ import superw.modules as mods
 import superw.spanops as spanops
 from superw.errors import RankMismatchError, RankTooSmallError
 from superw.glmodules import gl_conatural, gl_natural, gl_simple, gl_trivial
+from superw.induction import kac_plus
 from superw.modules import (adjoint_module, check_representation, dual_module,
                             generates, is_simple, iso_check, lambda_module,
                             submodule_generated)
@@ -136,6 +137,21 @@ def test_mixed_pair_character_sits_under_the_product(n):
     conv = convolve(extract_L_minus((1,), (), n).character(),
                     extract_L_minus((), (1,), n).character())
     assert all(conv.entries.get(k, 0) >= v for k, v in a.entries.items())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_field_weights_equal_the_per_vector_sums(n):
+    # vectors with equal X-weights share one sum object; the list equals
+    # w_v + lift(f) taken vector by vector, for T(X) and for K+(X), whose
+    # base X (x) det^-1 has every weight shifted by -(1,...,1)
+    lifts = [Weight.from_dense(f >> i & 1 for i in range(n)) for f in range(1 << n)]
+    det = Weight.from_dense([-1] * n)
+    for lam, mu in PAIRS_LE2:
+        if lam.length + mu.length > n:
+            continue
+        x = gl_simple(lam, mu, n)
+        for m, shift in ((tensor_field(x, n), Weight()), (kac_plus(x, n), det)):
+            assert m.weights == [w + shift + lift for lift in lifts for w in x.weights]
 
 
 def _extractions():

@@ -11,6 +11,7 @@ from math import comb
 
 import pytest
 
+from superw import walgebra
 from superw.errors import InhomogeneousError, RankMismatchError
 from superw.grassmann import GrassmannElement, merge_sign, removal_sign
 from superw.linalg import RationalEchelon
@@ -18,7 +19,8 @@ from superw.suite import jacobi_failures, random_homogeneous, sign_bugged_bracke
 from superw.walgebra import (BorelOrder, WElement, basis_terms, bracket,
                              component_dim, format_welement,
                              generating_terms, graded_jacobi_defect, parity,
-                             term_key, term_weight, triangular_terms, w_apply)
+                             term_bracket, term_key, term_weight,
+                             triangular_terms, w_apply)
 from superw.weights import Weight
 
 from helpers import (grading_element, parse_welement, partial, positive_pairs,
@@ -143,14 +145,48 @@ def test_bracket_matches_the_oracle_on_random_and_nested_brackets(n):
         assert same(bracket(bracket(x, yz), yz), bracket_oracle(bracket_oracle(x, yz), yz))
 
 
+def as_kernel(br, n):
+    """A bracket of elements at rank n as a bracket on term dicts."""
+    return lambda xt, yt: br(WElement(n, xt), WElement(n, yt)).terms
+
+
+def as_element_bracket(kernel):
+    """A bracket on term dicts as a bracket of elements."""
+    return lambda x, y: WElement(x.rank, kernel(x.terms, y.terms))
+
+
+def defect_pairs(n):
+    """(kernel of the defect, element bracket of the oracle) pairs."""
+    return [(term_bracket, bracket),
+            (as_kernel(bracket_oracle, n), bracket_oracle),
+            (sign_bugged_bracket, as_element_bracket(sign_bugged_bracket))]
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_jacobi_defect_matches_the_oracle(n):
     rng = random.Random(200 + n)
     for _ in range(300):
         x, y, z = (random_homogeneous(rng, n) for _ in range(3))
-        for br in (bracket, bracket_oracle, sign_bugged_bracket):
-            assert same(graded_jacobi_defect(x, y, z, bracket_fn=br),
+        for kernel, br in defect_pairs(n):
+            assert same(graded_jacobi_defect(x, y, z, kernel),
                         jacobi_defect_oracle(x, y, z, bracket_fn=br))
+
+
+def test_jacobi_defect_keeps_the_oracle_order_under_a_flipped_merge_sign(monkeypatch):
+    # with the bracket's merge sign flipped the defects are nonzero, so the
+    # order in which the three double brackets merge shows in the output:
+    # adding their terms into one shared dict as they come reorders one of
+    # these 441 nonzero defects
+    flipped = walgebra.inversion_mask
+    monkeypatch.setattr(walgebra, "inversion_mask", lambda a: flipped(a) ^ 1)
+    rng = random.Random(206)
+    nonzero = 0
+    for _ in range(3000):
+        x, y, z = (random_homogeneous(rng, 6) for _ in range(3))
+        got = graded_jacobi_defect(x, y, z)
+        assert same(got, jacobi_defect_oracle(x, y, z, bracket_fn=bracket))
+        nonzero += bool(got.terms)
+    assert nonzero > 300
 
 
 def test_results_survive_the_validating_constructor():
@@ -164,7 +200,7 @@ def test_results_survive_the_validating_constructor():
         for out in (bracket(x, y), bracket(x, bracket(y, z)), x + y, x + (-x),
                     x - y, -x, q * x, x * q, 0 * x,
                     graded_jacobi_defect(x, y, z),
-                    graded_jacobi_defect(x, y, z, bracket_fn=sign_bugged_bracket)):
+                    graded_jacobi_defect(x, y, z, sign_bugged_bracket)):
             assert all(out.terms.values())
             assert same(WElement(out.rank, out.terms), out)
 
@@ -198,7 +234,7 @@ def test_jacobi_defect_with_a_zero_argument_is_zero():
 
 
 def test_sign_bug_is_still_caught():
-    assert jacobi_failures(4, 200, bracket_fn=sign_bugged_bracket, limit=1)
+    assert jacobi_failures(4, 200, kernel=sign_bugged_bracket, limit=1)
 
 
 def test_component_dims():
