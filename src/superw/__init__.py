@@ -1,7 +1,9 @@
 """Exact workbench for the superderivation algebra of a Grassmann
 algebra at finite rank: the graded bracket, weight modules over the
 degree-zero general linear part, induced modules in both directions,
-tensor-field realizations, and cross-rank stabilization checks.
+tensor-field realizations, and cross-rank stabilization checks.  The
+Grassmann algebra and the superderivation algebra are themselves tensor
+fields, T(C) and T(V*), built on the one tensor-field column kernel.
 
 Everything is computed over the rationals, and every verdict is exact;
 arithmetic modulo a prime survives only in oracles the tests compare
@@ -17,18 +19,18 @@ from .partitions import (Partition, aspartition, lr_coefficient,
                          stable_highest_weight)
 from .grassmann import GrassmannElement, gmul, merge_sign, removal_sign
 from .walgebra import (BorelOrder, WElement, basis_terms, bracket,
-                       component_dim, format_welement, graded_jacobi_defect,
-                       w_apply)
+                       component_dim, format_welement, graded_jacobi_defect)
 from .glmodules import (SocleReport, gl_conatural, gl_natural, gl_simple,
                         gl_trivial, mixed_tensor, verify_socle_identity,
                         weyl_dim)
 from .modules import (Character, FiniteWModule, GlModule, SimplicityVerdict,
-                      adjoint_module, check_representation, dual_module,
-                      is_simple, iso_check, lambda_module, psi_invariants,
-                      quotient_module, submodule_generated, tensor_module)
+                      check_representation, dual_module, is_simple, iso_check,
+                      psi_invariants, quotient_module, submodule_generated,
+                      tensor_module)
 from .induction import Typicality, kac_minus_truncated, kac_plus, typicality
-from .tensorfields import (DualityReport, coinduction_duality_check,
-                           extract_L_minus, tensor_field)
+from .tensorfields import (DualityReport, adjoint_module,
+                           coinduction_duality_check, extract_L_minus,
+                           lambda_module, tensor_field)
 from .stability import (StabilizationReport, restricted_character,
                         stabilization_sweep)
 from .suite import Criterion, run_suite
@@ -56,5 +58,5 @@ __all__ = [
     "stabilization_sweep", "stable_highest_weight", "submodule_generated",
     "tensor_field",
     "tensor_module", "typicality", "verify_socle_identity",
-    "w_apply", "weyl_dim",
+    "weyl_dim",
 ]

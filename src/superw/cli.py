@@ -21,15 +21,15 @@ from pathlib import Path
 from .glmodules import gl_simple, verify_socle_identity
 from .induction import kac_minus_truncated, kac_plus, typicality
 from .modules import (check_representation, highest_weight_verdict,
-                      is_simple, iso_check, lambda_module, psi_invariants,
-                      singular_vectors)
+                      is_simple, iso_check, psi_invariants, singular_vectors)
 from .partitions import Partition, stable_highest_weight
 from .stability import stabilization_sweep
 from .suite import (jacobi_failures, random_homogeneous, run_suite,
                     sign_bugged_bracket)
-from .tensorfields import coinduction_duality_check, extract_L_minus, tensor_field
+from .tensorfields import (coinduction_duality_check, extract_L_minus,
+                           lambda_module, tensor_field)
 from .walgebra import (BorelOrder, basis_terms, component_dim, format_term,
-                       format_welement, parity, term_bracket, w_apply)
+                       format_welement, parity, term_bracket)
 from .grassmann import GrassmannElement, gmul
 
 
@@ -71,6 +71,11 @@ def cmd_dims(args) -> int:
 
 def _leibniz_failures(n: int, samples: int, seed: int, limit: int = 1) -> list:
     rng = random.Random(seed)
+    lam = lambda_module(n)  # x^f at index f, so f.terms is the vector of f
+
+    def apply(x, f: GrassmannElement) -> GrassmannElement:
+        return GrassmannElement._of(lam.act(x, f.terms))
+
     bad = []
     full = (1 << n) - 1
     for _ in range(samples):
@@ -79,8 +84,8 @@ def _leibniz_failures(n: int, samples: int, seed: int, limit: int = 1) -> list:
         g = GrassmannElement({rng.randrange(full + 1): rng.randint(1, 3),
                               rng.randrange(full + 1): rng.randint(-3, 3)})
         sgn = -1 if parity(x) and f.parity() else 1
-        lhs = w_apply(x, gmul(f, g))
-        rhs = gmul(w_apply(x, f), g) + sgn * gmul(f, w_apply(x, g))
+        lhs = apply(x, gmul(f, g))
+        rhs = gmul(apply(x, f), g) + sgn * gmul(f, apply(x, g))
         if lhs != rhs:
             bad.append((x, f, g))
             if len(bad) >= limit:

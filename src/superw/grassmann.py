@@ -154,13 +154,6 @@ def gmul(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
     return GrassmannElement._of(out)
 
 
-def basis(n: int, k: int | None = None) -> list[Monomial]:
-    """All monomial masks at rank n, optionally restricted to degree k."""
-    if k is None:
-        return list(range(1 << n))
-    return [m for m in range(1 << n) if m.bit_count() == k]
-
-
 def format_monomial(mono: Monomial) -> str:
     if mono == 0:
         return "1"

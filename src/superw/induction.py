@@ -25,9 +25,8 @@ from .linalg import Vec, vec_axpy
 from .modules import FiniteWModule, GlModule, field_module
 from .walgebra import (
     Term,
-    WElement,
     basis_terms,
-    bracket,
+    term_bracket,
     term_degree,
     term_key,
     term_parity,
@@ -42,9 +41,7 @@ def _bracket_terms(n: int, a: Term, b: Term) -> list[tuple[Term, int]]:
     key = (n, a, b)
     hit = _BRACKETS.get(key)
     if hit is None:
-        x = WElement.basis_term(n, *a)
-        y = WElement.basis_term(n, *b)
-        hit = [(t, c) for t, c in bracket(x, y).terms.items()]
+        hit = list(term_bracket({a: 1}, {b: 1}).items())
         _BRACKETS[key] = hit
     return hit
 

@@ -18,16 +18,11 @@ derives it from the weight, or from the weight of a whole block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Optional
 
 from .errors import NonBasisElementError, RankMismatchError
-from .grassmann import (
-    GrassmannElement,
-    basis as grassmann_basis,
-    inversion_mask,
-)
+from .grassmann import inversion_mask
 from .linalg import RationalEchelon, Vec, vec_axpy
 from .spanops import (apply_gen, block_kernel, coinvariant_blocks,
                       module_closure, restricted_action, singular_blocks)
@@ -36,13 +31,12 @@ from .walgebra import (
     Term,
     WElement,
     basis_terms,
-    bracket,
     generating_terms,
     lowering_roots,
+    term_bracket,
     term_parity,
     term_weight,
     triangular_terms,
-    w_apply,
 )
 from .weights import Weight
 
@@ -151,38 +145,6 @@ class Character:
         return sum(self.entries.values())
 
 
-# ---------------------------------------------------------------- standard modules
-
-
-def lambda_module(n: int) -> FiniteWModule:
-    """The Grassmann algebra itself, with basis all monomials."""
-    masks = [m for k in range(n + 1) for m in grassmann_basis(n, k)]
-    index = {m: j for j, m in enumerate(masks)}
-    weights = [Weight.from_dense(m >> i & 1 for i in range(n)) for m in masks]
-
-    def col(term: Term, j: int) -> Vec:
-        x = WElement(n, {term: Fraction(1)})
-        out = w_apply(x, GrassmannElement({masks[j]: Fraction(1)}))
-        return {index[m]: c for m, c in out.terms.items()}
-
-    return FiniteWModule(n, weights, col_fn=col, name="Lambda")
-
-
-def adjoint_module(n: int) -> FiniteWModule:
-    """The algebra acting on itself by the bracket."""
-    terms = basis_terms(n)
-    index = {t: j for j, t in enumerate(terms)}
-    weights = [term_weight(t) for t in terms]
-
-    def col(term: Term, j: int) -> Vec:
-        x = WElement(n, {term: Fraction(1)})
-        y = WElement(n, {terms[j]: Fraction(1)})
-        out = bracket(x, y)
-        return {index[t]: c for t, c in out.terms.items()}
-
-    return FiniteWModule(n, weights, col_fn=col, name="adjoint")
-
-
 def tensor_module(a: FiniteWModule, b: FiniteWModule) -> FiniteWModule:
     """Graded tensor product; the action on the right factor picks up the
     sign (-1)^(p(x)p(left))."""
@@ -247,14 +209,16 @@ def field_columns(x_col: Callable, dx: int) -> Callable:
         (xi^a d_j).(f (x) v) = (xi^a d_j f) (x) v
                                + (-1)^{p(a,j)} sum_i d_i(xi^a) f (x) E_ij v,
 
-    with d_i the left derivative and p(a,j) the parity of xi^a d_j."""
+    with d_i the left derivative and p(a,j) the parity of xi^a d_j.  With
+    X = C this is the action on Lambda(n) itself, and with X = V* the
+    bracket of W(n) (``tensorfields.lambda_module``, ``adjoint_module``)."""
 
     def col(term: Term, j: int) -> Vec:
         f, v = divmod(j, dx)
         a, tj = term
         out: Vec = {}
         bitj = 1 << (tj - 1)
-        # a hit's removal and merge signs are one popcount, as in bracket
+        # a hit's removal and merge signs are one popcount, as in term_bracket
         if f & bitj:
             rem = f ^ bitj
             if not a & rem:
@@ -533,21 +497,21 @@ def psi_invariants(m: FiniteWModule) -> GlModule:
 
 def check_representation(m: FiniteWModule, terms: list[Term] | None = None,
                          vectors: Iterable[int] | None = None) -> list:
-    """Violations of [x,y].v = x.(y.v) - (-1)^(p(x)p(y)) y.(x.v)."""
-    n = m.rank
+    """Violations of [x,y].v = x.(y.v) - (-1)^(p(x)p(y)) y.(x.v), with
+    [x,y] from ``term_bracket`` on the two basis terms: no element is built."""
     terms = terms if terms is not None else m.check_keys()
     cols = range(m.dim) if vectors is None else list(vectors)
     bad = []
     for x in terms:
-        xe = WElement(n, {x: Fraction(1)})
         px = term_parity(x)
         for y in terms:
-            ye = WElement(n, {y: Fraction(1)})
-            br = bracket(xe, ye)
+            br = term_bracket({x: 1}, {y: 1})
             sign = -1 if px and term_parity(y) else 1
             for c in cols:
-                v = {c: Fraction(1)}
-                lhs = m.act(br, v)
+                v = {c: 1}
+                lhs: Vec = {}
+                for t, k in br.items():
+                    vec_axpy(lhs, k, m.act_term(t, v))
                 rhs = m.act_term(x, m.act_term(y, v))
                 vec_axpy(rhs, -sign, m.act_term(y, m.act_term(x, v)))
                 vec_axpy(lhs, -1, rhs)

@@ -21,12 +21,12 @@ from .glmodules import (gl_conatural, gl_natural, gl_simple, gl_trivial,
                         verify_socle_identity)
 from .grassmann import merge_sign, removal_sign
 from .induction import kac_minus_truncated, kac_plus, typicality
-from .modules import (adjoint_module, is_simple, iso_check, lambda_module,
-                      psi_invariants, quotient_module, singular_space,
-                      submodule_generated)
+from .modules import (is_simple, iso_check, psi_invariants, quotient_module,
+                      singular_space, submodule_generated)
 from .partitions import partitions_of, stable_highest_weight
 from .stability import stabilization_sweep
-from .tensorfields import coinduction_duality_check, extract_L_minus
+from .tensorfields import (adjoint_module, coinduction_duality_check,
+                           extract_L_minus, lambda_module)
 from .walgebra import (BorelOrder, WElement, basis_terms, bracket,
                        component_dim, graded_jacobi_defect, term_bracket,
                        triangular_terms)

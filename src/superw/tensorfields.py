@@ -4,7 +4,10 @@ The action, a derivation part on the Grassmann coefficient plus a gl
 correction contracted through the base module, is the column kernel
 ``modules.field_columns``.  ``modules.field_module`` builds the module
 from it, here and for the upward induction ``kac_plus``, the tensor
-fields of the base twisted by det^-1.  Duality with the downward
+fields of the base twisted by det^-1.  The two standard modules are
+tensor fields too: the functions Lambda(n) = T(C), x^f at index f, and
+the vector fields W(n) = T(V*) under the bracket, x^a d_j at index
+a n + j - 1.  Duality with the downward
 induction is checked by Frobenius reciprocity (``modules.top_generator``),
 and the simple module attached to a partition pair is cut out as the
 cyclic submodule on the interleaved-order singular vector
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RankMismatchError
-from .glmodules import gl_simple
+from .glmodules import gl_conatural, gl_simple, gl_trivial
 from .linalg import Vec
 from .modules import (
     FiniteWModule,
@@ -41,6 +44,18 @@ def tensor_field(x: GlModule, n: int) -> FiniteWModule:
     if x.rank != n:
         raise RankMismatchError(f"base rank {x.rank} vs algebra rank {n}")
     return field_module(x, name=f"T({x.name or 'X'})")
+
+
+def lambda_module(n: int) -> FiniteWModule:
+    """The Grassmann algebra Lambda(n) = T(C), with x^f at index f: the
+    terms of a ``GrassmannElement`` are already its vector."""
+    return field_module(gl_trivial(n), name="Lambda")
+
+
+def adjoint_module(n: int) -> FiniteWModule:
+    """W(n) acting on itself by the bracket, as the vector fields T(V*):
+    x^a d_j is x^a (x) f_j, at index a * n + j - 1."""
+    return field_module(gl_conatural(n), name="adjoint")
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """The Lie superalgebra of superderivations of a rank-n Grassmann algebra.
 
 Elements are sums sum_i P_i d_i with P_i Grassmann polynomials, acting on
-the algebra by f -> sum_i P_i * d_i(f).  A basis term is a pair
+the algebra by f -> sum_i P_i * d_i(f); that action is the module
+Lambda(n) = T(C) of ``tensorfields.lambda_module``.  A basis term is a pair
 (monomial mask, target index j) standing for x^mask d_j.  The term has
 Z-degree |mask| - 1 and parity (|mask| - 1) mod 2; components range over
 degrees -1 .. n-1 with dim_k = C(n, k+1) * n.
@@ -33,7 +34,6 @@ from .errors import (
 )
 from .grassmann import (
     Coeff,
-    GrassmannElement,
     Monomial,
     format_monomial,
     indices_of,
@@ -101,10 +101,6 @@ class WElement:
         x.rank = rank
         x.terms = terms
         return x
-
-    @classmethod
-    def basis_term(cls, rank: int, mask: Monomial, j: int, coeff: Coeff = 1) -> "WElement":
-        return cls(rank, {(mask, j): coeff})
 
     @classmethod
     def matrix_unit(cls, rank: int, i: int, j: int) -> "WElement":
@@ -226,30 +222,6 @@ def bracket(x: WElement, y: WElement) -> WElement:
     """Superbracket by composition: the rank check, then ``term_bracket``."""
     x._check(y)
     return WElement._of(x.rank, term_bracket(x.terms, y.terms))
-
-
-def w_apply(x: WElement, f: GrassmannElement) -> GrassmannElement:
-    """Action of a superderivation on a Grassmann element."""
-    out: dict[Monomial, Coeff] = {}
-    fterms = f.terms.items()
-    for (a, j), c in x.terms.items():
-        jbit = 1 << (j - 1)
-        for m, cm in fterms:
-            if not m & jbit:
-                continue
-            rem = m ^ jbit
-            if a & rem:
-                continue
-            key = a | rem
-            v = c * cm
-            if ((inversion_mask(a) & rem) ^ (m & (jbit - 1))).bit_count() & 1:
-                v = -v
-            nc = out.get(key, 0) + v
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
-    return GrassmannElement._of(out)
 
 
 def parity(x: WElement) -> int:

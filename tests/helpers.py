@@ -146,6 +146,13 @@ def parse_monomial(text: str) -> Monomial:
     return mask_of(idx)
 
 
+def basis(n: int, k: int | None = None) -> list[Monomial]:
+    """All monomial masks at rank n, optionally restricted to degree k."""
+    if k is None:
+        return list(range(1 << n))
+    return [m for m in range(1 << n) if m.bit_count() == k]
+
+
 def generator(i: int) -> GrassmannElement:
     return GrassmannElement({1 << (i - 1): 1})
 
@@ -157,6 +164,28 @@ def apply_partial(i: int, f: GrassmannElement) -> GrassmannElement:
     for m, c in f.terms.items():
         if m & bit:
             out[m ^ bit] = out.get(m ^ bit, 0) + removal_sign(i, m) * c
+    return GrassmannElement(out)
+
+
+def w_apply_oracle(x: WElement, f: GrassmannElement) -> GrassmannElement:
+    """The action of a superderivation on a Grassmann element as it stood
+    before the sign kernel, and before Lambda(n) = T(C) took it over:
+    removal_sign times merge_sign on each hit."""
+    out: dict[Monomial, Coeff] = {}
+    for (a, j), c in x.terms.items():
+        jbit = 1 << (j - 1)
+        for m, cm in f.terms.items():
+            if not m & jbit:
+                continue
+            rem = m ^ jbit
+            s = removal_sign(j, m) * merge_sign(a, rem)
+            if s:
+                key = a | rem
+                nc = out.get(key, 0) + s * c * cm
+                if nc:
+                    out[key] = nc
+                else:
+                    out.pop(key, None)
     return GrassmannElement(out)
 
 
@@ -565,7 +594,7 @@ def kac_plus_oracle(x: GlModule, n: int) -> FiniteWModule:
     def bracket_terms(a: Term, b: Term) -> list:
         hit = brackets.get((a, b))
         if hit is None:
-            br = bracket(WElement.basis_term(n, *a), WElement.basis_term(n, *b))
+            br = bracket(WElement(n, {a: 1}), WElement(n, {b: 1}))
             hit = brackets[(a, b)] = list(br.terms.items())
         return hit
 

@@ -17,12 +17,12 @@ import superw.spanops as spanops
 import superw.tensorfields as tf
 from superw.glmodules import gl_simple, mixed_tensor
 from superw.induction import kac_minus_truncated, kac_plus
-from superw.modules import (dual_module, generates, is_simple, lambda_module,
-                            quotient_module, singular_space, singular_vectors,
+from superw.modules import (dual_module, generates, is_simple, quotient_module,
+                            singular_space, singular_vectors,
                             submodule_generated)
 from superw.spanops import coinvariant_blocks, singular_blocks
 from superw.suite import PAIRS_LE2
-from superw.tensorfields import extract_L_minus, tensor_field
+from superw.tensorfields import extract_L_minus, lambda_module, tensor_field
 from superw.walgebra import BorelOrder, triangular_terms
 from superw.weights import ORDER_KINDS, Weight
 

@@ -11,10 +11,9 @@ import pytest
 from superw import modules
 from superw.glmodules import gl_simple
 from superw.induction import kac_plus
-from superw.modules import (dual_module, lambda_module, psi_invariants,
-                            tensor_module)
+from superw.modules import dual_module, psi_invariants, tensor_module
 from superw.stability import restricted_character
-from superw.tensorfields import extract_L_minus, tensor_field
+from superw.tensorfields import extract_L_minus, lambda_module, tensor_field
 
 from helpers import psi_span_oracle, restricted_character_oracle, same_span
 

@@ -14,14 +14,15 @@ from superw.glmodules import (cyclic_simple, decompose_character,
                               mixed_tensor, verify_socle_identity, weyl_dim)
 from superw.linalg import RationalEchelon
 from superw.modules import (GlModule, check_representation, dual_module,
-                            iso_check, lambda_module, local_terms,
-                            quotient_module, restrict_module, singular_line,
+                            iso_check, local_terms, quotient_module,
+                            restrict_module, singular_line,
                             submodule_generated, tensor_module)
 from superw.partitions import (Partition, partitions_of, schur_dim,
                                schur_weights, socle_layer_mults,
                                stable_highest_weight)
 from superw.spanops import (hom_basis, module_closure, restricted_action,
                             singular_blocks)
+from superw.tensorfields import lambda_module
 from superw.walgebra import BorelOrder, basis_terms
 from superw.weights import Weight, order_sequence
 

@@ -16,6 +16,7 @@ from superw.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
+    "check_n6": ["check", "--n", "6"],
     "kac_n4": ["kac", "--n", "4"],
     "kac_m1_n2": ["kac", "-m", "1", "--n", "2"],
     "kac_m1_n4": ["kac", "-m", "1", "--n", "4"],

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superw.grassmann import (GrassmannElement, basis, degree,
-                              format_element, format_monomial, gmul,
-                              indices_of, merge_sign, removal_sign)
+from superw.grassmann import (GrassmannElement, degree, format_element,
+                              format_monomial, gmul, indices_of, merge_sign,
+                              removal_sign)
 from superw.suite import random_homogeneous
-from superw.walgebra import w_apply
+from superw.tensorfields import lambda_module
 
-from helpers import apply_partial, generator, mask_of, parse_monomial
+from helpers import (apply_partial, basis, generator, mask_of,
+                     parse_monomial, w_apply_oracle)
 
 masks = st.integers(min_value=0, max_value=255)
 
@@ -139,29 +140,14 @@ def gmul_oracle(f, g):
     return GrassmannElement(out)
 
 
-def w_apply_oracle(x, f):
-    """The action as it stood before the sign kernel."""
-    out = {}
-    for (a, j), c in x.terms.items():
-        jbit = 1 << (j - 1)
-        for m, cm in f.terms.items():
-            if not m & jbit:
-                continue
-            rem = m ^ jbit
-            s = removal_sign(j, m) * merge_sign(a, rem)
-            if s:
-                key = a | rem
-                nc = out.get(key, 0) + s * c * cm
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
-    return GrassmannElement(out)
-
-
 def same(f, g):
     """Equal terms in the same insertion order."""
     return list(f.terms.items()) == list(g.terms.items())
+
+
+def w_apply(x, f):
+    """x acting on f through Lambda(n), where x^f sits at index f."""
+    return GrassmannElement._of(lambda_module(x.rank).act(x, f.terms))
 
 
 def random_grassmann(rng, n):

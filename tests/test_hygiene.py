@@ -47,11 +47,14 @@ ORACLES = {"burnside_full", "rank_mod_p", "hom_basis"}
 # (``helpers.extract_L_minus_oracle`` now), the packed block codes and the
 # block-position index, second encodings of a block's weight, and the
 # primitive search that filtered a singular scan by layer, the per-vector
-# gradings a module stored beside its weights, and the coordinate and hash
-# slots of the weight object that wrapped its tuple
+# gradings a module stored beside its weights, the coordinate and hash
+# slots of the weight object that wrapped its tuple, and the action on
+# Grassmann elements that Lambda(n) = T(C) took over
+# (``helpers.w_apply_oracle`` now)
 RETIRED_NAMES = {"BURNSIDE_MAX_DIM", "IsomorphismUndecidedError", "_full_rank",
                  "extract_L_minus_submodule", "_Targets", "block_index",
-                 "find_primitive", "zdegs", "parities", "_coords", "_hash"}
+                 "find_primitive", "zdegs", "parities", "_coords", "_hash",
+                 "w_apply"}
 
 # the only readers of the mod-p modulus
 PRIME_READERS = {"linalg.py": {"rank_mod_p"}, "spanops.py": {"burnside_full"}}
@@ -427,7 +430,9 @@ def test_scans_flag_oracle_calls_and_retired_names():
            "    block_of = spanops.block_index(m)\n"
            "    return find_primitive(m, b, degrees=[1]), _Targets(m), block_of\n"
            "def grading(m, w):\n"
-           "    return m.zdegs, m.parities, w._coords, w._hash\n")
+           "    return m.zdegs, m.parities, w._coords, w._hash\n"
+           "def leibniz(x, f):\n"
+           "    return walgebra.w_apply(x, f)\n")
     assert sorted(calls_to(src, ORACLES)) == [
         "line 4: burnside_full", "line 5: rank_mod_p", "line 8: hom_basis"]
     assert RETIRED_NAMES <= identifiers(src)

@@ -12,15 +12,14 @@ import superw.modules as mods
 from superw.errors import RankTooSmallError
 from superw.glmodules import gl_natural, gl_simple, gl_trivial, mixed_tensor
 from superw.induction import kac_plus
-from superw.modules import (Character, FiniteWModule, adjoint_module,
-                            check_representation, dual_module, generates,
-                            is_simple, iso_check, lambda_module,
+from superw.modules import (Character, FiniteWModule, check_representation,
+                            dual_module, generates, is_simple, iso_check,
                             psi_invariants, quotient_module, singular_line,
                             singular_vectors, submodule_generated,
                             tensor_module, top_generator)
 from superw.suite import PAIRS_LE2
-from superw.tensorfields import (coinduction_duality_check, extract_L_minus,
-                                 tensor_field)
+from superw.tensorfields import (adjoint_module, coinduction_duality_check,
+                                 extract_L_minus, lambda_module, tensor_field)
 from superw.walgebra import (BorelOrder, basis_terms, term_weight,
                              triangular_terms)
 from superw.weights import Weight

@@ -9,14 +9,16 @@ that no raising term can leave, so no check can tell the two apart."""
 
 import pytest
 
-from superw import glmodules, induction, modules, stability, walgebra
+from superw import cli, glmodules, induction, modules, stability, walgebra
 from superw.glmodules import gl_natural, gl_simple, mixed_weight, weyl_dim
+from superw.grassmann import merge_sign, removal_sign
 from superw.induction import kac_plus
 from superw.linalg import vec_axpy
-from superw.modules import (check_representation, dual_module, lambda_module,
-                            psi_invariants, tensor_module)
+from superw.modules import (check_representation, dual_module, psi_invariants,
+                            tensor_module)
 from superw.stability import restricted_character
 from superw.suite import jacobi_failures
+from superw.tensorfields import lambda_module
 from superw.walgebra import basis_terms, term_parity
 
 from helpers import (complement_signs, kac_plus_oracle, on_field_basis,
@@ -70,6 +72,16 @@ def check_jacobi():
     assert jacobi_failures(3, 200) == []
 
 
+def check_leibniz():
+    # the action on Lambda(3) is a superderivation of the product, on the
+    # pairs ``superw check`` samples
+    assert cli._leibniz_failures(3, 200, 7) == []
+
+
+def check_lambda_relations():
+    assert check_representation(lambda_module(3)) == []
+
+
 def odd_term_on_odd_vector(term, w):
     return term_parity(term) and w.total() % 2
 
@@ -105,6 +117,24 @@ def flip_the_tensor_parity_sign(tensor_module):
 def drop_the_det_twist(kac_plus):
     # the tensor fields over X itself, where E_ii acts with one more
     return lambda x, n: modules.field_module(x, "K+")
+
+
+def drop_the_removal_sign(field_columns):
+    # the derivation hit x^a d_j(x^f) = removal_sign(j, f) merge_sign(a, rem)
+    # x^(a|rem), rem = f minus x_j, without its removal sign: where that
+    # sign is -1, the entry moves by twice the merged term
+    def columns(x_col, dx):
+        col = field_columns(x_col, dx)
+
+        def mutant(term, j):
+            f, v = divmod(j, dx)
+            (a, tj), out = term, dict(col(term, j))
+            if f >> (tj - 1) & 1 and removal_sign(tj, f) < 0:
+                rem = f ^ 1 << (tj - 1)
+                vec_axpy(out, 2 * merge_sign(a, rem), {(a | rem) * dx + v: 1})
+            return out
+        return mutant
+    return columns
 
 
 def flip_a_merge_sign(inversion_mask):
@@ -149,6 +179,11 @@ MUTANTS = [
     pytest.param(induction, "kac_plus", drop_the_det_twist,
                  check_kac_plus_against_the_straightening,
                  id="kac_plus-drops-the-det-twist"),
+    pytest.param(modules, "field_columns", drop_the_removal_sign,
+                 check_leibniz, id="field-columns-drop-the-removal-sign-leibniz"),
+    pytest.param(modules, "field_columns", drop_the_removal_sign,
+                 check_lambda_relations,
+                 id="field-columns-drop-the-removal-sign-representation"),
     pytest.param(walgebra, "inversion_mask", flip_a_merge_sign,
                  check_jacobi, id="bracket-flips-a-merge-sign"),
     pytest.param(walgebra, "parity", even_everywhere,

@@ -9,12 +9,10 @@ from superw.glmodules import (gl_conatural, gl_natural, gl_simple, gl_trivial,
                               mixed_weight, weyl_dim)
 from superw.induction import kac_minus_truncated, kac_plus
 from superw.linalg import RationalEchelon
-from superw.modules import (adjoint_module, check_representation,
-                            dual_module, generates, is_simple, lambda_module,
-                            local_terms, psi_invariants, quotient_module,
-                            singular_space, singular_vectors,
-                            submodule_generated,
-                            tensor_module)
+from superw.modules import (check_representation, dual_module, generates,
+                            is_simple, local_terms, psi_invariants,
+                            quotient_module, singular_space, singular_vectors,
+                            submodule_generated, tensor_module)
 import superw.glmodules as glm
 import superw.spanops as spanops
 from superw.spanops import (apply_gen, burnside_full, hom_basis,
@@ -22,7 +20,7 @@ from superw.spanops import (apply_gen, burnside_full, hom_basis,
 from superw.partitions import stable_highest_weight
 from superw.errors import RankTooSmallError
 from superw.suite import PAIRS_LE2
-from superw.tensorfields import tensor_field
+from superw.tensorfields import adjoint_module, lambda_module, tensor_field
 from superw.walgebra import (BorelOrder, generating_terms, term_weight,
                              triangular_terms)
 from superw.weights import Weight

@@ -7,9 +7,9 @@ import pytest
 from superw import stability
 from superw.glmodules import gl_trivial
 from superw.induction import kac_plus
-from superw.modules import lambda_module
 from superw.stability import (_build_family_member, restricted_character,
                               stabilization_sweep)
+from superw.tensorfields import lambda_module
 from superw.walgebra import basis_terms
 
 

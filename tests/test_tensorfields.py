@@ -5,23 +5,24 @@ import pytest
 import superw.modules as mods
 import superw.spanops as spanops
 from superw.errors import RankMismatchError, RankTooSmallError
+from superw.grassmann import GrassmannElement
 from superw.glmodules import gl_conatural, gl_natural, gl_simple, gl_trivial
 from superw.induction import kac_plus
-from superw.modules import (adjoint_module, check_representation, dual_module,
-                            generates, is_simple, iso_check, lambda_module,
-                            submodule_generated)
+from superw.modules import (check_representation, dual_module, generates,
+                            is_simple, iso_check, submodule_generated)
 from superw.partitions import stable_highest_weight
 from superw.spanops import module_closure
 from superw.suite import PAIRS_LE2
-from superw.tensorfields import (coinduction_duality_check, extract_L_minus,
-                                 tensor_field)
-from superw.walgebra import (BorelOrder, basis_terms, generating_terms,
+from superw.tensorfields import (adjoint_module, coinduction_duality_check,
+                                 extract_L_minus, lambda_module, tensor_field)
+from superw.walgebra import (BorelOrder, WElement, basis_terms,
+                             generating_terms, term_bracket, term_weight,
                              triangular_terms)
 from superw.weights import Weight
 
 from helpers import (convolve, direct_sum, duality_oracle,
                      extract_L_minus_oracle, iso_check_oracle,
-                     tensor_field_oracle)
+                     tensor_field_oracle, w_apply_oracle)
 
 
 def test_tensor_field_satisfies_the_bracket_relation():
@@ -55,6 +56,36 @@ def test_columns_match_the_two_call_sign_builder(base, n):
     for term in basis_terms(n):
         for j in range(t.dim):
             assert list(t.column(term, j).items()) == list(want.column(term, j).items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lambda_columns_are_the_action_on_monomials(n):
+    # Lambda(n) = T(C), x^f at index f: every column is the action of one
+    # basis term on x^f, sign for sign, so a GrassmannElement's terms are
+    # its vector
+    m = lambda_module(n)
+    assert m.weights == [Weight.from_dense(f >> i & 1 for i in range(n))
+                         for f in range(1 << n)]
+    for term in basis_terms(n):
+        x = WElement(n, {term: 1})
+        for f in range(1 << n):
+            assert m.column(term, f) == w_apply_oracle(x, GrassmannElement({f: 1})).terms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_adjoint_columns_are_the_bracket(n):
+    # W(n) = T(V*), x^a d_j at index a * n + j - 1: every column is the
+    # bracket of two basis terms, sign for sign
+    m = adjoint_module(n)
+    terms = basis_terms(n)
+    assert m.dim == len(terms)
+    for a, j in terms:
+        assert m.weights[a * n + j - 1] == term_weight((a, j))
+    for t in terms:
+        for a, j in terms:
+            want = {b * n + l - 1: c
+                    for (b, l), c in term_bracket({t: 1}, {(a, j): 1}).items()}
+            assert m.column(t, a * n + j - 1) == want
 
 
 def test_trivial_coefficients_recover_scalars():
