@@ -3,7 +3,8 @@ algebra at finite rank: the graded bracket, weight modules over the
 degree-zero general linear part, induced modules in both directions,
 tensor-field realizations, and cross-rank stabilization checks.  The
 Grassmann algebra and the superderivation algebra are themselves tensor
-fields, T(C) and T(V*), built on the one tensor-field column kernel.
+fields, T(C) and T(V*), on one column kernel; a Grassmann element is a
+term dict, its vector in T(C), and a superderivation is a ``WElement``.
 
 Everything is computed over the rationals, and every verdict is exact;
 arithmetic modulo a prime survives only in oracles the tests compare
@@ -17,7 +18,7 @@ from .weights import Weight, order_sequence
 from .partitions import (Partition, aspartition, lr_coefficient,
                          partitions_of, schur_dim, socle_layer_mults,
                          stable_highest_weight)
-from .grassmann import GrassmannElement, gmul, merge_sign, removal_sign
+from .grassmann import merge_sign, removal_sign
 from .walgebra import (BorelOrder, WElement, basis_terms, bracket,
                        component_dim, format_welement, graded_jacobi_defect)
 from .glmodules import (SocleReport, gl_conatural, gl_natural, gl_simple,
@@ -40,7 +41,7 @@ gl_iso_check = iso_check
 
 __all__ = [
     "BorelOrder", "Character", "Criterion", "DualityReport", "FiniteWModule",
-    "GlModule", "GrassmannElement", "InhomogeneousError",
+    "GlModule", "InhomogeneousError",
     "NonBasisElementError", "Partition", "RankMismatchError",
     "RankTooSmallError", "SimplicityVerdict", "SocleReport",
     "StabilizationReport", "Typicality", "WElement",
@@ -48,7 +49,7 @@ __all__ = [
     "check_representation", "coinduction_duality_check", "component_dim",
     "dual_module", "extract_L_minus",
     "format_welement", "gl_conatural", "gl_iso_check", "gl_natural",
-    "gl_simple", "gl_trivial", "gmul", "graded_jacobi_defect",
+    "gl_simple", "gl_trivial", "graded_jacobi_defect",
     "is_simple", "iso_check", "kac_minus_truncated", "kac_plus",
     "lambda_module", "lr_coefficient", "merge_sign",
     "mixed_tensor", "order_sequence", "partitions_of",

@@ -19,7 +19,9 @@ import sys
 from pathlib import Path
 
 from .glmodules import gl_simple, verify_socle_identity
+from .grassmann import format_monomial, format_terms, gmul
 from .induction import kac_minus_truncated, kac_plus, typicality
+from .linalg import vec_axpy
 from .modules import (check_representation, highest_weight_verdict,
                       is_simple, iso_check, psi_invariants, singular_vectors)
 from .partitions import Partition, stable_highest_weight
@@ -30,13 +32,15 @@ from .tensorfields import (coinduction_duality_check, extract_L_minus,
                            lambda_module, tensor_field)
 from .walgebra import (BorelOrder, basis_terms, component_dim, format_term,
                        format_welement, parity, term_bracket)
-from .grassmann import GrassmannElement, gmul
 
 
 def _dump(args, payload: dict) -> None:
     if getattr(args, "out", None):
         text = json.dumps(payload, sort_keys=True, indent=2)
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as e:
+            raise ValueError(f"cannot write {args.out}: {e.strerror or e}") from e
 
 
 def _require_rank(n: int) -> None:
@@ -71,22 +75,21 @@ def cmd_dims(args) -> int:
 
 def _leibniz_failures(n: int, samples: int, seed: int, limit: int = 1) -> list:
     rng = random.Random(seed)
-    lam = lambda_module(n)  # x^f at index f, so f.terms is the vector of f
-
-    def apply(x, f: GrassmannElement) -> GrassmannElement:
-        return GrassmannElement._of(lam.act(x, f.terms))
-
+    act = lambda_module(n).act  # x^f at index f, so a term dict is its vector
     bad = []
     full = (1 << n) - 1
     for _ in range(samples):
         x = random_homogeneous(rng, n)
-        f = GrassmannElement({rng.randrange(full + 1): rng.randint(1, 3)})
-        g = GrassmannElement({rng.randrange(full + 1): rng.randint(1, 3),
-                              rng.randrange(full + 1): rng.randint(-3, 3)})
-        sgn = -1 if parity(x) and f.parity() else 1
-        lhs = apply(x, gmul(f, g))
-        rhs = gmul(apply(x, f), g) + sgn * gmul(f, apply(x, g))
-        if lhs != rhs:
+        a = rng.randrange(full + 1)
+        f = {a: rng.randint(1, 3)}
+        g = {rng.randrange(full + 1): rng.randint(1, 3),
+             rng.randrange(full + 1): rng.randint(-3, 3)}
+        g = {m: c for m, c in g.items() if c}
+        sgn = -1 if parity(x) and a.bit_count() & 1 else 1
+        defect = act(x, gmul(f, g))
+        vec_axpy(defect, -1, gmul(act(x, f), g))
+        vec_axpy(defect, -sgn, gmul(f, act(x, g)))
+        if defect:
             bad.append((x, f, g))
             if len(bad) >= limit:
                 break
@@ -115,7 +118,8 @@ def cmd_check(args) -> int:
     leib_dump = None
     if leib:
         x, f, g = leib[0]
-        leib_dump = [format_welement(x), str(f), str(g)]
+        leib_dump = [format_welement(x)] + [
+            format_terms(h, lambda m: (m.bit_count(), m), format_monomial) for h in (f, g)]
     props.append({"name": "leibniz", "passed": not leib, "samples": samples,
                   "counterexample": leib_dump})
 
@@ -375,6 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) and not Path(args.out).parent.is_dir():
+            raise ValueError(f"no directory {Path(args.out).parent} for --out")
         return args.fn(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -47,8 +47,8 @@ def tensor_field(x: GlModule, n: int) -> FiniteWModule:
 
 
 def lambda_module(n: int) -> FiniteWModule:
-    """The Grassmann algebra Lambda(n) = T(C), with x^f at index f: the
-    terms of a ``GrassmannElement`` are already its vector."""
+    """The Grassmann algebra Lambda(n) = T(C), with x^f at index f: a term
+    dict {f: coefficient} is already its vector."""
     return field_module(gl_trivial(n), name="Lambda")
 
 

@@ -22,7 +22,6 @@ monomial at low rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from numbers import Rational
@@ -36,6 +35,7 @@ from .grassmann import (
     Coeff,
     Monomial,
     format_monomial,
+    format_terms,
     indices_of,
     inversion_mask,
 )
@@ -361,15 +361,4 @@ def generating_terms(n: int) -> list[Term]:
 
 
 def format_welement(x: WElement) -> str:
-    if not x.terms:
-        return "0"
-    parts = []
-    for t in sorted(x.terms, key=term_key):
-        c = Fraction(x.terms[t])
-        mag = abs(c)
-        body = format_term(t)
-        if mag != 1:
-            body = f"{mag}*{body}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    s = " ".join(parts)
-    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+    return format_terms(x.terms, term_key, format_term)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
-from typing import Iterable
+from numbers import Rational
+from typing import Iterable, Mapping, Union
 
 from superw.errors import (InhomogeneousError, NonBasisElementError,
                            RankMismatchError, RankTooSmallError)
 from superw.glmodules import cyclic_simple, gl_simple, gl_trivial, mixed_tensor
-from superw.grassmann import (Coeff, GrassmannElement, Monomial, indices_of,
+from superw.grassmann import (Coeff, Monomial, format_monomial, indices_of,
                               merge_sign, removal_sign)
 from superw.induction import kac_plus
 from superw.linalg import RationalEchelon, Vec, kernel_basis, vec_axpy
@@ -29,8 +30,9 @@ from superw.spanops import (apply_gen, coinvariant_blocks, hom_basis,
                             module_closure, singular_blocks)
 from superw.tensorfields import tensor_field
 from superw.walgebra import (BorelOrder, Term, WElement, basis_terms,
-                             bracket, generating_terms, term_degree,
-                             term_parity, triangular_terms)
+                             bracket, format_term, generating_terms,
+                             term_degree, term_key, term_parity,
+                             triangular_terms)
 from superw.weights import Weight, order_sequence
 
 
@@ -119,6 +121,148 @@ class SparseWeight:
 
 
 # ------------------------------------------------------------- grassmann
+
+def degree(mono: Monomial) -> int:
+    return mono.bit_count()
+
+
+class GrassmannElement:
+    """Finite rational combination of square-free monomials: the element
+    type the library kept until its term dicts, the vectors of
+    Lambda(n) = T(C), took over."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Union[Mapping[Monomial, Coeff], Iterable[tuple[Monomial, Coeff]], None] = None):
+        acc: dict[Monomial, Coeff] = {}
+        if terms:
+            items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
+            for m, c in items:
+                if c:
+                    nc = acc.get(m, 0) + c
+                    if nc:
+                        acc[m] = nc
+                    else:
+                        acc.pop(m, None)
+        self.terms = acc
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, Coeff]) -> "GrassmannElement":
+        """Wrap a dict that already holds no zero coefficient, unchecked."""
+        f = object.__new__(cls)
+        f.terms = terms
+        return f
+
+    def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            nc = out.get(m, 0) + c
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+        return GrassmannElement._of(out)
+
+    def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
+        return self + (-other)
+
+    def __neg__(self) -> "GrassmannElement":
+        return GrassmannElement._of({m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other) -> "GrassmannElement":
+        if isinstance(other, GrassmannElement):
+            return gmul_oracle(self, other)
+        if isinstance(other, Rational):
+            if not other:
+                return GrassmannElement._of({})
+            return GrassmannElement._of({m: c * other for m, c in self.terms.items()})
+        return NotImplemented
+
+    def __rmul__(self, other) -> "GrassmannElement":
+        if isinstance(other, Rational):
+            return self.__mul__(other)
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GrassmannElement) and self.terms == other.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def degree(self) -> int:
+        degs = {degree(m) for m in self.terms}
+        if len(degs) != 1:
+            raise InhomogeneousError(f"element is not homogeneous: degrees {sorted(degs)}")
+        return degs.pop()
+
+    def parity(self) -> int:
+        return self.degree() & 1
+
+    def __str__(self) -> str:
+        return format_element(self)
+
+    def __repr__(self) -> str:
+        return f"GrassmannElement({self.terms!r})"
+
+
+def gmul_oracle(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
+    """The product as it stood before the sign kernel: merge_sign per term
+    pair, rebuilt by the validating constructor."""
+    out: dict[Monomial, Coeff] = {}
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            s = merge_sign(a, b)
+            if not s:
+                continue
+            m = a | b
+            nc = out.get(m, 0) + s * ca * cb
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+    return GrassmannElement(out)
+
+
+def _format_coeff(c: Coeff) -> str:
+    f = Fraction(c)
+    return str(f)
+
+
+def format_element(f: GrassmannElement) -> str:
+    if not f.terms:
+        return "0"
+    parts = []
+    for m in sorted(f.terms, key=lambda m: (degree(m), m)):
+        c = Fraction(f.terms[m])
+        mono = format_monomial(m)
+        mag = abs(c)
+        if mono == "1":
+            body = _format_coeff(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{_format_coeff(mag)}*{mono}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
+def format_welement_oracle(x: WElement) -> str:
+    """``walgebra.format_welement`` as it stood before it shared its
+    formatter with the Grassmann term dicts."""
+    if not x.terms:
+        return "0"
+    parts = []
+    for t in sorted(x.terms, key=term_key):
+        c = Fraction(x.terms[t])
+        mag = abs(c)
+        body = format_term(t)
+        if mag != 1:
+            body = f"{mag}*{body}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
 
 def mask_of(indices: Iterable[int]) -> Monomial:
     m = 0

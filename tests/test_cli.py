@@ -188,6 +188,33 @@ def test_out_files_are_byte_stable(tmp_path):
     assert data["n"] == 4 and data["total"] == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["kac", "-l", "1", "-m", "1", "--n", "3"], ["suite"]], ids=["kac", "suite"])
+def test_out_in_a_missing_directory_exits_two_before_computing(
+        argv, tmp_path, capsys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed despite an unwritable --out")
+
+    monkeypatch.setattr("superw.cli.gl_simple", computed)
+    monkeypatch.setattr("superw.cli.run_suite", computed)
+    out = tmp_path / "missing" / "x.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no directory {out.parent} for --out\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_write_error_exits_two_with_one_line(tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    assert main(["dims", "--n", "3", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "total    : 24" in captured.out
+    assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_suite_json_ignores_timings():
     def results(seconds):
         return [Criterion(1, "bracket axioms", True, "ok", seconds),

@@ -1,4 +1,6 @@
-"""Sign bookkeeping and multiplication in the exterior algebra."""
+"""Sign bookkeeping, multiplication and formatting in the exterior
+algebra, on term dicts, against the element class the library kept
+before (``helpers.GrassmannElement``)."""
 
 import random
 from fractions import Fraction
@@ -7,14 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superw.grassmann import (GrassmannElement, degree, format_element,
-                              format_monomial, gmul, indices_of, merge_sign,
-                              removal_sign)
+from superw.grassmann import (format_monomial, format_terms, gmul, indices_of,
+                              merge_sign, removal_sign)
 from superw.suite import random_homogeneous
 from superw.tensorfields import lambda_module
+from superw.walgebra import WElement, format_welement
 
-from helpers import (apply_partial, basis, generator, mask_of,
-                     parse_monomial, w_apply_oracle)
+from helpers import (GrassmannElement, apply_partial, basis, degree,
+                     format_element, format_welement_oracle, generator,
+                     gmul_oracle, mask_of, parse_monomial, w_apply_oracle)
 
 masks = st.integers(min_value=0, max_value=255)
 
@@ -60,35 +63,32 @@ def test_removal_sign_reattaches_generator(mask, i):
     if not mask & bit:
         return
     rest = mask ^ bit
-    prod = gmul(generator(i), GrassmannElement({rest: 1}))
-    assert prod.terms == {mask: removal_sign(i, mask)}
+    assert gmul(generator(i).terms, {rest: 1}) == {mask: removal_sign(i, mask)}
 
 
 @given(masks, masks, masks)
 def test_gmul_associative(a, b, c):
-    f, g, h = (GrassmannElement({m: 1}) for m in (a, b, c))
+    f, g, h = ({m: 1} for m in (a, b, c))
     assert gmul(gmul(f, g), h) == gmul(f, gmul(g, h))
 
 
 @given(masks, masks)
 def test_gmul_supercommutative(a, b):
-    f = GrassmannElement({a: 1})
-    g = GrassmannElement({b: 1})
     sign = -1 if (degree(a) & 1) and (degree(b) & 1) else 1
-    assert gmul(f, g) == sign * gmul(g, f)
+    assert gmul({a: 1}, {b: 1}) == {m: sign * c for m, c in gmul({b: 1}, {a: 1}).items()}
 
 
 def test_generators_square_to_zero():
     for i in range(1, 6):
-        xi = generator(i)
-        assert not gmul(xi, xi)
+        xi = generator(i).terms
+        assert gmul(xi, xi) == {}
 
 
 def test_apply_partial_is_odd_derivation():
     f = GrassmannElement({0b011: 1})   # xi1 xi2
     g = GrassmannElement({0b100: 2})   # 2 xi3
-    lhs = apply_partial(1, gmul(f, g))
-    rhs = gmul(apply_partial(1, f), g) + gmul(f, apply_partial(1, g))
+    lhs = apply_partial(1, f * g)
+    rhs = apply_partial(1, f) * g + f * apply_partial(1, g)
     assert lhs == rhs
     assert apply_partial(1, f).terms == {0b010: 1}
     assert apply_partial(2, f).terms == {0b001: -1}
@@ -122,24 +122,6 @@ def test_inhomogeneous_degree_raises():
         f.degree()
 
 
-def gmul_oracle(f, g):
-    """The product as it stood before the sign kernel: merge_sign per term
-    pair, rebuilt by the validating constructor."""
-    out = {}
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            s = merge_sign(a, b)
-            if not s:
-                continue
-            m = a | b
-            nc = out.get(m, 0) + s * ca * cb
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-    return GrassmannElement(out)
-
-
 def same(f, g):
     """Equal terms in the same insertion order."""
     return list(f.terms.items()) == list(g.terms.items())
@@ -155,15 +137,38 @@ def random_grassmann(rng, n):
                              for _ in range(rng.randint(1, 4))})
 
 
+def format_grassmann(terms):
+    """The Leibniz counterexample's formatting of a term dict."""
+    return format_terms(terms, lambda m: (m.bit_count(), m), format_monomial)
+
+
 @pytest.mark.parametrize("n", [3, 6, 7])
 def test_products_and_actions_match_the_oracles(n):
     rng = random.Random(300 + n)
     for _ in range(400):
         f, g = random_grassmann(rng, n), random_grassmann(rng, n)
         x = random_homogeneous(rng, n)
-        assert same(gmul(f, g), gmul_oracle(f, g))
+        fg, want = gmul(f.terms, g.terms), gmul_oracle(f, g)
+        assert list(fg.items()) == list(want.terms.items())
         assert same(w_apply(x, f), w_apply_oracle(x, f))
-        assert same(w_apply(x, gmul(f, g)), w_apply_oracle(x, gmul_oracle(f, g)))
+        assert same(w_apply(x, GrassmannElement._of(fg)), w_apply_oracle(x, want))
+        # one formatter for both term dicts, fractional coefficients and
+        # the unit monomial included
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        assert format_grassmann(f.terms) == format_element(f)
+        assert format_grassmann(fg) == format_element(want)
+        assert format_welement(q * x) == format_welement_oracle(q * x)
+
+
+def test_formats_of_the_zero_the_unit_and_fractions():
+    cases = [({}, "0"), ({0: 1}, "1"), ({0: -1}, "-1"),
+             ({0: Fraction(3, 2), 0b101: -1}, "3/2 - x1^x3"),
+             ({0b10: Fraction(-1, 2), 0: -2, 0b1: 1}, "-2 + x1 - 1/2*x2")]
+    for terms, want in cases:
+        assert format_grassmann(terms) == format_element(GrassmannElement(terms)) == want
+    for terms in ({}, {(0, 1): Fraction(-1, 2)}, {(0b11, 2): 1, (0, 3): Fraction(5, 3)}):
+        x = WElement(3, terms)
+        assert format_welement(x) == format_welement_oracle(x)
 
 
 def test_grassmann_results_survive_the_validating_constructor():
@@ -173,7 +178,7 @@ def test_grassmann_results_survive_the_validating_constructor():
         f, g = random_grassmann(rng, n), random_grassmann(rng, n)
         x = random_homogeneous(rng, n)
         q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        for out in (gmul(f, g), w_apply(x, f), f + g, f + (-f), f - g, -f,
-                    q * f, f * q, 0 * f):
+        for out in (GrassmannElement._of(gmul(f.terms, g.terms)), w_apply(x, f),
+                    f + g, f + (-f), f - g, -f, q * f, f * q, 0 * f):
             assert all(out.terms.values())
             assert same(GrassmannElement(out.terms), out)

@@ -48,13 +48,15 @@ ORACLES = {"burnside_full", "rank_mod_p", "hom_basis"}
 # block-position index, second encodings of a block's weight, and the
 # primitive search that filtered a singular scan by layer, the per-vector
 # gradings a module stored beside its weights, the coordinate and hash
-# slots of the weight object that wrapped its tuple, and the action on
+# slots of the weight object that wrapped its tuple, the action on
 # Grassmann elements that Lambda(n) = T(C) took over
-# (``helpers.w_apply_oracle`` now)
+# (``helpers.w_apply_oracle`` now), and the Grassmann element class and
+# its formatter, whose term dicts are Lambda(n)'s vectors
+# (``helpers.GrassmannElement`` and ``helpers.format_element`` now)
 RETIRED_NAMES = {"BURNSIDE_MAX_DIM", "IsomorphismUndecidedError", "_full_rank",
                  "extract_L_minus_submodule", "_Targets", "block_index",
                  "find_primitive", "zdegs", "parities", "_coords", "_hash",
-                 "w_apply"}
+                 "w_apply", "GrassmannElement", "format_element"}
 
 # the only readers of the mod-p modulus
 PRIME_READERS = {"linalg.py": {"rank_mod_p"}, "spanops.py": {"burnside_full"}}
@@ -432,7 +434,7 @@ def test_scans_flag_oracle_calls_and_retired_names():
            "def grading(m, w):\n"
            "    return m.zdegs, m.parities, w._coords, w._hash\n"
            "def leibniz(x, f):\n"
-           "    return walgebra.w_apply(x, f)\n")
+           "    return format_element(GrassmannElement(walgebra.w_apply(x, f)))\n")
     assert sorted(calls_to(src, ORACLES)) == [
         "line 4: burnside_full", "line 5: rank_mod_p", "line 8: hom_basis"]
     assert RETIRED_NAMES <= identifiers(src)
@@ -627,9 +629,6 @@ def references(source: str, strings: bool = False) -> set[str]:
 # the tests that calls it, as "file stem.definition"
 SHARED_NAME_CALLERS = {
     "glmodules.SocleReport.to_json": "cli.cmd_socle",
-    "grassmann.GrassmannElement._of": "grassmann.gmul",
-    "grassmann.GrassmannElement.degree": "grassmann.GrassmannElement.parity",
-    "grassmann.GrassmannElement.parity": "cli._leibniz_failures",
     "induction.Typicality.to_json": "cli.cmd_kac",
     "linalg.ModPEchelon.dim": "linalg.rank_mod_p",
     "linalg.ModPEchelon.insert": "linalg.rank_mod_p",
@@ -645,7 +644,6 @@ SHARED_NAME_CALLERS = {
     "modules.Submodule.dim": "cli.cmd_tensorfield",
     "stability.StabilizationReport.to_json": "cli.cmd_stabilize",
     "suite.Criterion.to_json": "cli.cmd_suite",
-    "walgebra.WElement._of": "walgebra.bracket",
     "weights.Weight.to_json": "induction.Typicality.to_json",
 }
 

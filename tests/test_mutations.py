@@ -9,7 +9,8 @@ that no raising term can leave, so no check can tell the two apart."""
 
 import pytest
 
-from superw import cli, glmodules, induction, modules, stability, walgebra
+from superw import (cli, glmodules, grassmann, induction, modules, stability,
+                    walgebra)
 from superw.glmodules import gl_natural, gl_simple, mixed_weight, weyl_dim
 from superw.grassmann import merge_sign, removal_sign
 from superw.induction import kac_plus
@@ -138,9 +139,22 @@ def drop_the_removal_sign(field_columns):
 
 
 def flip_a_merge_sign(inversion_mask):
-    # the bracket's sign kernel: a hit whose remainder holds x_1 merges
-    # with the wrong sign
+    # the sign kernel of the bracket or of the product: a merge with x_1 on
+    # the right takes the wrong sign
     return lambda a: inversion_mask(a) ^ 1
+
+
+def drop_the_merge_sign(gmul):
+    # the product of two term dicts with every merge sign read as +1:
+    # x^a x^b as the sorted monomial x^(a|b)
+    def unsigned(ft, gt):
+        out = {}
+        for a, ca in ft.items():
+            for b, cb in gt.items():
+                if not a & b:
+                    vec_axpy(out, ca * cb, {a | b: 1})
+        return out
+    return unsigned
 
 
 def even_everywhere(parity):
@@ -186,6 +200,10 @@ MUTANTS = [
                  id="field-columns-drop-the-removal-sign-representation"),
     pytest.param(walgebra, "inversion_mask", flip_a_merge_sign,
                  check_jacobi, id="bracket-flips-a-merge-sign"),
+    pytest.param(cli, "gmul", drop_the_merge_sign,
+                 check_leibniz, id="leibniz-product-drops-the-merge-sign"),
+    pytest.param(grassmann, "inversion_mask", flip_a_merge_sign,
+                 check_leibniz, id="leibniz-product-flips-a-merge-sign"),
     pytest.param(walgebra, "parity", even_everywhere,
                  check_jacobi, id="jacobi-defect-reads-every-parity-as-even"),
 ]

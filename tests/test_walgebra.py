@@ -13,7 +13,7 @@ import pytest
 
 from superw import walgebra
 from superw.errors import InhomogeneousError, RankMismatchError
-from superw.grassmann import GrassmannElement, merge_sign, removal_sign
+from superw.grassmann import merge_sign, removal_sign
 from superw.linalg import RationalEchelon
 from superw.suite import jacobi_failures, random_homogeneous, sign_bugged_bracket
 from superw.walgebra import (BorelOrder, WElement, basis_terms, bracket,
@@ -23,8 +23,9 @@ from superw.walgebra import (BorelOrder, WElement, basis_terms, bracket,
                              triangular_terms)
 from superw.weights import Weight
 
-from helpers import (grading_element, parse_welement, partial, positive_pairs,
-                     raising_terms, w_apply_oracle, z_degree)
+from helpers import (GrassmannElement, grading_element, parse_welement,
+                     partial, positive_pairs, raising_terms, w_apply_oracle,
+                     z_degree)
 
 
 def composition_bracket_action(x, y, f):
