@@ -38,8 +38,8 @@ class Row:
 
     def to_json(self) -> dict:
         return {
-            "lambda": list(self.lam.parts),
-            "mu": list(self.mu.parts),
+            "lambda": list(self.lam),
+            "mu": list(self.mu),
             "kac_plus_simple": self.kac_simple,
             "tensor_field_simple": self.field_simple,
             "typical": self.typical,
@@ -117,7 +117,7 @@ def main() -> int:
         with open(a.out, "w") as fh:
             json.dump({"n": a.n, "max_size": a.max_size,
                        "rows": [r.to_json() for r in rows],
-                       "skipped": [{"lambda": list(lam.parts), "mu": list(mu.parts)}
+                       "skipped": [{"lambda": list(lam), "mu": list(mu)}
                                    for lam, mu in skipped]},
                       fh, sort_keys=True, indent=2)
             fh.write("\n")

@@ -16,7 +16,7 @@ from .errors import (InhomogeneousError, NonBasisElementError,
                      RankMismatchError, RankTooSmallError)
 from .weights import Weight, order_sequence
 from .partitions import (Partition, aspartition, lr_coefficient,
-                         partitions_of, schur_dim, socle_layer_mults,
+                         partitions_of, socle_layer_mults,
                          stable_highest_weight)
 from .grassmann import merge_sign, removal_sign
 from .walgebra import (BorelOrder, WElement, basis_terms, bracket,
@@ -55,7 +55,7 @@ __all__ = [
     "mixed_tensor", "order_sequence", "partitions_of",
     "psi_invariants",
     "quotient_module", "removal_sign", "restricted_character", "run_suite",
-    "schur_dim", "socle_layer_mults",
+    "socle_layer_mults",
     "stabilization_sweep", "stable_highest_weight", "submodule_generated",
     "tensor_field",
     "tensor_module", "typicality", "verify_socle_identity",

@@ -49,7 +49,7 @@ def _require_rank(n: int) -> None:
 
 
 def _pair_fields(lam: Partition, mu: Partition, n: int) -> dict:
-    return {"lambda": list(lam.parts), "mu": list(mu.parts), "n": n}
+    return {"lambda": list(lam), "mu": list(mu), "n": n}
 
 
 # ------------------------------------------------------------------- dims

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .errors import RankTooSmallError
 from .linalg import Vec
 from .modules import GlModule, restrict_module, singular_line, tensor_module
 from .partitions import (
     Partition,
     aspartition,
-    schur_dim,
     schur_weights,
     socle_layer_mults,
     stable_highest_weight,
@@ -25,7 +23,7 @@ from .partitions import (
 )
 from .spanops import module_closure
 from .walgebra import BorelOrder, Term, lowering_roots
-from .weights import Weight
+from .weights import NATURAL, Weight
 
 
 def gl_trivial(n: int) -> GlModule:
@@ -143,20 +141,6 @@ def decompose_character(ch: dict[tuple, int], n: int) -> dict[tuple, int]:
     return {nu: m for nu, m in out.items() if m}
 
 
-def mixed_weight(lam, mu, n: int) -> tuple:
-    """Dense dominant weight (lam_1,..,0,..,-mu_2,-mu_1); the two tails
-    must not overlap."""
-    lam = aspartition(lam)
-    mu = aspartition(mu)
-    if lam.length + mu.length > n:
-        raise RankTooSmallError(
-            f"shapes {lam},{mu} need rank >= {lam.length + mu.length}")
-    dense = list(lam.parts + (0,) * (n - lam.length))
-    for t, c in enumerate(mu.parts):
-        dense[n - 1 - t] -= c
-    return tuple(dense)
-
-
 @dataclass
 class SocleReport:
     """Outcome of checking a Schur product decomposition against the
@@ -174,14 +158,14 @@ class SocleReport:
 
     def to_json(self) -> dict:
         return {
-            "lambda": list(self.lam.parts),
-            "mu": list(self.mu.parts),
+            "lambda": list(self.lam),
+            "mu": list(self.mu),
             "n": self.rank,
             "layers": [
                 {
                     "k": k,
                     "constituents": [
-                        {"lambda'": list(lp.parts), "mu'": list(mp.parts),
+                        {"lambda'": list(lp), "mu'": list(mp),
                          "expected": exp, "observed": obs}
                         for lp, mp, exp, obs in rows
                     ],
@@ -189,7 +173,7 @@ class SocleReport:
                 for k, rows in sorted(self.layers.items())
             ],
             "extras": [
-                {"lambda'": list(lp.parts), "mu'": list(mp.parts), "observed": obs}
+                {"lambda'": list(lp), "mu'": list(mp), "observed": obs}
                 for lp, mp, obs in self.extras
             ],
             "pass": self.holds,
@@ -210,11 +194,11 @@ def verify_socle_identity(lam, mu, n: int) -> SocleReport:
     then every layer fits the rank too."""
     lam = aspartition(lam)
     mu = aspartition(mu)
-    mixed_weight(lam, mu, n)  # the top pair must fit the rank
-    top = lam.parts + (0,) * (n - lam.length)
+    stable_highest_weight(lam, mu, NATURAL, n)  # the top pair must fit the rank
+    top = stable_highest_weight(lam, (), NATURAL, n).dense(n)
     mu_dual = {tuple(-x for x in reversed(t)): c
                for t, c in schur_weights(mu, n).items()}
-    lhs_dim = schur_dim(lam, n) * sum(mu_dual.values())
+    lhs_dim = weyl_dim(top, n) * sum(mu_dual.values())
     shifted = {tuple(a + b for a, b in zip(top, t)): c for t, c in mu_dual.items()}
 
     observed: dict[tuple[Partition, Partition], int] = {}
@@ -240,7 +224,7 @@ def verify_socle_identity(lam, mu, n: int) -> SocleReport:
               if (lp, mp) not in matched]
     if extras:
         holds = False
-    rhs_dim = sum(weyl_dim(mixed_weight(lp, mp, n), n) * exp
+    rhs_dim = sum(weyl_dim(stable_highest_weight(lp, mp, NATURAL, n).dense(n), n) * exp
                   for rows in layers.values() for lp, mp, exp, _ in rows)
     return SocleReport(rank=n, lam=lam, mu=mu, holds=holds, lhs_dim=lhs_dim,
                        rhs_dim=rhs_dim, layers=layers, extras=extras)

@@ -18,13 +18,16 @@ from .errors import RankTooSmallError
 from .weights import INTERLEAVED, NATURAL, Weight
 
 
-class Partition:
+class Partition(tuple):
     """Weakly decreasing tuple of positive integers; a part that is not an
-    integer (a float, a string) raises TypeError."""
+    integer (a float, a string) raises TypeError.
 
-    __slots__ = ("parts",)
+    It is the tuple of its parts, so it hashes, iterates and tests equal
+    as that tuple, but all four comparisons order by size, then parts."""
 
-    def __init__(self, parts: Iterable[int] = ()):
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()):
         ps = tuple(operator.index(p) for p in parts)
         # trailing zeros are tolerated on input and stripped
         while ps and ps[-1] == 0:
@@ -34,7 +37,7 @@ class Partition:
                 raise ValueError(f"parts not weakly decreasing: {ps}")
         if ps and ps[-1] < 0:
             raise ValueError(f"negative part in {ps}")
-        self.parts = ps
+        return tuple.__new__(cls, ps)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -45,56 +48,40 @@ class Partition:
         return cls(int(tok) for tok in text.split(","))
 
     def format(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(map(str, self))
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def part(self, i: int) -> int:
         """1-based part, zero beyond the length."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+        return self[i - 1] if 1 <= i <= len(self) else 0
 
     def contains(self, other: "Partition") -> bool:
         return all(self.part(i) >= other.part(i) for i in range(1, other.length + 1))
 
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)
-        )
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, k):
-        return self.parts[k]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
     def __lt__(self, other: "Partition") -> bool:
-        return (self.size, self.parts) < (other.size, other.parts)
+        return (self.size, tuple(self)) < (other.size, tuple(other))
 
-    def __bool__(self) -> bool:
-        return bool(self.parts)
+    def __le__(self, other: "Partition") -> bool:
+        return (self.size, tuple(self)) <= (other.size, tuple(other))
+
+    def __gt__(self, other: "Partition") -> bool:
+        return (self.size, tuple(self)) > (other.size, tuple(other))
+
+    def __ge__(self, other: "Partition") -> bool:
+        return (self.size, tuple(self)) >= (other.size, tuple(other))
 
     def __repr__(self) -> str:
-        return f"Partition({self.parts!r})"
+        return f"Partition({tuple(self)!r})"
 
     def __str__(self) -> str:
-        return "(" + self.format() + ")" if self.parts else "()"
+        return f"({self.format()})"
 
 
 EMPTY = Partition()
@@ -131,24 +118,23 @@ def partitions_of(k: int) -> Iterator[Partition]:
 
 
 @lru_cache(maxsize=None)
-def _lr_count(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    lam_p, mu_p, nu_p = Partition(lam), Partition(mu), Partition(nu)
-    if lam_p.size + mu_p.size != nu_p.size:
+def _lr_count(lam: Partition, mu: Partition, nu: Partition) -> int:
+    if lam.size + mu.size != nu.size:
         return 0
-    if not nu_p.contains(lam_p):
+    if not nu.contains(lam):
         return 0
-    if not mu_p:
+    if not mu:
         return 1
-    nrows = nu_p.length
+    nrows = nu.length
     # cells processed in reverse reading order: rows top to bottom, each row
     # right to left, so the lattice prefix condition can be checked greedily
     cells = []
     for i in range(nrows):
-        lo, hi = lam_p.part(i + 1), nu_p.part(i + 1)
+        lo, hi = lam.part(i + 1), nu.part(i + 1)
         for j in range(hi - 1, lo - 1, -1):
             cells.append((i, j))
-    m = mu_p.length
-    remaining = list(mu_p.parts)
+    m = mu.length
+    remaining = list(mu)
     counts = [0] * (m + 1)
     grid: dict[tuple[int, int], int] = {}
 
@@ -182,31 +168,7 @@ def _lr_count(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) ->
 
 def lr_coefficient(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike) -> int:
     """Coefficient of s_nu in the Schur expansion of s_lam * s_mu."""
-    lam, mu, nu = aspartition(lam), aspartition(mu), aspartition(nu)
-    return _lr_count(lam.parts, mu.parts, nu.parts)
-
-
-def schur_dim(lam: PartitionLike, n: int) -> int:
-    """Number of semistandard tableaux of shape lam with entries at most n.
-
-    Evaluated via the hook content product; the tableau count is used as an
-    independent oracle in the test suite.
-    """
-    lam = aspartition(lam)
-    if n < 0:
-        raise ValueError("negative rank")
-    if lam.length > n:
-        return 0
-    conj = lam.conjugate()
-    num = 1
-    den = 1
-    for i, row in enumerate(lam.parts):
-        for j in range(row):
-            num *= n + j - i
-            den *= (row - j) + (conj.part(j + 1) - i) - 1
-    q, r = divmod(num, den)
-    assert r == 0, (lam, n)
-    return q
+    return _lr_count(aspartition(lam), aspartition(mu), aspartition(nu))
 
 
 def schur_weights(lam: PartitionLike, n: int) -> dict[tuple[int, ...], int]:
@@ -219,7 +181,7 @@ def schur_weights(lam: PartitionLike, n: int) -> dict[tuple[int, ...], int]:
         out[(0,) * n] = 1
         return out
 
-    rows = lam.parts
+    rows = lam
 
     def fill(i: int, above: tuple[int, ...], content: list[int]):
         if i == len(rows):
@@ -294,8 +256,7 @@ def stable_highest_weight(lam: PartitionLike, mu: PartitionLike, order: str, n: 
     if order == NATURAL:
         if n < lam.length + mu.length:
             raise RankTooSmallError(
-                f"rank {n} too small for natural weight of {lam}/{mu}"
-            )
+                f"shapes {lam},{mu} need rank >= {lam.length + mu.length}")
         coords = [(i, lam.part(i)) for i in range(1, lam.length + 1)]
         coords += [(n - j + 1, -mu.part(j)) for j in range(1, mu.length + 1)]
         return Weight(coords)

@@ -115,8 +115,8 @@ class StabilizationReport:
     def to_json(self) -> dict:
         payload = {
             "object": self.obj,
-            "lambda": list(self.lam.parts),
-            "mu": list(self.mu.parts),
+            "lambda": list(self.lam),
+            "mu": list(self.mu),
             "n_from": self.n_from,
             "n_to": self.n_to,
             "window": self.window,

@@ -171,7 +171,7 @@ def criterion_3() -> Criterion:
         verdicts = []
         for lam, mu in PAIRS_LE2:
             k = kac_plus(gl_simple(lam, mu, 4, order="natural"), 4)
-            expect = not (lam.size == 0 and len(mu.parts) <= 1)
+            expect = not (lam.size == 0 and mu.length <= 1)
             got = is_simple(k).simple
             verdicts.append(got)
             if got != expect:

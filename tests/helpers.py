@@ -695,7 +695,7 @@ def schur_module(lam, n: int) -> GlModule:
     if lam.size == 0:
         return gl_trivial(n)
     amb = mixed_tensor(lam.size, 0, n)
-    hw = Weight.from_dense(lam.parts + (0,) * (n - lam.length))
+    hw = Weight.from_dense(lam)
     out = cyclic_simple(amb, hw)
     out.name = f"S_{lam}(V)"
     return out

@@ -17,9 +17,8 @@ from superw.modules import (GlModule, check_representation, dual_module,
                             iso_check, local_terms, quotient_module,
                             restrict_module, singular_line,
                             submodule_generated, tensor_module)
-from superw.partitions import (Partition, partitions_of, schur_dim,
-                               schur_weights, socle_layer_mults,
-                               stable_highest_weight)
+from superw.partitions import (Partition, partitions_of, schur_weights,
+                               socle_layer_mults, stable_highest_weight)
 from superw.spanops import (hom_basis, module_closure, restricted_action,
                             singular_blocks)
 from superw.tensorfields import lambda_module
@@ -96,7 +95,7 @@ def test_weyl_fold_matches_peeling(lam, mu):
     product_ch = char_product(schur_weights(lam, n), conatural_schur_weights(mu, n))
     want = peel_character(product_ch, n)
     assert decompose_character(product_ch, n) == want
-    top = lam.parts + (0,) * (n - lam.length)
+    top = tuple(lam) + (0,) * (n - lam.length)
     shifted = {tuple(a + b for a, b in zip(top, t)): c
                for t, c in conatural_schur_weights(mu, n).items()}
     assert decompose_character(shifted, n) == want
@@ -239,14 +238,13 @@ def test_gl_simple_interleaved_order():
 
 def test_schur_module_dims_match_tableau_count():
     for parts, n in (((2, 1), 3), ((2,), 4), ((1, 1, 1), 3)):
-        assert schur_module(parts, n).dim == schur_dim(parts, n)
+        assert schur_module(parts, n).dim == sum(schur_weights(parts, n).values())
 
 
-def test_weyl_dim_against_schur_dim():
-    for parts in ((1,), (2,), (2, 1), (3, 1)):
-        for n in (3, 4, 5):
-            dense = parts + (0,) * (n - len(parts))
-            assert weyl_dim(dense, n) == schur_dim(parts, n)
+def test_weyl_dim_of_a_mixed_weight():
+    # the shapes alone are checked against the tableau count in
+    # test_partitions; here both tails are nonzero
+    assert weyl_dim((1, 0, 0, -1), 4) == 15
     assert weyl_dim((2, 0, 0, -2), 4) == 84
 
 

@@ -52,11 +52,14 @@ ORACLES = {"burnside_full", "rank_mod_p", "hom_basis"}
 # Grassmann elements that Lambda(n) = T(C) took over
 # (``helpers.w_apply_oracle`` now), and the Grassmann element class and
 # its formatter, whose term dicts are Lambda(n)'s vectors
-# (``helpers.GrassmannElement`` and ``helpers.format_element`` now)
+# (``helpers.GrassmannElement`` and ``helpers.format_element`` now), and
+# the second dimension formula for a shape and the second natural weight
+# of a partition pair, which ``weyl_dim`` and ``stable_highest_weight`` give
 RETIRED_NAMES = {"BURNSIDE_MAX_DIM", "IsomorphismUndecidedError", "_full_rank",
                  "extract_L_minus_submodule", "_Targets", "block_index",
                  "find_primitive", "zdegs", "parities", "_coords", "_hash",
-                 "w_apply", "GrassmannElement", "format_element"}
+                 "w_apply", "GrassmannElement", "format_element",
+                 "schur_dim", "mixed_weight"}
 
 # the only readers of the mod-p modulus
 PRIME_READERS = {"linalg.py": {"rank_mod_p"}, "spanops.py": {"burnside_full"}}
@@ -434,7 +437,9 @@ def test_scans_flag_oracle_calls_and_retired_names():
            "def grading(m, w):\n"
            "    return m.zdegs, m.parities, w._coords, w._hash\n"
            "def leibniz(x, f):\n"
-           "    return format_element(GrassmannElement(walgebra.w_apply(x, f)))\n")
+           "    return format_element(GrassmannElement(walgebra.w_apply(x, f)))\n"
+           "def socle(lam, mu, n):\n"
+           "    return schur_dim(lam, n), mixed_weight(lam, mu, n)\n")
     assert sorted(calls_to(src, ORACLES)) == [
         "line 4: burnside_full", "line 5: rank_mod_p", "line 8: hom_basis"]
     assert RETIRED_NAMES <= identifiers(src)

@@ -195,7 +195,7 @@ def column_mismatches(m, oracle, terms) -> list:
 
 def pair_id(pair) -> str:
     lam, mu = pair
-    return f"({','.join(map(str, lam.parts))}|{','.join(map(str, mu.parts))})"
+    return f"({','.join(map(str, lam))}|{','.join(map(str, mu))})"
 
 
 def fitting(n: int) -> list:

@@ -11,27 +11,76 @@ import pytest
 
 from superw import (cli, glmodules, grassmann, induction, modules, stability,
                     walgebra)
-from superw.glmodules import gl_natural, gl_simple, mixed_weight, weyl_dim
+from superw.glmodules import (gl_natural, gl_simple, verify_socle_identity,
+                              weyl_dim)
 from superw.grassmann import merge_sign, removal_sign
-from superw.induction import kac_plus
+from superw.induction import kac_minus_truncated, kac_plus
 from superw.linalg import vec_axpy
-from superw.modules import (check_representation, dual_module, psi_invariants,
+from superw.modules import (check_representation, dual_module, generates,
+                            is_simple, psi_invariants, singular_line,
+                            singular_vectors, submodule_generated,
                             tensor_module)
+from superw.partitions import aspartition, stable_highest_weight
 from superw.stability import restricted_character
-from superw.suite import jacobi_failures
-from superw.tensorfields import lambda_module
-from superw.walgebra import basis_terms, term_parity
+from superw.suite import PAIRS_LE2, jacobi_failures
+from superw.tensorfields import lambda_module, tensor_field
+from superw.walgebra import BorelOrder, basis_terms, term_parity
+from superw.weights import Weight
 
 from helpers import (complement_signs, kac_plus_oracle, on_field_basis,
-                     psi_span_oracle, restricted_character_oracle)
+                     psi_span_oracle, raising_terms, restricted_character_oracle,
+                     singular_blocks_oracle)
 
 
 def check_gl_simple_dims():
     # Weyl's dimension formula, in both Borel orders
     for lam, mu in [((1,), (1,)), ((2,), (1,)), ((1, 1), ())]:
+        top = stable_highest_weight(lam, mu, "natural", 4).dense(4)
         for order in ("natural", "interleaved"):
-            assert gl_simple(lam, mu, 4, order).dim == \
-                weyl_dim(mixed_weight(lam, mu, 4), 4), (lam, mu, order)
+            assert gl_simple(lam, mu, 4, order).dim == weyl_dim(top, 4), \
+                (lam, mu, order)
+
+
+def check_kac_plus_dichotomy():
+    # criterion 3 at rank 3: K+(V(lam|mu)) is simple exactly away from the
+    # one-row duals, decided by singular vectors and the generation test
+    for lam, mu in PAIRS_LE2:
+        if lam.length + mu.length <= 3:
+            expect = not (lam.size == 0 and mu.length <= 1)
+            assert is_simple(kac_plus(gl_simple(lam, mu, 3), 3)).simple == expect, \
+                (lam, mu)
+
+
+def check_min_singular_vectors():
+    # the interleaved "min" raising set has the joint kernel of every
+    # raising term of that datum
+    b = BorelOrder("interleaved", 3, "min")
+    x = gl_simple((1,), (1,), 3, "interleaved")
+    for m in (lambda_module(3), tensor_field(x, 3),
+              kac_minus_truncated(gl_simple((1,), (), 3, "interleaved"), 3, 2)):
+        assert {w: len(vecs) for w, vecs in singular_vectors(m, b).items()} == \
+            {w: len(vecs) for w, vecs in
+             singular_blocks_oracle(m, raising_terms(b)).items()}, m.name
+
+
+def check_min_generation():
+    # the "min" generation test agrees with the closure of the singular line
+    # under every basis term: L-(1|1) and L-(1|) fill T, L-(2|) does not
+    b = BorelOrder("interleaved", 3, "min")
+    for lam, mu in [((1,), (1,)), ((1,), ()), ((2,), ())]:
+        hw = stable_highest_weight(lam, mu, "interleaved", 3)
+        t = tensor_field(gl_simple(lam, mu, 3, "interleaved"), 3)
+        v = singular_line(t, b, hw)
+        full = submodule_generated(t, [v]).module().dim == t.dim
+        assert generates(t, hw, v, b) == full, (lam, mu)
+
+
+def check_socle_dims():
+    # both sides of S_lam(V) (x) S_mu(V*) by Weyl's formula, with a
+    # two-part mu whose natural weight ends in -mu reversed
+    for lam, mu, n in [((1,), (2, 1), 4), ((2, 1), (2, 1), 6)]:
+        rep = verify_socle_identity(lam, mu, n)
+        assert rep.holds and rep.lhs_dim == rep.rhs_dim, (lam, mu)
 
 
 def check_psi_dims():
@@ -175,6 +224,65 @@ def seed_from_the_top_block(singular_blocks):
     return top_only
 
 
+def drop_a_lowering_term(triangular_terms):
+    # d_{sn} for "max", a lowering root for "min"
+    def dropped(b):
+        raising, lowering = triangular_terms(b)
+        return raising, lowering[1:]
+    return dropped
+
+
+def drop_a_raising_term(triangular_terms):
+    def dropped(b):
+        raising, lowering = triangular_terms(b)
+        return raising[:-1], lowering
+    return dropped
+
+
+def the_wrong_min_partial(triangular_terms):
+    # d_{sn} in the "min" raising set, where d_{s1} belongs: the positive
+    # roots carry d_{s1} to every d_j, but d_{sn} to none
+    def wrong(b):
+        raising, lowering = triangular_terms(b)
+        if b.extension == "min":
+            s = b.sequence()
+            raising = tuple((0, s[-1]) if t == (0, s[0]) else t for t in raising)
+        return raising, lowering
+    return wrong
+
+
+def the_wrong_min_top(triangular_terms):
+    # x_{s(n-1)}x_{sn} d_{s1} in the "min" lowering set, where
+    # x_{s1}x_{s2} d_{sn} belongs: a term of W_1 all the same, but with the
+    # negative roots it generates less of W_{>=1}
+    def wrong(b):
+        raising, lowering = triangular_terms(b)
+        if b.extension == "min" and b.rank >= 3:
+            s = b.sequence()
+            low = 1 << (s[-2] - 1) | 1 << (s[-1] - 1)
+            lowering = lowering[:-2] + ((low, s[0]),) + lowering[-1:]
+        return raising, lowering
+    return wrong
+
+
+def close_under_the_raising_roots(lowering_roots):
+    # the simple raising root vectors x_{s_k} d_{s_(k+1)} in place of the
+    # lowering ones
+    return lambda b: tuple((1 << (i - 1), j) for i, j in b.simple_pairs())
+
+
+def keep_the_mu_tail_unreversed(stable_highest_weight):
+    # the natural weight with -mu_1, .., -mu_k in that order on the last k
+    # indices, not -mu_k, .., -mu_1
+    def unreversed(lam, mu, order, n):
+        w = stable_highest_weight(lam, mu, order, n)
+        if order != "natural":
+            return w
+        dense, k = w.dense(n), aspartition(mu).length
+        return Weight.from_dense(dense[:n - k] + dense[n - k:][::-1])
+    return unreversed
+
+
 def skip_the_permutation_fill(orbit):
     return lambda dense: iter([dense])
 
@@ -184,6 +292,18 @@ MUTANTS = [
                  check_gl_simple_dims, id="cyclic_simple-drops-a-root"),
     pytest.param(modules, "singular_blocks", seed_from_the_top_block,
                  check_psi_dims, id="psi-seeds-the-top-block-only"),
+    pytest.param(modules, "triangular_terms", drop_a_lowering_term,
+                 check_kac_plus_dichotomy, id="triangular-drops-a-lowering-term"),
+    pytest.param(modules, "triangular_terms", drop_a_raising_term,
+                 check_min_singular_vectors, id="triangular-drops-a-raising-term"),
+    pytest.param(modules, "triangular_terms", the_wrong_min_partial,
+                 check_min_singular_vectors, id="min-raises-by-the-wrong-partial"),
+    pytest.param(modules, "triangular_terms", the_wrong_min_top,
+                 check_min_generation, id="min-lowers-by-the-wrong-top-term"),
+    pytest.param(modules, "lowering_roots", close_under_the_raising_roots,
+                 check_psi_dims, id="psi-closes-under-the-raising-roots"),
+    pytest.param(glmodules, "stable_highest_weight", keep_the_mu_tail_unreversed,
+                 check_socle_dims, id="natural-weight-keeps-mu-unreversed"),
     pytest.param(stability, "_orbit", skip_the_permutation_fill,
                  check_restricted_characters, id="restricted-skips-the-orbit"),
     pytest.param(modules, "dual_module", flip_the_dual_parity_sign,

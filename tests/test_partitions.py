@@ -4,6 +4,8 @@ The tableau-counting routines are checked against a brute-force
 semistandard filling enumerator written independently here.
 """
 
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -11,9 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superw.errors import RankTooSmallError
-from superw.glmodules import gl_simple
+from superw.glmodules import gl_simple, weyl_dim
 from superw.partitions import (Partition, aspartition, lr_coefficient,
-                               partitions_of, schur_dim, schur_weights,
+                               partitions_of, schur_weights,
                                socle_layer_mults, stable_highest_weight,
                                weight_to_partition_pair)
 from superw.weights import Weight, order_sequence
@@ -62,27 +64,27 @@ def ssyt_weights(parts: tuple, n: int) -> dict:
     return out
 
 
-SHAPES_3 = [p for s in range(4) for p in partitions_of(s)]
-
-
 @pytest.mark.parametrize("parts", [(), (1,), (2,), (1, 1), (2, 1), (3,), (2, 2)])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_schur_weights_match_tableau_enumeration(parts, n):
     assert schur_weights(parts, n) == ssyt_weights(parts, n)
 
 
-@pytest.mark.parametrize("parts", [(1,), (2, 1), (3, 1, 1), (2, 2)])
-def test_schur_dim_sums_weights(parts):
-    for n in (3, 4):
-        assert schur_dim(parts, n) == sum(schur_weights(parts, n).values())
+SHAPES_5 = [p for s in range(6) for p in partitions_of(s)]
 
 
-def test_schur_dim_known_values():
-    assert schur_dim((1,), 4) == 4
-    assert schur_dim((2,), 3) == 6
-    assert schur_dim((1, 1), 3) == 3
-    assert schur_dim((2, 1), 3) == 8
-    assert schur_dim((1, 1, 1, 1), 3) == 0
+@pytest.mark.parametrize("lam", SHAPES_5, ids=str)
+def test_weyl_dim_of_a_shape_counts_its_tableaux(lam):
+    # Weyl's product formula at the natural highest weight of (lam|)
+    # against the semistandard tableau count, from the rank lam needs up;
+    # below it there is no tableau and no weight
+    for n in range(lam.length, 7):
+        hw = stable_highest_weight(lam, (), "natural", n)
+        assert weyl_dim(hw.dense(n), n) == sum(schur_weights(lam, n).values()), n
+    for n in range(lam.length):
+        assert schur_weights(lam, n) == {}
+        with pytest.raises(RankTooSmallError, match=f"need rank >= {lam.length}"):
+            stable_highest_weight(lam, (), "natural", n)
 
 
 def product_coefficients(lam, mu, n):
@@ -112,7 +114,7 @@ def test_lr_coefficient_matches_character_product(lam, mu):
     size = sum(lam) + sum(mu)
     for nu in partitions_of(size):
         got = lr_coefficient(lam, mu, nu)
-        key = tuple(nu.parts) + (0,) * (n - len(nu.parts))
+        key = tuple(nu) + (0,) * (n - len(nu))
         assert got == want.get(key, 0), (lam, mu, nu)
 
 
@@ -184,6 +186,31 @@ def test_partitions_of_counts():
 def test_parse_format_roundtrip(parts):
     p = Partition(sorted(parts, reverse=True))
     assert Partition.parse(p.format()) == p
+    # copy and pickle rebuild the partition through its constructor
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and type(q) is Partition
+
+
+@given(st.lists(st.integers(min_value=0, max_value=9), max_size=6))
+def test_a_partition_is_its_tuple(parts):
+    parts = tuple(sorted(parts, reverse=True))
+    p = Partition(parts)
+    stripped = parts[:len([c for c in parts if c])]
+    assert p == stripped and stripped == p
+    assert hash(p) == hash(stripped)
+    assert list(p) == list(stripped) and len(p) == p.length == len(stripped)
+    assert bool(p) == bool(stripped)
+
+
+def test_all_four_comparisons_order_by_size_then_parts():
+    for p, q in product(SHAPES_5, repeat=2):
+        kp, kq = (p.size, tuple(p)), (q.size, tuple(q))
+        assert (p < q, p <= q, p > q, p >= q) == (kp < kq, kp <= kq, kp > kq, kp >= kq)
+    # where size and the tuple's own order disagree, size wins
+    small, large = Partition((2,)), Partition((1, 1, 1))
+    assert (2,) > (1, 1, 1)
+    assert small < large and small <= large
+    assert large > small and large >= small
 
 
 def test_aspartition_rejects_increasing():

@@ -6,7 +6,7 @@ import pytest
 
 from superw.errors import NonBasisElementError, RankMismatchError
 from superw.glmodules import (gl_conatural, gl_natural, gl_simple, gl_trivial,
-                              mixed_weight, weyl_dim)
+                              weyl_dim)
 from superw.induction import kac_minus_truncated, kac_plus
 from superw.linalg import RationalEchelon
 from superw.modules import (check_representation, dual_module, generates,
@@ -445,7 +445,8 @@ def _small_modules():
     for n in (3, 4):
         for lam, mu in PAIRS_LE2:
             if (lam.length + mu.length <= n
-                    and 2 ** n * weyl_dim(mixed_weight(lam, mu, n), n) <= 96):
+                    and 2 ** n * weyl_dim(stable_highest_weight(
+                        lam, mu, "natural", n).dense(n), n) <= 96):
                 out.append(pytest.param(
                     lambda lam=lam, mu=mu, n=n: kac_plus(gl_simple(lam, mu, n), n),
                     id=f"K+({lam}|{mu})@{n}"))
