@@ -3,8 +3,8 @@
 A gl(n) module is a ``GlModule``: a module over the degree-zero terms of
 the superderivation algebra, where E_ij is x_i d_j.  Duals, tensor
 products and restrictions are the general ones of ``modules``; this file
-keeps the gl builders, the weight-space decompositions and the
-layer-multiplicity identity.  Everything is exact.
+keeps the gl builders, Weyl's dimension formula and the layer-multiplicity
+identity, whose character fold lives in ``partitions``.  Everything is exact.
 """
 from __future__ import annotations
 
@@ -16,7 +16,9 @@ from .modules import GlModule, restrict_module, singular_line, tensor_module
 from .partitions import (
     Partition,
     aspartition,
+    decompose_character,
     schur_weights,
+    shifted_weights,
     socle_layer_mults,
     stable_highest_weight,
     weight_to_partition_pair,
@@ -111,36 +113,6 @@ def weyl_dim(nu, n: int) -> int:
     return q
 
 
-def decompose_character(ch: dict[tuple, int], n: int) -> dict[tuple, int]:
-    """Multiplicities of simple characters, dominant weight -> count, by one
-    pass over the weights of ch, each folded into the dominant chamber.
-
-    With rho = (n-1, ..., 0), a weight w with w + rho regular contributes
-    sign(s) * ch(w) to nu = s(w + rho) - rho, where s sorts w + rho into
-    descending order; a singular w + rho contributes nothing.  For a
-    W-invariant character this is its decomposition (Weyl's character
-    formula).  For ch = {lam + w: mult_X(w)}, the weights of a module X
-    shifted by a dominant lam, it is V(lam) (x) X (Brauer-Klimyk).  Keys are
-    dense weights of length n.  Raises ValueError when a multiplicity comes
-    out negative, which no genuine character of either kind yields."""
-    rho = range(n - 1, -1, -1)
-    out: dict[tuple, int] = {}
-    for w, mult in ch.items():
-        v = [x + r for x, r in zip(w, rho)]
-        if not mult or len(set(v)) < n:
-            continue
-        for i in range(n):
-            for j in range(i + 1, n):
-                if v[i] < v[j]:
-                    mult = -mult
-        v.sort(reverse=True)
-        nu = tuple(x - r for x, r in zip(v, rho))
-        out[nu] = out.get(nu, 0) + mult
-    if any(m < 0 for m in out.values()):
-        raise ValueError("character is not a nonnegative sum of simples")
-    return {nu: m for nu, m in out.items() if m}
-
-
 @dataclass
 class SocleReport:
     """Outcome of checking a Schur product decomposition against the
@@ -199,10 +171,9 @@ def verify_socle_identity(lam, mu, n: int) -> SocleReport:
     mu_dual = {tuple(-x for x in reversed(t)): c
                for t, c in schur_weights(mu, n).items()}
     lhs_dim = weyl_dim(top, n) * sum(mu_dual.values())
-    shifted = {tuple(a + b for a, b in zip(top, t)): c for t, c in mu_dual.items()}
 
     observed: dict[tuple[Partition, Partition], int] = {}
-    for dense, mult in decompose_character(shifted, n).items():
+    for dense, mult in decompose_character(shifted_weights(top, mu_dual), n).items():
         pair = weight_to_partition_pair(Weight.from_dense(dense), n)
         observed[pair] = observed.get(pair, 0) + mult
 

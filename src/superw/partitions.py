@@ -1,10 +1,10 @@
 """Partitions, Littlewood-Richardson coefficients and socle-layer multiplicities.
 
-Littlewood-Richardson coefficients are computed by the tableau rule: the
-coefficient indexed by an outer shape nu and inner pair (lam, mu) counts
-skew semistandard tableaux of shape nu/lam and content mu whose reverse
-reading word (rows left to right... read right to left, top to bottom) is
-a lattice word.  The convention used everywhere below is
+A Littlewood-Richardson coefficient comes from the character fold that
+decomposes the socle identity's product: at any rank that holds lam, mu
+and nu, the coefficient of s_nu in s_lam * s_mu is the multiplicity of
+V(nu) in V(lam) (x) S_mu, which ``decompose_character`` reads off the
+weights of S_mu shifted by lam (Brauer-Klimyk).  The convention is
 
     lr_coefficient(lam, mu, nu) = coefficient of s_nu in s_lam * s_mu.
 """
@@ -62,9 +62,6 @@ class Partition(tuple):
         """1-based part, zero beyond the length."""
         return self[i - 1] if 1 <= i <= len(self) else 0
 
-    def contains(self, other: "Partition") -> bool:
-        return all(self.part(i) >= other.part(i) for i in range(1, other.length + 1))
-
     def __lt__(self, other: "Partition") -> bool:
         return (self.size, tuple(self)) < (other.size, tuple(other))
 
@@ -117,60 +114,6 @@ def partitions_of(k: int) -> Iterator[Partition]:
     yield from rec(k, k, [])
 
 
-@lru_cache(maxsize=None)
-def _lr_count(lam: Partition, mu: Partition, nu: Partition) -> int:
-    if lam.size + mu.size != nu.size:
-        return 0
-    if not nu.contains(lam):
-        return 0
-    if not mu:
-        return 1
-    nrows = nu.length
-    # cells processed in reverse reading order: rows top to bottom, each row
-    # right to left, so the lattice prefix condition can be checked greedily
-    cells = []
-    for i in range(nrows):
-        lo, hi = lam.part(i + 1), nu.part(i + 1)
-        for j in range(hi - 1, lo - 1, -1):
-            cells.append((i, j))
-    m = mu.length
-    remaining = list(mu)
-    counts = [0] * (m + 1)
-    grid: dict[tuple[int, int], int] = {}
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        above = grid.get((i - 1, j))
-        right = grid.get((i, j + 1))
-        total = 0
-        for v in range(1, m + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            if above is not None and v <= above:
-                continue
-            if right is not None and v > right:
-                continue
-            grid[(i, j)] = v
-            remaining[v - 1] -= 1
-            counts[v] += 1
-            total += place(idx + 1)
-            counts[v] -= 1
-            remaining[v - 1] += 1
-            del grid[(i, j)]
-        return total
-
-    return place(0)
-
-
-def lr_coefficient(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike) -> int:
-    """Coefficient of s_nu in the Schur expansion of s_lam * s_mu."""
-    return _lr_count(aspartition(lam), aspartition(mu), aspartition(nu))
-
-
 def schur_weights(lam: PartitionLike, n: int) -> dict[tuple[int, ...], int]:
     """Weight multiplicities of the Schur module: SSYT contents with entries <= n."""
     lam = aspartition(lam)
@@ -206,6 +149,60 @@ def schur_weights(lam: PartitionLike, n: int) -> dict[tuple[int, ...], int]:
 
     fill(0, (), [0] * n)
     return out
+
+
+def decompose_character(ch: dict[tuple, int], n: int) -> dict[tuple, int]:
+    """Multiplicities of simple characters, dominant weight -> count, by one
+    pass over the weights of ch, each folded into the dominant chamber.
+
+    With rho = (n-1, ..., 0), a weight w with w + rho regular contributes
+    sign(s) * ch(w) to nu = s(w + rho) - rho, where s sorts w + rho into
+    descending order; a singular w + rho contributes nothing.  For a
+    W-invariant character this is its decomposition (Weyl's character
+    formula).  For ch = {lam + w: mult_X(w)}, the weights of a module X
+    shifted by a dominant lam, it is V(lam) (x) X (Brauer-Klimyk).  Keys are
+    dense weights of length n.  Raises ValueError when a multiplicity comes
+    out negative, which no genuine character of either kind yields."""
+    rho = range(n - 1, -1, -1)
+    out: dict[tuple, int] = {}
+    for w, mult in ch.items():
+        v = [x + r for x, r in zip(w, rho)]
+        if not mult or len(set(v)) < n:
+            continue
+        for i in range(n):
+            for j in range(i + 1, n):
+                if v[i] < v[j]:
+                    mult = -mult
+        v.sort(reverse=True)
+        nu = tuple(x - r for x, r in zip(v, rho))
+        out[nu] = out.get(nu, 0) + mult
+    if any(m < 0 for m in out.values()):
+        raise ValueError("character is not a nonnegative sum of simples")
+    return {nu: m for nu, m in out.items() if m}
+
+
+def shifted_weights(top: tuple, weights: dict[tuple, int]) -> dict[tuple, int]:
+    """Weights of X shifted by the dense weight top; folded, V(top) (x) X."""
+    return {tuple(a + b for a, b in zip(top, w)): c for w, c in weights.items()}
+
+
+@lru_cache(maxsize=None)
+def _schur_product(lam: Partition, mu: Partition, n: int) -> dict[tuple, int]:
+    """s_lam * s_mu as V(lam) (x) S_mu at rank n, keyed by dense weights."""
+    top = lam + (0,) * (n - lam.length)
+    return decompose_character(shifted_weights(top, schur_weights(mu, n)), n)
+
+
+def lr_coefficient(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike) -> int:
+    """Coefficient of s_nu in s_lam * s_mu, read at rank len(nu) over the
+    weights of the shape with fewer boxes (s_lam s_mu = s_mu s_lam)."""
+    lam, mu, nu = aspartition(lam), aspartition(mu), aspartition(nu)
+    if mu.size > lam.size:
+        lam, mu = mu, lam
+    # each shape of the product contains lam and mu, in at most len(lam) + len(mu) rows
+    if not max(lam.length, mu.length) <= nu.length <= lam.length + mu.length:
+        return 0
+    return _schur_product(lam, mu, nu.length).get(nu, 0)  # nu is its own dense weight
 
 
 def socle_layer_mults(
@@ -246,21 +243,17 @@ def stable_highest_weight(lam: PartitionLike, mu: PartitionLike, order: str, n: 
     lam, mu = aspartition(lam), aspartition(mu)
     if order == INTERLEAVED:
         need = max(2 * lam.length - 1, 2 * mu.length)
-        if n < need:
-            raise RankTooSmallError(
-                f"rank {n} too small for interleaved weight of {lam}/{mu}, need {need}"
-            )
         coords = [(2 * i - 1, lam.part(i)) for i in range(1, lam.length + 1)]
         coords += [(2 * j, -mu.part(j)) for j in range(1, mu.length + 1)]
-        return Weight(coords)
-    if order == NATURAL:
-        if n < lam.length + mu.length:
-            raise RankTooSmallError(
-                f"shapes {lam},{mu} need rank >= {lam.length + mu.length}")
+    elif order == NATURAL:
+        need = lam.length + mu.length
         coords = [(i, lam.part(i)) for i in range(1, lam.length + 1)]
         coords += [(n - j + 1, -mu.part(j)) for j in range(1, mu.length + 1)]
-        return Weight(coords)
-    raise ValueError(f"unknown order kind {order!r}")
+    else:
+        raise ValueError(f"unknown order kind {order!r}")
+    if n < need:
+        raise RankTooSmallError(f"shapes {lam},{mu} need rank >= {need}")
+    return Weight(coords)
 
 
 def weight_to_partition_pair(nu: Weight, n: int) -> tuple[Partition, Partition]:

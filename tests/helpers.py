@@ -685,6 +685,62 @@ def singular_blocks_oracle(m, gen_keys, block_filter=None) -> dict:
     return out
 
 
+# ----------------------------------------------------------- partitions
+
+def lr_tableau_oracle(lam, mu, nu) -> int:
+    """Littlewood-Richardson coefficient of s_nu in s_lam * s_mu by the
+    tableau rule: the skew semistandard tableaux of shape nu/lam and content
+    mu whose reverse reading word (each row right to left, rows top to
+    bottom) is a lattice word.  The library's former path, a backtracking
+    search independent of the character fold that replaced it."""
+    lam, mu, nu = aspartition(lam), aspartition(mu), aspartition(nu)
+    if lam.size + mu.size != nu.size:
+        return 0
+    if any(nu.part(i) < lam.part(i) for i in range(1, lam.length + 1)):
+        return 0
+    if not mu:
+        return 1
+    nrows = nu.length
+    # cells processed in reverse reading order: rows top to bottom, each row
+    # right to left, so the lattice prefix condition can be checked greedily
+    cells = []
+    for i in range(nrows):
+        lo, hi = lam.part(i + 1), nu.part(i + 1)
+        for j in range(hi - 1, lo - 1, -1):
+            cells.append((i, j))
+    m = mu.length
+    remaining = list(mu)
+    counts = [0] * (m + 1)
+    grid: dict[tuple[int, int], int] = {}
+
+    def place(idx: int) -> int:
+        if idx == len(cells):
+            return 1
+        i, j = cells[idx]
+        above = grid.get((i - 1, j))
+        right = grid.get((i, j + 1))
+        total = 0
+        for v in range(1, m + 1):
+            if remaining[v - 1] == 0:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue
+            if above is not None and v <= above:
+                continue
+            if right is not None and v > right:
+                continue
+            grid[(i, j)] = v
+            remaining[v - 1] -= 1
+            counts[v] += 1
+            total += place(idx + 1)
+            counts[v] -= 1
+            remaining[v - 1] += 1
+            del grid[(i, j)]
+        return total
+
+    return place(0)
+
+
 # ------------------------------------------------------------ glmodules
 
 def schur_module(lam, n: int) -> GlModule:

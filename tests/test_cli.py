@@ -93,6 +93,14 @@ def test_socle_shape_too_long_for_the_rank_exits_two(n, capsys):
     assert captured.err == "error: shapes (1,1,1),(1) need rank >= 4\n"
 
 
+def test_tensorfield_rank_error_words_the_shapes_like_socle(capsys):
+    # the interleaved weight of (1,1|1,1) needs rank max(2*2 - 1, 2*2) = 4
+    assert main(["tensorfield", "-l", "1,1", "-m", "1,1", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: shapes (1,1),(1,1) need rank >= 4\n"
+
+
 def test_kac_simple_module_is_decided_by_the_highest_weight(capsys):
     assert main(["kac", "-l", "1", "-m", "", "--n", "3"]) == 0
     assert "simple: True (via highest-weight)" in capsys.readouterr().out

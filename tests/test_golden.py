@@ -3,7 +3,8 @@
 Each file under ``tests/golden/`` is the recorded ``--out`` JSON of one
 command.  Optimisations that reorder generators, equations or closure
 rows must not move a byte: a changed witness weight, primitive,
-isomorphism or duality verdict or character shows up here.  To refresh a snapshot
+isomorphism or duality verdict, character, socle layer or suite verdict
+shows up here (``suite --out`` carries no timings).  To refresh a snapshot
 after an intended output change, run the command with
 ``--out tests/golden/<name>.json``.
 """
@@ -42,6 +43,11 @@ COMMANDS = {
                                 "--object", "L-"],
     "stabilize_T_l1_n3_5": ["stabilize", "-l", "1", "--n-from", "3",
                             "--n-to", "5", "--object", "T"],
+    "socle_l21_m1_n5": ["socle", "-l", "2,1", "-m", "1", "--n", "5"],
+    "socle_l11_m11_n4": ["socle", "-l", "1,1", "-m", "1,1", "--n", "4"],
+    "socle_l3_m21_n7": ["socle", "-l", "3", "-m", "2,1", "--n", "7"],
+    "socle_l22_m2_n6": ["socle", "-l", "2,2", "-m", "2", "--n", "6"],
+    "suite": ["suite"],
 }
 
 

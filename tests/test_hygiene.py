@@ -54,12 +54,14 @@ ORACLES = {"burnside_full", "rank_mod_p", "hom_basis"}
 # its formatter, whose term dicts are Lambda(n)'s vectors
 # (``helpers.GrassmannElement`` and ``helpers.format_element`` now), and
 # the second dimension formula for a shape and the second natural weight
-# of a partition pair, which ``weyl_dim`` and ``stable_highest_weight`` give
+# of a partition pair, which ``weyl_dim`` and ``stable_highest_weight`` give,
+# and the tableau counter of Littlewood-Richardson numbers, which the
+# character fold gives (``helpers.lr_tableau_oracle`` now)
 RETIRED_NAMES = {"BURNSIDE_MAX_DIM", "IsomorphismUndecidedError", "_full_rank",
                  "extract_L_minus_submodule", "_Targets", "block_index",
                  "find_primitive", "zdegs", "parities", "_coords", "_hash",
                  "w_apply", "GrassmannElement", "format_element",
-                 "schur_dim", "mixed_weight"}
+                 "schur_dim", "mixed_weight", "_lr_count"}
 
 # the only readers of the mod-p modulus
 PRIME_READERS = {"linalg.py": {"rank_mod_p"}, "spanops.py": {"burnside_full"}}
@@ -439,7 +441,9 @@ def test_scans_flag_oracle_calls_and_retired_names():
            "def leibniz(x, f):\n"
            "    return format_element(GrassmannElement(walgebra.w_apply(x, f)))\n"
            "def socle(lam, mu, n):\n"
-           "    return schur_dim(lam, n), mixed_weight(lam, mu, n)\n")
+           "    return schur_dim(lam, n), mixed_weight(lam, mu, n)\n"
+           "def lr_coefficient(lam, mu, nu):\n"
+           "    return _lr_count(lam, mu, nu)\n")
     assert sorted(calls_to(src, ORACLES)) == [
         "line 4: burnside_full", "line 5: rank_mod_p", "line 8: hom_basis"]
     assert RETIRED_NAMES <= identifiers(src)
@@ -765,7 +769,8 @@ def test_scan_flags_a_test_only_function():
 
 
 # the echelon membership test as it stood in the library, which only tests
-# called, beside the partition containment that the library calls
+# called, beside the partition containment that the library's tableau
+# counter called
 ECHELON_CONTAINS = {
     "linalg": """
 class RationalEchelon:

@@ -9,8 +9,8 @@ that no raising term can leave, so no check can tell the two apart."""
 
 import pytest
 
-from superw import (cli, glmodules, grassmann, induction, modules, stability,
-                    walgebra)
+from superw import (cli, glmodules, grassmann, induction, modules, partitions,
+                    stability, walgebra)
 from superw.glmodules import (gl_natural, gl_simple, verify_socle_identity,
                               weyl_dim)
 from superw.grassmann import merge_sign, removal_sign
@@ -20,16 +20,17 @@ from superw.modules import (check_representation, dual_module, generates,
                             is_simple, psi_invariants, singular_line,
                             singular_vectors, submodule_generated,
                             tensor_module)
-from superw.partitions import aspartition, stable_highest_weight
+from superw.partitions import (aspartition, lr_coefficient, partitions_of,
+                               stable_highest_weight)
 from superw.stability import restricted_character
 from superw.suite import PAIRS_LE2, jacobi_failures
 from superw.tensorfields import lambda_module, tensor_field
 from superw.walgebra import BorelOrder, basis_terms, term_parity
 from superw.weights import Weight
 
-from helpers import (complement_signs, kac_plus_oracle, on_field_basis,
-                     psi_span_oracle, raising_terms, restricted_character_oracle,
-                     singular_blocks_oracle)
+from helpers import (complement_signs, kac_plus_oracle, lr_tableau_oracle,
+                     on_field_basis, psi_span_oracle, raising_terms,
+                     restricted_character_oracle, singular_blocks_oracle)
 
 
 def check_gl_simple_dims():
@@ -81,6 +82,23 @@ def check_socle_dims():
     for lam, mu, n in [((1,), (2, 1), 4), ((2, 1), (2, 1), 6)]:
         rep = verify_socle_identity(lam, mu, n)
         assert rep.holds and rep.lhs_dim == rep.rhs_dim, (lam, mu)
+
+
+# the library's cached product, cleared by the check below so that a mutant
+# fold is run rather than read from products the library folded before
+SCHUR_PRODUCT = partitions._schur_product
+
+
+def check_lr_against_the_tableau_rule():
+    # the fold's Littlewood-Richardson numbers over shapes of at most three
+    # boxes, every nu of the product's size
+    SCHUR_PRODUCT.cache_clear()
+    shapes = [p for s in range(4) for p in partitions_of(s)]
+    for lam in shapes:
+        for mu in shapes:
+            for nu in partitions_of(lam.size + mu.size):
+                assert lr_coefficient(lam, mu, nu) == lr_tableau_oracle(lam, mu, nu), \
+                    (lam, mu, nu)
 
 
 def check_psi_dims():
@@ -283,6 +301,27 @@ def keep_the_mu_tail_unreversed(stable_highest_weight):
     return unreversed
 
 
+def fold_at_the_longer_input(schur_product):
+    # the product at the rank of the longer of lam and mu, which has no
+    # shape longer than both, not at the rank of nu
+    return lambda lam, mu, n: schur_product(lam, mu, max(lam.length, mu.length, 1))
+
+
+def drop_the_sort_sign(decompose_character):
+    # each regular weight adds its multiplicity to its dominant
+    # representative, without the sign of the sort that carries it there
+    def unsigned(ch, n):
+        rho = range(n - 1, -1, -1)
+        out = {}
+        for w, mult in ch.items():
+            v = sorted((x + r for x, r in zip(w, rho)), reverse=True)
+            if mult and len(set(v)) == n:
+                nu = tuple(x - r for x, r in zip(v, rho))
+                out[nu] = out.get(nu, 0) + mult
+        return out
+    return unsigned
+
+
 def skip_the_permutation_fill(orbit):
     return lambda dense: iter([dense])
 
@@ -304,6 +343,12 @@ MUTANTS = [
                  check_psi_dims, id="psi-closes-under-the-raising-roots"),
     pytest.param(glmodules, "stable_highest_weight", keep_the_mu_tail_unreversed,
                  check_socle_dims, id="natural-weight-keeps-mu-unreversed"),
+    pytest.param(partitions, "_schur_product", fold_at_the_longer_input,
+                 check_lr_against_the_tableau_rule, id="lr-product-at-too-small-a-rank"),
+    pytest.param(partitions, "decompose_character", drop_the_sort_sign,
+                 check_lr_against_the_tableau_rule, id="lr-fold-drops-the-sort-sign"),
+    pytest.param(glmodules, "decompose_character", drop_the_sort_sign,
+                 check_socle_dims, id="socle-fold-drops-the-sort-sign"),
     pytest.param(stability, "_orbit", skip_the_permutation_fill,
                  check_restricted_characters, id="restricted-skips-the-orbit"),
     pytest.param(modules, "dual_module", flip_the_dual_parity_sign,

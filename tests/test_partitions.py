@@ -1,11 +1,15 @@
 """Shapes, Schur weight multisets, and the layer multiplicity rule.
 
 The tableau-counting routines are checked against a brute-force
-semistandard filling enumerator written independently here.
+semistandard filling enumerator written independently here, and the
+Littlewood-Richardson numbers of the character fold against two
+witnesses: the tableau rule (``helpers.lr_tableau_oracle``) and the
+peeling of a product of Schur weight multisets.
 """
 
 import copy
 import pickle
+import re
 from itertools import product
 
 import pytest
@@ -19,6 +23,8 @@ from superw.partitions import (Partition, aspartition, lr_coefficient,
                                socle_layer_mults, stable_highest_weight,
                                weight_to_partition_pair)
 from superw.weights import Weight, order_sequence
+
+from helpers import lr_tableau_oracle
 
 
 def ssyt_weights(parts: tuple, n: int) -> dict:
@@ -118,6 +124,48 @@ def test_lr_coefficient_matches_character_product(lam, mu):
         assert got == want.get(key, 0), (lam, mu, nu)
 
 
+@pytest.mark.parametrize("lam", SHAPES_5, ids=str)
+def test_lr_coefficient_matches_the_tableau_rule(lam):
+    # every mu of at most 5 boxes and every nu of the product's size
+    for mu in SHAPES_5:
+        for nu in partitions_of(lam.size + mu.size):
+            assert lr_coefficient(lam, mu, nu) == lr_tableau_oracle(lam, mu, nu), \
+                (lam, mu, nu)
+
+
+SHAPES_3 = [p for s in range(4) for p in partitions_of(s)]
+
+
+def test_lr_coefficient_zero_cases():
+    for lam, mu in product(SHAPES_3, repeat=2):
+        size = lam.size + mu.size
+        # a nu of the wrong size
+        for nu in (*partitions_of(size - 1), *partitions_of(size + 1)):
+            assert lr_coefficient(lam, mu, nu) == 0 == lr_tableau_oracle(lam, mu, nu)
+        # a nu of the right size longer than len(lam) + len(mu), and so
+        # longer than every shape of the product, or shorter than lam or
+        # mu, and so not containing it
+        for nu in partitions_of(size):
+            if not max(lam.length, mu.length) <= nu.length <= lam.length + mu.length:
+                assert lr_coefficient(lam, mu, nu) == 0 == lr_tableau_oracle(lam, mu, nu)
+    # empty shapes: s_() is the unit
+    assert lr_coefficient((), (), ()) == 1 == lr_tableau_oracle((), (), ())
+    for lam in SHAPES_3[1:]:
+        assert lr_coefficient(lam, (), lam) == lr_coefficient((), lam, lam) == 1
+        assert lr_coefficient((), (), lam) == lr_coefficient(lam, (), ()) == 0
+        for nu in partitions_of(lam.size):
+            if nu != lam:
+                assert lr_coefficient((), lam, nu) == lr_coefficient(lam, (), nu) == 0
+
+
+def test_lr_coefficient_is_symmetric_in_lam_and_mu():
+    for lam, mu in product(SHAPES_5, repeat=2):
+        for nu in partitions_of(lam.size + mu.size):
+            got = lr_coefficient(lam, mu, nu)
+            assert got == lr_coefficient(mu, lam, nu) == lr_tableau_oracle(mu, lam, nu), \
+                (lam, mu, nu)
+
+
 def test_lr_pieri_rule():
     # multiplying by a single row adds at most one box per column
     assert lr_coefficient((2, 1), (2,), (4, 1)) == 1
@@ -166,7 +214,8 @@ def test_interleaved_rank_bound_is_tight(lam, mu):
     w = stable_highest_weight(lam, mu, "interleaved", need)
     along = [w[i] for i in order_sequence("interleaved", need)]
     assert along == sorted(along, reverse=True)
-    with pytest.raises(RankTooSmallError, match=f"need {need}"):
+    wording = f"shapes {aspartition(lam)},{aspartition(mu)} need rank >= {need}"
+    with pytest.raises(RankTooSmallError, match=f"^{re.escape(wording)}$"):
         stable_highest_weight(lam, mu, "interleaved", need - 1)
 
 
